@@ -200,9 +200,14 @@ class ExpressionParser:
                 return _Scalar(Fraction(v) ** k)
             return _Scalar(v ** k)
         if k >= 0:
+            # square-and-multiply: O(log k) products
             result = None
-            for _ in range(k):
-                result = atom if result is None else result * atom
+            while k:
+                if k & 1:
+                    result = atom if result is None else result * atom
+                k >>= 1
+                if k:
+                    atom = atom * atom
             if result is None:
                 if self.calculus is not None:
                     return self.calculus.one()

@@ -1,6 +1,8 @@
 """Sparse exact polynomials in two commuting variables x, y.
 
-Coefficients are Fractions; exponent pairs map to coefficients.  Partial
+Coefficients are nonzero Fractions; exponent pairs map to coefficients.
+Arithmetic results keep that invariant by construction and skip the
+re-validation the public constructor does.  Partial
 derivatives are exact, which is all the tensor-product model needs: the
 smooth functions of the plane are represented by polynomials throughout.
 """
@@ -56,12 +58,12 @@ class Poly:
                 out[m] = acc
             elif m in out:
                 del out[m]
-        return Poly(out)
+        return _trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.coeffs.items()})
+        return _trusted({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -87,7 +89,7 @@ class Poly:
                     out[m] = acc
                 elif m in out:
                     del out[m]
-        return Poly(out)
+        return _trusted(out)
 
     __rmul__ = __mul__
 
@@ -102,7 +104,7 @@ class Poly:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             inv = Fraction(1, 1) / Fraction(other)
-            return Poly({m: c * inv for m, c in self.coeffs.items()})
+            return _trusted({m: c * inv for m, c in self.coeffs.items()})
         return NotImplemented
 
     def __eq__(self, other):
@@ -122,12 +124,12 @@ class Poly:
         return bool(self.coeffs)
 
     def diff_x(self):
-        return Poly({(i - 1, j): c * i
-                     for (i, j), c in self.coeffs.items() if i})
+        return _trusted({(i - 1, j): c * i
+                         for (i, j), c in self.coeffs.items() if i})
 
     def diff_y(self):
-        return Poly({(i, j - 1): c * j
-                     for (i, j), c in self.coeffs.items() if j})
+        return _trusted({(i, j - 1): c * j
+                         for (i, j), c in self.coeffs.items() if j})
 
     def degree(self):
         return max((i + j for (i, j) in self.coeffs), default=0)
@@ -138,6 +140,13 @@ class Poly:
         return poly_str(self)
 
     __repr__ = __str__
+
+
+def _trusted(coeffs):
+    """A Poly over `coeffs`, whose values are already nonzero Fractions."""
+    out = object.__new__(Poly)
+    out.coeffs = coeffs
+    return out
 
 
 P_ZERO = Poly()

@@ -2,16 +2,25 @@
 
 The deformation parameter q is a primitive p-th root of unity, realized as
 the quotient field Q[q]/(Phi_p(q)) where Phi_p is the p-th cyclotomic
-polynomial.  Elements are stored in the power basis 1, q, ..., q^(phi(p)-1)
-with Fraction coordinates, so q**p == 1 holds on the nose, every nonzero
-element is invertible, and all arithmetic is exact.  p = 1 gives plain
-rationals (q = 1), p = 2 gives q = -1 concretely.
+polynomial.  An element is stored in the power basis 1, q, ..., q^(phi(p)-1)
+as integer numerators over one positive common denominator, the layout of
+FLINT's fmpq_poly and nf_elem: `nums` is a tuple of phi(p) ints and `den`
+a positive int.  The form is canonical: gcd(den, *nums) == 1, and zero is
+(0, ..., 0)/1, so equal elements have equal fields and equal hashes.
+
+Phi_p is monic with integer coefficients, so a product is an integer
+convolution reduced by an integer table of the powers of q, then one gcd;
+at phi(p) = 1 it is a single integer multiply.  q**p == 1 holds on the
+nose, every nonzero element is invertible, and all arithmetic is exact.
+p = 1 gives plain rationals (q = 1), p = 2 gives q = -1 concretely.
+`.coeffs` gives the coordinates as a tuple of Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -56,14 +65,24 @@ def cyclotomic_polynomial(p: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _power_table(p: int) -> tuple:
-    """q^k reduced into the power basis, for k = 0 .. 2*(phi-1)."""
-    phi = len(cyclotomic_polynomial(p)) - 1
+    """q^k in the power basis for k = 0 .. max(2*(phi-1), p-1).
+
+    Row k lists the pairs (m, t), t a nonzero int, with q^k = sum t q^m.
+    That covers every degree of an unreduced product and every q^k with
+    0 <= k < p.
+    """
+    phi_p = [int(c) for c in cyclotomic_polynomial(p)]
+    phi = len(phi_p) - 1
     rows = []
-    for k in range(2 * phi - 1):
-        poly = [_ZERO] * k + [_ONE]
-        _, rem = _poly_divmod(poly, list(cyclotomic_polynomial(p)))
-        rem = rem + [_ZERO] * (phi - len(rem))
-        rows.append(tuple(rem))
+    cur = [1] + [0] * (phi - 1)
+    for _ in range(max(2 * phi - 1, p)):
+        rows.append(tuple((m, t) for m, t in enumerate(cur) if t))
+        # times q, then q^phi = -(Phi_p - q^phi) since Phi_p is monic
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            for j in range(phi):
+                cur[j] -= top * phi_p[j]
     return tuple(rows)
 
 
@@ -72,21 +91,36 @@ def euler_phi(p: int) -> int:
 
 
 class CycScalar:
-    """An element of Q[q]/(Phi_p(q)), exact and immutable."""
+    """An element of Q[q]/(Phi_p(q)), exact, immutable and canonical.
 
-    __slots__ = ("p", "coeffs")
+    `CycScalar(p, coeffs)` takes the phi(p) power-basis coordinates as ints
+    or Fractions.
+    """
+
+    __slots__ = ("p", "nums", "den")
 
     def __init__(self, p, coeffs):
-        self.p = p
-        self.coeffs = tuple(coeffs)
-        if len(self.coeffs) != euler_phi(p):
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) != euler_phi(p):
             raise ValueError("coefficient vector has wrong length for p=%d" % p)
+        # the lcm of reduced denominators leaves gcd(den, *nums) == 1
+        den = lcm(*(c.denominator for c in coeffs))
+        self.p = p
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The power-basis coordinates, a tuple of Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     @classmethod
     def from_rational(cls, p, value):
-        c = [_ZERO] * euler_phi(p)
-        c[0] = Fraction(value)
-        return cls(p, c)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return _trusted(p, (value.numerator,) + (0,) * (euler_phi(p) - 1),
+                        value.denominator)
 
     def _coerce(self, other):
         if isinstance(other, CycScalar):
@@ -97,47 +131,59 @@ class CycScalar:
             return CycScalar.from_rational(self.p, other)
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CycScalar(self.p, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+    def __add__(self, other, sign=1):
+        # sign=-1 gives self - other (__sub__)
+        if other.__class__ is not CycScalar or other.p != self.p:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.nums, other.nums
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _canonical(self.p, [x + sign * y for x, y in zip(a, b)], d1)
+        s1 = sign * d1
+        return _canonical(self.p, [x * d2 + y * s1 for x, y in zip(a, b)],
+                          d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycScalar(self.p, [-a for a in self.coeffs])
+        return _trusted(self.p, tuple([-a for a in self.nums]), self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CycScalar(self.p, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        phi = len(self.coeffs)
-        conv = [_ZERO] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    conv[i + j] += a * b
+        if other.__class__ is not CycScalar or other.p != self.p:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.nums, other.nums
+        den = self.den * other.den
+        phi = len(a)
+        if phi == 1:
+            n = a[0] * b[0]
+            g = gcd(n, den)
+            if g != 1:
+                return _trusted(self.p, (n // g,), den // g)
+            return _trusted(self.p, (n,), den)
+        conv = [0] * (2 * phi - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        conv[i + j] += x * y
         table = _power_table(self.p)
-        out = [_ZERO] * phi
-        for k, c in enumerate(conv):
+        for k in range(phi, 2 * phi - 1):
+            c = conv[k]
             if c:
-                row = table[k]
-                for m in range(phi):
-                    if row[m]:
-                        out[m] += c * row[m]
-        return CycScalar(self.p, out)
+                for m, t in table[k]:
+                    conv[m] += c * t
+        del conv[phi:]
+        return _canonical(self.p, conv, den)
 
     __rmul__ = __mul__
 
@@ -189,29 +235,30 @@ class CycScalar:
         return out
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if other.__class__ is not CycScalar or other.p != self.p:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.den == other.den and self.nums == other.nums
 
     def __ne__(self, other):
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __hash__(self):
-        return hash((self.p, self.coeffs))
+        return hash((self.p, self.nums, self.den))
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def monomial_form(self):
         """(k, r) if the element is r*q^k in the power basis, else None."""
-        nz = [i for i, c in enumerate(self.coeffs) if c]
+        nz = [i for i, n in enumerate(self.nums) if n]
         if len(nz) == 1:
-            return nz[0], self.coeffs[nz[0]]
+            return nz[0], Fraction(self.nums[nz[0]], self.den)
         if not nz:
             return 0, _ZERO
         return None
@@ -223,6 +270,24 @@ class CycScalar:
         from .printing import scalar_str
 
         return scalar_str(self)
+
+
+def _trusted(p, nums, den):
+    """A CycScalar from fields that are already canonical."""
+    out = object.__new__(CycScalar)
+    out.p = p
+    out.nums = nums
+    out.den = den
+    return out
+
+
+def _canonical(p, nums, den):
+    """A CycScalar from a list of int numerators over a positive `den`."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return _trusted(p, tuple([n // g for n in nums]), den // g)
+    return _trusted(p, tuple(nums), den)
 
 
 def cyc_zero(p: int) -> CycScalar:
@@ -237,13 +302,7 @@ def q_power(p: int, k: int) -> CycScalar:
     """q^(k mod p) reduced into the power basis of Q[q]/(Phi_p)."""
     if p < 1:
         raise ValueError("p must be a positive integer")
-    k %= p
-    phi = euler_phi(p)
-    if k < phi:
-        c = [_ZERO] * phi
-        c[k] = _ONE
-        return CycScalar(p, c)
-    poly = [_ZERO] * k + [_ONE]
-    _, rem = _poly_divmod(poly, list(cyclotomic_polynomial(p)))
-    rem = list(rem) + [_ZERO] * (phi - len(rem))
-    return CycScalar(p, rem)
+    nums = [0] * euler_phi(p)
+    for m, t in _power_table(p)[k % p]:
+        nums[m] = t
+    return _trusted(p, tuple(nums), 1)

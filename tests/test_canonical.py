@@ -1,0 +1,82 @@
+"""Canonical storage: equal scalars have equal fields and hashes, and Poly
+arithmetic never stores a zero or non-Fraction coefficient."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+from ncham.polynomials import Poly
+from ncham.scalars import CycScalar, cyc_one, cyc_zero, euler_phi, q_power
+
+
+def rand_scalar(rng, p):
+    return CycScalar(p, [Fraction(rng.randint(-6, 6), rng.randint(1, 8))
+                         for _ in range(euler_phi(p))])
+
+
+def assert_canonical(c):
+    assert isinstance(c.den, int) and c.den > 0
+    assert len(c.nums) == euler_phi(c.p)
+    assert all(isinstance(n, int) for n in c.nums)
+    # also pins zero to 0/1, as gcd(den, 0, ..., 0) == den
+    assert gcd(c.den, *c.nums) == 1
+
+
+def test_equal_values_are_equal_and_hash_equal():
+    half = CycScalar(3, [Fraction(2, 4), Fraction(-3, 6)])
+    other = CycScalar(3, [Fraction(1, 2), Fraction(-1, 2)])
+    assert half == other and hash(half) == hash(other)
+    assert half.nums == (1, -1) and half.den == 2
+
+    rng = random.Random(99)
+    for p in (1, 2, 3, 4, 5, 6, 12):
+        for _ in range(30):
+            a, b = rand_scalar(rng, p), rand_scalar(rng, p)
+            for c in ((a + b) - b, b + a - b, -(-a)):
+                assert c == a and hash(c) == hash(a)
+                assert_canonical(c)
+            if a:
+                prod = a * a.inverse()
+                assert prod == cyc_one(p) and hash(prod) == hash(cyc_one(p))
+                assert_canonical(prod)
+            assert_canonical(a * b)
+
+
+def test_zero_is_zero_over_one():
+    for p in (1, 2, 3, 12):
+        a = CycScalar(p, [Fraction(k + 1, 3) for k in range(euler_phi(p))])
+        for z in (a - a, cyc_zero(p), a * 0, CycScalar(p, [0] * euler_phi(p))):
+            assert z.nums == (0,) * euler_phi(p) and z.den == 1
+            assert not z and z == 0 and hash(z) == hash(cyc_zero(p))
+
+
+def test_coeffs_are_fractions_and_mixed_comparisons_hold():
+    c = CycScalar(3, [1, Fraction(2, 3)])
+    assert c.coeffs == (Fraction(1), Fraction(2, 3))
+    assert all(type(x) is Fraction for x in c.coeffs)
+    assert all(type(x) is Fraction for x in q_power(5, 3).coeffs)
+
+    r = CycScalar.from_rational(4, Fraction(-3, 2))
+    assert r == Fraction(-3, 2) and Fraction(-3, 2) == r
+    assert r != Fraction(3, 2) and r != 1
+    assert cyc_one(3) == 1 and 1 == cyc_one(3) and cyc_one(3) != 2
+    assert q_power(3, 1) != 1 and q_power(3, 3) == 1
+    assert r * 2 == -3 and 2 * r == -3 and r + 1 == Fraction(-1, 2)
+
+
+def test_poly_results_store_only_nonzero_fractions():
+    x, y = Poly.x(), Poly.y()
+    assert (x - x).coeffs == {}
+    rng = random.Random(5)
+
+    def rand_poly():
+        return Poly({(rng.randint(0, 2), rng.randint(0, 2)):
+                     Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                     for _ in range(4)})
+
+    for _ in range(60):
+        f, g = rand_poly(), rand_poly()
+        for h in (f + g, f - g, f * g, f * (g - g), f - f, -f, f.diff_x(),
+                  f.diff_y(), (f * g).diff_x(), f + 1, 2 * f, f * 0,
+                  f / 3, f ** 2):
+            assert all(type(c) is Fraction and c for c in h.coeffs.values())

@@ -45,6 +45,23 @@ def test_parse_examples(torus2m, torus3m):
         parse_expression("w", torus2m)
 
 
+def test_powers_equal_repeated_products(torus3m):
+    from ncham.models import build_cuntz
+
+    cuntz = build_cuntz(2)
+    for model, base, k in ((torus3m, "u", 7), (torus3m, "dv", 2),
+                           (torus3m, "du", 1), (torus3m, "(u + q dv)", 6),
+                           (torus3m, "(u v^-1)", 5), (cuntz, "s1*", 3),
+                           (cuntz, "ds2", 2), (cuntz, "(s1 + s2*)", 4)):
+        atom = parse_expression(base, model)
+        prod = atom
+        for _ in range(k - 1):
+            prod = prod * atom
+        assert parse_expression("%s^%d" % (base, k), model) == prod
+    assert parse_expression("u^3 v^-2 u^2", torus3m) == \
+        parse_expression("u u u v^-1 v^-1 u u", torus3m)
+
+
 def test_parse_print_round_trip(torus2m, torus3m):
     import random
 
@@ -218,3 +235,18 @@ def test_cli_byte_stable(capsys):
         assert code == 0
         runs.add(out)
     assert len(runs) == 1
+
+
+def test_cli_large_generator_power(capsys, tmp_path):
+    # needs O(log k) products: k - 1 repeated products take minutes
+    code, out, _ = run_cli(capsys, "--model", "torus:p=2", "normalize",
+                           "u^100000")
+    assert code == 0 and out == "u^100000"
+    # a rule on powers of u keeps every intermediate power short
+    path = tmp_path / "involution.pres"
+    path.write_text("cyclotomic 1\ngenerator u invertible\nrule u u -> 1\n")
+    for expr, want in (("u^100001", "u"), ("u^100000", "1"),
+                       ("(u u u)^100001", "u")):
+        code, out, _ = run_cli(capsys, "--presentation", str(path),
+                               "normalize", expr)
+        assert code == 0 and out == want
