@@ -13,13 +13,11 @@ from .scalars import (CycScalar, Rational, cyc_one, cyc_zero,
 from .algebra import (DegreeError, Element, GeneratorSymbol, Presentation,
                       ReductionBudgetExceeded, RuleSpec,
                       UnknownGeneratorError, check_local_confluence)
-from .forms import CalculusPresentation, differential, is_closed, normalize_form
-from .cartan import (DerivationSpace, PresentedDerivation, apply,
-                     check_consistency, classify_torus_derivations,
-                     commutator, iprod, iprod_or_zero, lie)
+from .forms import CalculusPresentation
+from .cartan import (DerivationSpace, PresentedDerivation, check_consistency,
+                     classify_torus_derivations, iprod_or_zero)
 from .matrixcalc import (MatrixDerivation, TensorForm, antisymmetric_basis,
-                         d_universal, iprod_universal, lie_universal,
-                         matrix_symplectic_form, mul_universal)
+                         matrix_symplectic_form)
 from .polynomials import Poly
 from .bigraded import (BigradedForm, MixedDerivation,
                        poly_matrix_symplectic_form)
@@ -40,13 +38,11 @@ __all__ = [
     "DegreeError", "Element", "GeneratorSymbol", "Presentation",
     "ReductionBudgetExceeded", "RuleSpec", "UnknownGeneratorError",
     "check_local_confluence",
-    "CalculusPresentation", "differential", "is_closed", "normalize_form",
-    "DerivationSpace", "PresentedDerivation", "apply", "check_consistency",
-    "classify_torus_derivations", "commutator", "iprod", "iprod_or_zero",
-    "lie",
-    "MatrixDerivation", "TensorForm", "antisymmetric_basis", "d_universal",
-    "iprod_universal", "lie_universal", "matrix_symplectic_form",
-    "mul_universal",
+    "CalculusPresentation",
+    "DerivationSpace", "PresentedDerivation", "check_consistency",
+    "classify_torus_derivations", "iprod_or_zero",
+    "MatrixDerivation", "TensorForm", "antisymmetric_basis",
+    "matrix_symplectic_form",
     "Poly", "BigradedForm", "MixedDerivation", "poly_matrix_symplectic_form",
     "AnsatzSpace", "FlowSeries", "HamiltonianSolution", "HamiltonianSolver",
     "KernelReport", "NotHamiltonian", "NotHamiltonianError",

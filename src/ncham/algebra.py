@@ -6,7 +6,8 @@ letter table of a presentation fixes the precedence used by the
 degree-lexicographic term order, so word comparison is just comparison of
 (len(word), word).  Inverse cancellation g g^-1 -> 1 is structural: it
 happens during concatenation, and stored words never contain an adjacent
-inverse pair.
+inverse pair.  `RewriteSystem.leibniz` is the one derivation-expansion
+routine: d, apply, iprod and lie are per-letter substitutions over it.
 
 Rewrite rules replace a subword (the lhs) by an element (the rhs); every
 rhs word must be strictly smaller than the lhs in the term order, which
@@ -25,7 +26,11 @@ from .scalars import CycScalar, cyc_one, cyc_zero
 
 
 class ReductionBudgetExceeded(RuntimeError):
-    """Raised when a single normalize call exceeds its rewrite-step budget."""
+    """Raised when a single normalize call exceeds its rewrite-step budget.
+
+    Decreasing rules always terminate, but the number of steps can grow
+    exponentially in the length of the word; the budget bounds that.
+    """
 
 
 class DegreeError(ValueError):
@@ -73,16 +78,21 @@ class LetterTable:
         self.is_diff = tuple(lt.diff for lt in self.letters)
 
     def concat(self, *parts):
-        """Concatenate letter-index sequences, cancelling inverse pairs."""
-        out = []
+        """Concatenate reduced words, cancelling inverse pairs at the junctions.
+
+        Each part must be reduced (no adjacent inverse pair), as every
+        stored word is; then only the junctions between parts can cancel,
+        and a cancellation may cascade into the letters on either side.
+        """
         inv = self.inverse_of
+        out = ()
         for part in parts:
-            for li in part:
-                if out and inv.get(li) == out[-1]:
-                    out.pop()
-                else:
-                    out.append(li)
-        return tuple(out)
+            k, m = 0, len(out)
+            while k < len(part) and m and inv.get(part[k]) == out[m - 1]:
+                k += 1
+                m -= 1
+            out = out[:m] + part[k:]
+        return out
 
     def word_degree(self, word):
         isd = self.is_diff
@@ -169,7 +179,14 @@ class RewriteSystem:
             if sign == -1 and self.table.letters[li].diff:
                 raise ValueError("differentials are not invertible: %s" % name)
             letters.extend([li] * abs(exp))
-        return self.table.concat(letters)
+        inv = self.table.inverse_of
+        out = []
+        for li in letters:
+            if out and inv.get(li) == out[-1]:
+                out.pop()
+            else:
+                out.append(li)
+        return tuple(out)
 
     def add_rule(self, spec: RuleSpec, derived=False):
         lhs = self.encode_word(spec.lhs)
@@ -268,12 +285,15 @@ class RewriteSystem:
                     cache[w] = {w: self.one()}
                     stack.pop()
                     continue
+                i, rule = m
                 steps += 1
                 if steps > budget:
+                    text = self.word_str(word)
+                    if len(text) > 80:
+                        text = text[:77] + "..."
                     raise ReductionBudgetExceeded(
-                        "rewrite budget of %d exceeded; presentation may not terminate"
-                        % budget)
-                i, rule = m
+                        "rewrite budget of %d steps exceeded reducing %s; last rule "
+                        "applied: %s -> ..." % (budget, text, self.word_str(rule.lhs)))
                 pre, suf = w[:i], w[i + len(rule.lhs):]
                 exp = [(concat(pre, rw, suf), c) for rw, c in rule.rhs.items()]
                 expansions[w] = exp
@@ -312,6 +332,34 @@ class RewriteSystem:
                 elif wf in out:
                     del out[wf]
         return out
+
+    def leibniz(self, x, image, signed):
+        """Extend a per-letter substitution over the words of x by Leibniz.
+
+        Every letter li of every word w of x is replaced in turn by the
+        terms of image(li), a dict word -> scalar (None or {} for zero);
+        with `signed`, that replacement also takes the sign (-1)^k, k the
+        number of differentials before li.  The raw words are summed in one
+        dict and normalized once, which on a confluent presentation equals
+        normalizing pre * image * suf piece by piece (diamond lemma).
+        """
+        if x.system is not self:
+            raise ValueError("element belongs to a different calculus")
+        concat = self.table.concat
+        isd = self.table.is_diff
+        raw = {}
+        for w, c in x.terms.items():
+            for j, li in enumerate(w):
+                sub = image(li)
+                if sub:
+                    pre, suf = w[:j], w[j + 1:]
+                    for iw, ic in sub.items():
+                        key = concat(pre, iw, suf)
+                        acc = raw.get(key)
+                        raw[key] = c * ic if acc is None else acc + c * ic
+                if signed and isd[li]:
+                    c = -c
+        return Element(self, raw)
 
     def reduce_word_randomized(self, word, rng):
         """Fully reduce choosing a random redex at each step (no cache).
@@ -458,9 +506,13 @@ class Element:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = Element.one(self.system)
-        for _ in range(k):
-            out = out * self
+        out, base = Element.one(self.system), self
+        while k:    # square-and-multiply: O(log k) products
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def commutator(self, other):

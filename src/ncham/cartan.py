@@ -5,7 +5,10 @@ extended everywhere by the Leibniz rule; for an invertible generator the
 image of g^-1 is -g^-1 theta(g) g^-1, forced by theta(g g^-1) = 0.  The
 interior product is the signed derivation of degree -1 with
 theta _| dg = theta(g); the Lie derivative is the unsigned derivation of
-degree 0 with L(dg) = d(theta(g)).
+degree 0 with L(dg) = d(theta(g)).  All three are one call of
+`RewriteSystem.leibniz` each, with one normalization per call.  The
+substitution of each letter is computed the first time it is needed and
+kept on the derivation, whose images must not change after construction.
 
 These operations are only well defined when they annihilate every
 relation of the calculus, so `check_consistency` reduces theta(R),
@@ -42,6 +45,7 @@ class PresentedDerivation:
         for g in calculus.generators:
             self.images.setdefault(g.name, calculus.zero())
         self.label = label
+        self._subs = [None] * len(calculus.system.table.letters)
 
     # -- linear structure ----------------------------------------------
 
@@ -69,76 +73,49 @@ class PresentedDerivation:
 
     # -- action -----------------------------------------------------------
 
-    def _image_of_letter(self, li):
-        lt = self.calculus.system.table.letters[li]
-        img = self.images[lt.base]
-        if lt.exp == 1:
-            return img
-        ginv = Element(self.calculus.system, {(li,): self.calculus.system.one()},
-                       normal=True)
-        return -(ginv * img * ginv)
+    def _substitution(self, li):
+        """Terms replacing letter li under L_theta, computed once per letter:
+        theta(g), -g^-1 theta(g) g^-1, or d(theta(g)) for dg."""
+        terms = self._subs[li]
+        if terms is None:
+            calc = self.calculus
+            lt = calc.system.table.letters[li]
+            img = self.images[lt.base]
+            if lt.diff:
+                img = calc.d(img)
+            elif lt.exp == -1:
+                ginv = Element(calc.system, {(li,): calc.system.one()}, normal=True)
+                img = -(ginv * img * ginv)
+            terms = self._subs[li] = img.terms
+        return terms
 
     def apply(self, a: Element) -> Element:
         """Leibniz extension over words; degree-0 elements only."""
-        system = self.calculus.system
-        if a.system is not system:
-            raise ValueError("element belongs to a different calculus")
-        isd = system.table.is_diff
-        out = Element.zero(system)
-        one = system.one()
-        for w, c in a.terms.items():
-            for j, li in enumerate(w):
-                if isd[li]:
-                    raise ValueError("apply expects a 0-form; use lie for forms")
-                pre = Element(system, {w[:j]: c}, normal=True)
-                suf = Element(system, {w[j + 1:]: one}, normal=True)
-                out = out + pre * self._image_of_letter(li) * suf
-        return out
+        isd = self.calculus.system.table.is_diff
+
+        def image(li):
+            if isd[li]:
+                raise ValueError("apply expects a 0-form; use lie for forms")
+            return self._substitution(li)
+        return self.calculus.system.leibniz(a, image, signed=False)
 
     def __call__(self, a):
         return self.apply(a)
 
     def iprod(self, x: Element) -> Element:
         """Interior product: signed derivation, degree -1."""
-        system = self.calculus.system
-        if x.system is not system:
-            raise ValueError("element belongs to a different calculus")
         if x.terms and x.degrees() == [0]:
             raise DegreeError("interior product needs degree >= 1")
-        isd = system.table.is_diff
-        letters = system.table.letters
-        out = Element.zero(system)
-        one = system.one()
-        for w, c in x.terms.items():
-            sign = one
-            for j, li in enumerate(w):
-                if not isd[li]:
-                    continue
-                pre = Element(system, {w[:j]: c * sign}, normal=True)
-                suf = Element(system, {w[j + 1:]: one}, normal=True)
-                out = out + pre * self.images[letters[li].base] * suf
-                sign = -sign
-        return out
+        table = self.calculus.system.table
+
+        def image(li):
+            if table.is_diff[li]:
+                return self.images[table.letters[li].base].terms
+        return self.calculus.system.leibniz(x, image, signed=True)
 
     def lie(self, x: Element) -> Element:
         """Lie derivative: unsigned derivation, degree 0."""
-        system = self.calculus.system
-        if x.system is not system:
-            raise ValueError("element belongs to a different calculus")
-        isd = system.table.is_diff
-        letters = system.table.letters
-        out = Element.zero(system)
-        one = system.one()
-        for w, c in x.terms.items():
-            for j, li in enumerate(w):
-                if isd[li]:
-                    repl = self.calculus.d(self.images[letters[li].base])
-                else:
-                    repl = self._image_of_letter(li)
-                pre = Element(system, {w[:j]: c}, normal=True)
-                suf = Element(system, {w[j + 1:]: one}, normal=True)
-                out = out + pre * repl * suf
-        return out
+        return self.calculus.system.leibniz(x, self._substitution, signed=False)
 
     def commutator(self, other: "PresentedDerivation") -> "PresentedDerivation":
         if other.calculus is not self.calculus:
@@ -162,31 +139,12 @@ class PresentedDerivation:
         return "derivation(%s)" % body
 
 
-# -- generic wrappers (any backend exposes the same methods) -------------
-
-
-def apply(theta, a):
-    return theta.apply(a)
-
-
 def iprod_or_zero(theta, x):
     """theta _| x with the convention that _| vanishes on 0-forms."""
     try:
         return theta.iprod(x)
     except DegreeError:
         return x - x
-
-
-def iprod(theta, x):
-    return theta.iprod(x)
-
-
-def lie(theta, x):
-    return theta.lie(x)
-
-
-def commutator(theta, phi):
-    return theta.commutator(phi)
 
 
 # -- consistency ---------------------------------------------------------

@@ -17,6 +17,7 @@ import json
 import random
 import sys
 
+from .algebra import ReductionBudgetExceeded
 from .exprparse import ParseError, load_presentation, parse_derivation, \
     parse_expression
 from .models import build_model
@@ -263,7 +264,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return run(args)
-    except (ParseError, UsageError, ValueError, OSError) as exc:
+    except (ParseError, UsageError, ValueError, OSError,
+            ReductionBudgetExceeded) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

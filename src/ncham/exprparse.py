@@ -73,7 +73,13 @@ class _Scalar:
 
 
 class ExpressionParser:
-    """Recursive descent over the token list, resolving names in a model."""
+    """Recursive descent over the token list, resolving names in a model.
+
+    Parentheses may nest at most MAX_NESTING deep, which keeps the
+    recursion far inside Python's stack limit.
+    """
+
+    MAX_NESTING = 100
 
     def __init__(self, model):
         self.model = model
@@ -83,6 +89,7 @@ class ExpressionParser:
     def parse(self, text):
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0
         value = self._expr()
         kind, tok, pos = self.tokens[self.i]
         if kind != "end":
@@ -196,6 +203,8 @@ class ExpressionParser:
     def _power(self, atom, k, pos, atom_name=None):
         if isinstance(atom, _Scalar):
             v = atom.value
+            if k < 0 and not v:
+                raise ParseError("division by zero: 0 to the power %d" % k, pos)
             if k < 0 and not isinstance(v, CycScalar):
                 return _Scalar(Fraction(v) ** k)
             return _Scalar(v ** k)
@@ -230,6 +239,8 @@ class ExpressionParser:
         if kind == "rational":
             if "/" in tok:
                 num, den = tok.split("/")
+                if not int(den):
+                    raise ParseError("division by zero in %s" % tok, pos)
                 return _Scalar(Fraction(int(num), int(den)))
             return _Scalar(Fraction(int(tok)))
         if kind == "name":
@@ -241,7 +252,12 @@ class ExpressionParser:
                 return self.namespace[tok]
             raise ParseError("unknown generator %r" % tok, pos)
         if kind == "op" and tok == "(":
+            self.depth += 1
+            if self.depth > self.MAX_NESTING:
+                raise ParseError("parentheses nest deeper than %d"
+                                 % self.MAX_NESTING, pos)
             value = self._expr()
+            self.depth -= 1
             kind2, tok2, pos2 = self._next()
             if not (kind2 == "op" and tok2 == ")"):
                 raise ParseError("expected ')'", pos2)

@@ -9,7 +9,9 @@ read dv du u^n v^m.
 
 The differential is the signed derivation with d(g) = dg, d(dg) = 0 and,
 for invertible generators, d(g^-1) = -g^-1 dg g^-1, which is forced by
-the Leibniz rule on g g^-1 = 1.  No rewrite rules are guessed: where a
+the Leibniz rule on g g^-1 = 1.  These letter images form a table built
+once per calculus, and `d` is one call of `RewriteSystem.leibniz` over it:
+one normalization per call.  No rewrite rules are guessed: where a
 commutation between letters is not installed, words are left unreduced.
 """
 
@@ -46,11 +48,20 @@ class CalculusPresentation:
         self._algebra_rules = [self.system.add_rule(s) for s in self.algebra_rule_specs]
         self._form_rules = [self.system.add_rule(s) for s in self.form_rule_specs]
         self.system.install_inverse_variants()
-        self._gen_by_name = {g.name: g for g in self.generators}
-        self._diff_index = {}
-        for i, lt in enumerate(self.system.table.letters):
+        table = self.system.table
+        diff_of = {lt.base: i for i, lt in enumerate(table.letters) if lt.diff}
+        one = self.system.one()
+        # d(g) = dg and d(g^-1) = -g^-1 dg g^-1, normalized; d(dg) = 0
+        self._d_of_letter = []
+        for li, lt in enumerate(table.letters):
+            dg = diff_of[lt.base]
             if lt.diff:
-                self._diff_index[lt.base] = i
+                terms = None
+            elif lt.exp == 1:
+                terms = {(dg,): one}
+            else:
+                terms = {table.concat((li,), (dg,), (li,)): -one}
+            self._d_of_letter.append(terms and Element(self.system, terms).terms)
 
     # -- constructors ----------------------------------------------------
 
@@ -82,37 +93,9 @@ class CalculusPresentation:
 
     # -- the differential -------------------------------------------------
 
-    def d_letter(self, li):
-        """d of a single letter, as an element (possibly several words)."""
-        lt = self.system.table.letters[li]
-        if lt.diff:
-            return Element.zero(self.system)
-        dg = self._diff_index.get(lt.base)
-        if dg is None:
-            raise ValueError("no form generator for %s" % lt.base)
-        if lt.exp == 1:
-            return Element(self.system, {(dg,): self.system.one()})
-        ginv = (li,)
-        word = self.system.table.concat(ginv, (dg,), ginv)
-        return Element(self.system, {word: -self.system.one()})
-
     def d(self, x: Element) -> Element:
         """Signed Leibniz derivation with d^2 = 0."""
-        if x.system is not self.system:
-            raise ValueError("element belongs to a different calculus")
-        isd = self.system.table.is_diff
-        out = Element.zero(self.system)
-        one = self.system.one()
-        for w, c in x.terms.items():
-            sign = one
-            for j, li in enumerate(w):
-                if isd[li]:
-                    sign = -sign
-                    continue
-                pre = Element(self.system, {w[:j]: c * sign}, normal=True)
-                suf = Element(self.system, {w[j + 1:]: one}, normal=True)
-                out = out + pre * self.d_letter(li) * suf
-        return out
+        return self.system.leibniz(x, self._d_of_letter.__getitem__, signed=True)
 
     def is_closed(self, x: Element) -> bool:
         return self.d(x).is_zero()
@@ -142,15 +125,3 @@ class CalculusPresentation:
             tag = "derived " if rule.derived else ""
             out.append(("%srule %s" % (tag, self.system.word_str(rule.lhs)), lhs, rhs))
         return out
-
-
-def differential(x: Element, calculus: CalculusPresentation) -> Element:
-    return calculus.d(x)
-
-
-def normalize_form(x: Element, calculus: CalculusPresentation) -> Element:
-    return calculus.normalize(x)
-
-
-def is_closed(x: Element, calculus: CalculusPresentation) -> bool:
-    return calculus.is_closed(x)

@@ -362,14 +362,18 @@ class MatrixDerivation:
         return TensorForm(n, x.degree - 1, out, x.one)
 
     def lie(self, x: TensorForm) -> TensorForm:
-        out = TensorForm.zero(x.n, x.degree, x.one)
+        out = {}
         for key, c in x.terms.items():
             for j in range(len(key)):
-                terms = {}
                 for o, v in self.apply_unit(key[j]).items():
-                    terms[key[:j] + (o,) + key[j + 1:]] = c * v
-                out = out + TensorForm(x.n, x.degree, terms, x.one)
-        return out
+                    nk = key[:j] + (o,) + key[j + 1:]
+                    acc = out.get(nk)
+                    acc = c * v if acc is None else acc + c * v
+                    if acc:
+                        out[nk] = acc
+                    elif nk in out:
+                        del out[nk]
+        return TensorForm(x.n, x.degree, out, x.one)
 
     def commutator(self, other: "MatrixDerivation") -> "MatrixDerivation":
         if other.n != self.n:
@@ -393,22 +397,6 @@ class MatrixDerivation:
 
     def __repr__(self):
         return "MatrixDerivation(n=%d, %d entries)" % (self.n, len(self.theta))
-
-
-def d_universal(x: TensorForm) -> TensorForm:
-    return x.d()
-
-
-def mul_universal(x: TensorForm, y: TensorForm) -> TensorForm:
-    return x * y
-
-
-def iprod_universal(theta: MatrixDerivation, x: TensorForm) -> TensorForm:
-    return theta.iprod(x)
-
-
-def lie_universal(theta: MatrixDerivation, x: TensorForm) -> TensorForm:
-    return theta.lie(x)
 
 
 def antisymmetric_basis(n, one=Fraction(1)):

@@ -250,3 +250,40 @@ def test_cli_large_generator_power(capsys, tmp_path):
         code, out, _ = run_cli(capsys, "--presentation", str(path),
                                "normalize", expr)
         assert code == 0 and out == want
+
+
+def test_cli_division_by_zero_and_deep_nesting_exit_2(capsys):
+    for expr, message in (
+            ("1/0", "error: division by zero in 1/0 (at position 0)"),
+            ("u 0^-1", "error: division by zero: 0 to the power -1 "
+                       "(at position 3)"),
+            ("(q - q)^-2", "error: division by zero: 0 to the power -2"),
+            ("(" * 3000 + "u" + ")" * 3000,
+             "error: parentheses nest deeper than 100 (at position 100)")):
+        code, out, err = run_cli(capsys, "--model", "torus:p=2", "normalize",
+                                 expr)
+        assert code == 2 and out == "" and message in err
+    code, out, _ = run_cli(capsys, "--model", "torus:p=2", "normalize",
+                           "(" * 100 + "v u" + ")" * 100)
+    assert code == 0 and out == "-u v"
+
+
+def test_cli_maps_reduction_budget_to_exit_2(capsys, tmp_path, monkeypatch):
+    # decreasing rules always terminate, but b^k a^k needs k^2 swaps: with a
+    # budget of 50 steps, k = 8 runs away
+    import functools
+
+    from ncham import exprparse, forms
+
+    monkeypatch.setattr(exprparse, "CalculusPresentation", functools.partial(
+        forms.CalculusPresentation, step_budget=50))
+    path = tmp_path / "swap.pres"
+    path.write_text("generator a\ngenerator b\nrule b a -> a b\n")
+    code, out, _ = run_cli(capsys, "--presentation", str(path), "normalize",
+                           "b^7 a^7")
+    assert code == 0 and out == "a^7 b^7"
+    code, out, err = run_cli(capsys, "--presentation", str(path), "normalize",
+                             "b^8 a^8")
+    assert code == 2 and out == ""
+    assert "rewrite budget of 50 steps exceeded reducing b^8 a^8" in err
+    assert "last rule applied: b a ->" in err

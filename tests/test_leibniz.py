@@ -1,0 +1,192 @@
+"""The one Leibniz engine behind d, apply, iprod and lie, junction-only word
+concatenation, and powers of elements.
+
+The engine sums every raw word of a call in one dict and normalizes once;
+the reference here is the per-letter definition, pre * X * suf with a
+normalization at every product, written out independently of the engine.
+"""
+
+import random
+
+import pytest
+
+from ncham.algebra import Element, GeneratorSymbol, Presentation, RuleSpec
+
+MODELS = ("torus1", "torus2", "torus3", "cuntz2")
+
+
+def reference_leibniz(calc, x, image, signed):
+    """sum over words w, positions j: c w[:j] image(w[j]) w[j+1:], signed by
+    (-1)^(differentials before j) when `signed`, one product at a time."""
+    system = calc.system
+    isd = system.table.is_diff
+    out = calc.zero()
+    for w, c in x.terms.items():
+        sign = 1
+        for j, li in enumerate(w):
+            pre = Element(system, {w[:j]: c * sign}, normal=True)
+            suf = Element(system, {w[j + 1:]: system.one()}, normal=True)
+            out = out + pre * image(li) * suf
+            if signed and isd[li]:
+                sign = -sign
+    return out
+
+
+def letter_of(calc, li):
+    return calc.system.table.letters[li]
+
+
+def reference_d(calc, x):
+    def image(li):
+        lt = letter_of(calc, li)
+        if lt.diff:
+            return calc.zero()
+        if lt.exp == 1:
+            return calc.dgen(lt.base)
+        ginv = calc.gen(lt.base, -1)
+        return -(ginv * calc.dgen(lt.base) * ginv)
+    return reference_leibniz(calc, x, image, signed=True)
+
+
+def reference_image(calc, theta, li):
+    """theta on an algebra letter; theta(g^-1) = -g^-1 theta(g) g^-1."""
+    lt = letter_of(calc, li)
+    img = theta.images[lt.base]
+    if lt.exp == 1:
+        return img
+    ginv = calc.gen(lt.base, -1)
+    return -(ginv * img * ginv)
+
+
+def reference_apply(calc, theta, a):
+    return reference_leibniz(calc, a, lambda li: reference_image(calc, theta, li),
+                             signed=False)
+
+
+def reference_iprod(calc, theta, x):
+    def image(li):
+        lt = letter_of(calc, li)
+        return theta.images[lt.base] if lt.diff else calc.zero()
+    return reference_leibniz(calc, x, image, signed=True)
+
+
+def reference_lie(calc, theta, x):
+    def image(li):
+        lt = letter_of(calc, li)
+        if lt.diff:
+            return reference_d(calc, theta.images[lt.base])
+        return reference_image(calc, theta, li)
+    return reference_leibniz(calc, x, image, signed=False)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_engine_matches_per_letter_reference(name, request):
+    model = request.getfixturevalue(name)
+    calc = model.calculus
+    rng = random.Random(4242)
+    for _ in range(12):
+        x = model.random_form(rng, 2)
+        theta = model.random_derivation(rng)
+        assert calc.d(x) == reference_d(calc, x)
+        assert theta.lie(x) == reference_lie(calc, theta, x)
+        a = x.homogeneous_part(0)
+        assert theta.apply(a) == reference_apply(calc, theta, a)
+        if any(calc.system.table.word_degree(w) for w in x.terms):
+            assert theta.iprod(x) == reference_iprod(calc, theta, x)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_substitution_table_equals_fresh_images(name, request):
+    model = request.getfixturevalue(name)
+    calc = model.calculus
+    rng = random.Random(7)
+    for _ in range(4):
+        theta = model.random_derivation(rng)
+        theta.lie(model.random_form(rng, 2))
+        filled = 0
+        for li, terms in enumerate(theta._subs):
+            if terms is None:
+                continue
+            filled += 1
+            lt = letter_of(calc, li)
+            if lt.diff:
+                assert terms == calc.d(theta.images[lt.base]).terms
+            else:
+                assert terms == reference_image(calc, theta, li).terms
+        assert filled
+        # a second call reuses the table: no entry is rebuilt
+        before = list(theta._subs)
+        theta.lie(model.random_form(rng, 2))
+        assert all(new is old for old, new in zip(before, theta._subs)
+                   if old is not None)
+
+
+def reference_concat(table, *parts):
+    """Letter by letter, cancelling against the end of the output."""
+    out = []
+    for part in parts:
+        for li in part:
+            if out and table.inverse_of.get(li) == out[-1]:
+                out.pop()
+            else:
+                out.append(li)
+    return tuple(out)
+
+
+def test_junction_concat_matches_per_letter_reference(torus2):
+    system = torus2.calculus.system
+    table = system.table
+
+    def word(*factors):
+        return system.encode_word(factors)
+
+    uv = word(("u", 1), ("v", 1))
+    assert table.concat(uv, word(("v", -1), ("u", -1))) == ()
+    assert table.concat(uv, word(("v", -1)), word(("u", -1), ("v", 1))) == \
+        word(("v", 1))
+    assert table.concat(word(("u", 2)), (), word(("u", -3), ("du", 1))) == \
+        word(("u", -1), ("du", 1))
+    assert table.concat(word(("u", 1), ("du", 1)), word(("u", -1))) == \
+        word(("u", 1), ("du", 1), ("u", -1))
+
+    rng = random.Random(11)
+    letters = range(len(table.letters))
+    for _ in range(2000):
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            raw = [rng.choice(letters) for _ in range(rng.randint(0, 5))]
+            parts.append(reference_concat(table, raw))    # reduced parts
+        assert table.concat(*parts) == reference_concat(table, *parts)
+
+
+def test_encode_word_reduces_letter_by_letter(torus2):
+    system = torus2.calculus.system
+    v = system.encode_word([("v", 1)])
+    assert system.encode_word([("u", 1), ("u", -1), ("v", 1)]) == v
+    assert system.encode_word([("v", 1), ("u", 2), ("u", -2)]) == v
+    assert system.encode_word([("u", 1), ("v", 1), ("v", -1), ("u", -1)]) == ()
+
+
+@pytest.mark.parametrize("name", ("torus3", "cuntz2"))
+def test_power_equals_repeated_product(name, request):
+    model = request.getfixturevalue(name)
+    calc = model.calculus
+    rng = random.Random(5)
+    for _ in range(3):
+        x = model.random_form(rng, 1)
+        product = calc.one()
+        for k in range(10):
+            assert x ** k == product
+            product = product * x
+
+
+def test_budget_error_names_word_and_rule():
+    from ncham.algebra import ReductionBudgetExceeded
+
+    gens = [GeneratorSymbol("a"), GeneratorSymbol("b")]
+    rules = [RuleSpec.make([("b", 1), ("a", 1)], [(1, [("a", 1), ("b", 1)])])]
+    pres = Presentation(gens, rules, p=1, step_budget=10)
+    with pytest.raises(ReductionBudgetExceeded) as info:
+        pres.element([("b", 6), ("a", 6)])
+    assert "reducing b^6 a^6" in str(info.value)
+    assert "last rule applied: b a ->" in str(info.value)
