@@ -24,8 +24,7 @@ from .bigraded import (BigradedForm, MixedDerivation,
 from .symplectic import (AnsatzSpace, FlowSeries, HamiltonianSolution,
                          HamiltonianSolver, KernelReport, NotHamiltonian,
                          NotHamiltonianError, SingularFormError,
-                         SymplecticForm, check_nonsingular, flow, in_v_omega,
-                         omega_tilde, poisson, solve_hamiltonian)
+                         SymplecticForm, in_v_omega, omega_tilde)
 from .models import (ModelDescriptor, build_cuntz, build_matrix, build_model,
                      build_poly_matrix, build_torus, cuntz_calculus, theta_h,
                      torus_calculus)
@@ -46,8 +45,7 @@ __all__ = [
     "Poly", "BigradedForm", "MixedDerivation", "poly_matrix_symplectic_form",
     "AnsatzSpace", "FlowSeries", "HamiltonianSolution", "HamiltonianSolver",
     "KernelReport", "NotHamiltonian", "NotHamiltonianError",
-    "SingularFormError", "SymplecticForm", "check_nonsingular", "flow",
-    "in_v_omega", "omega_tilde", "poisson", "solve_hamiltonian",
+    "SingularFormError", "SymplecticForm", "in_v_omega", "omega_tilde",
     "ModelDescriptor", "build_cuntz", "build_matrix", "build_model",
     "build_poly_matrix", "build_torus", "cuntz_calculus", "theta_h",
     "torus_calculus",

@@ -3,8 +3,10 @@
 The symplectic machinery only needs a handful of primitives: the
 differential, zero tests, exact coordinates of a form in a canonical
 basis (for the linear solver), a hashable freeze of a form (for caching),
-and linear combinations of derivations.  Elements and derivations
-already share their arithmetic dunders across backends.
+and linear combinations of derivations; the CLI adds a display of a
+derivation's images.  Elements and derivations already share their
+arithmetic dunders and `str` across backends, so adapters do not wrap
+them.
 """
 
 from __future__ import annotations
@@ -52,9 +54,6 @@ class PresentedAdapter:
     def describe_derivation(self, theta):
         return {name: str(img) for name, img in sorted(theta.images.items())}
 
-    def render(self, x):
-        return str(x)
-
 
 class MatrixAdapter:
     kind = "matrix"
@@ -93,9 +92,6 @@ class MatrixAdapter:
                     TensorForm(self.n, 0, {(o,): v for o, v in img.items()}))
         return out
 
-    def render(self, x):
-        return str(x)
-
 
 class BigradedAdapter:
     kind = "bigraded"
@@ -131,6 +127,3 @@ class BigradedAdapter:
     def describe_derivation(self, theta):
         return {"theta_x": str(theta.theta_x), "theta_y": str(theta.theta_y),
                 "theta_S(1,2)": str(theta.theta_s[0][1])}
-
-    def render(self, x):
-        return str(x)

@@ -6,7 +6,8 @@
     ncham --presentation my.pres confluence
 
 Exit codes: 0 success, 1 mathematical negative (not Hamiltonian, failed
-check, non-confluent presentation), 2 usage or parse error.  The
+check, non-confluent presentation, a derivation for iprod or lie that
+fails its consistency check), 2 usage or parse error.  The
 --format json flag switches to machine-readable reports.
 """
 
@@ -18,6 +19,7 @@ import random
 import sys
 
 from .algebra import ReductionBudgetExceeded
+from .cartan import consistency_of
 from .exprparse import ParseError, load_presentation, parse_derivation, \
     parse_expression
 from .models import build_model
@@ -86,7 +88,7 @@ class UsageError(Exception):
 
 
 def _require_symplectic(model):
-    if getattr(model, "omega", None) is None:
+    if model.omega is None:
         raise UsageError("this command needs a symplectic model "
                          "(built-in, or a presentation file with omega "
                          "and derivation lines)")
@@ -118,6 +120,12 @@ def run(args) -> int:
     if cmd in ("iprod", "lie"):
         theta = parse_derivation(args.theta, model)
         el = parse_expression(args.expr, model)
+        rep = consistency_of(theta)
+        if rep is not None and not rep.ok:
+            lines = rep.summary().splitlines()
+            _emit(args, {"status": "NOT_CONSISTENT", "detail": lines},
+                  "\n".join(["NOT_CONSISTENT"] + lines))
+            return 1
         out = theta.iprod(el) if cmd == "iprod" else theta.lie(el)
         _emit(args, {"status": "ok", "result": str(out)}, str(out))
         return 0
@@ -172,7 +180,7 @@ def run(args) -> int:
         _emit(args, payload, str(series))
         return 0
     if cmd == "confluence":
-        target = getattr(model, "_confluence_target", None)
+        target = model.calculus
         if target is None:
             _emit(args, {"status": "ok",
                          "detail": "tensor backends have no presentation"},
@@ -205,8 +213,7 @@ def _run_check(args, model) -> int:
     for name, ok, detail in model.certify():
         report("%s %s" % (name, detail) if detail else name, ok)
 
-    if getattr(model, "space", None) is not None or \
-            getattr(model, "derivations", None):
+    if model.omega is not None or model.space.basis:
         from .cartan import iprod_or_zero as ip
 
         d = model.backend.d

@@ -19,7 +19,8 @@ Presentation files are line oriented:
 
 Lines starting with # are comments.  `omega` and `derivation` lines are
 optional; when present they make the Hamiltonian commands available on a
-user presentation.
+user presentation.  A file loads to a ModelDescriptor like the built-in
+models, with omega None when the file has no `omega` line.
 """
 
 from __future__ import annotations
@@ -73,18 +74,21 @@ class _Scalar:
 
 
 class ExpressionParser:
-    """Recursive descent over the token list, resolving names in a model.
+    """Recursive descent over the token list, resolving names in a
+    namespace (name -> element) over a calculus.
 
     Parentheses may nest at most MAX_NESTING deep, which keeps the
-    recursion far inside Python's stack limit.
+    recursion far inside Python's stack limit.  A power k needs
+    |k| <= MAX_POWER: a k-th generator power is a k-letter word, so its
+    cost grows linearly in |k|.
     """
 
     MAX_NESTING = 100
+    MAX_POWER = 10 ** 6
 
-    def __init__(self, model):
-        self.model = model
-        self.namespace = model.namespace()
-        self.calculus = model.calculus      # None for tensor backends
+    def __init__(self, namespace, calculus):
+        self.namespace = namespace
+        self.calculus = calculus            # None for tensor backends
 
     def parse(self, text):
         self.tokens = tokenize(text)
@@ -181,8 +185,9 @@ class ExpressionParser:
             if kind == "op" and tok == "⊗":
                 self._next()
                 rhs = self._primary()
-                if not hasattr(value, "tensor"):
-                    raise ParseError("tensor legs need a tensor backend", pos)
+                if not hasattr(value, "tensor") or isinstance(rhs, _Scalar):
+                    raise ParseError("tensor legs need forms of a tensor "
+                                     "backend", pos)
                 try:
                     value = value.tensor(rhs)
                 except ValueError as exc:
@@ -197,7 +202,11 @@ class ExpressionParser:
         kind2, tok2, pos2 = self._peek()
         if kind2 == "pow":
             self._next()
-            return self._power(atom, int(tok2[1:]), pos2, atom_name)
+            k = int(tok2[1:])
+            if abs(k) > self.MAX_POWER:
+                raise ParseError("power %d exceeds the bound %d in absolute "
+                                 "value" % (k, self.MAX_POWER), pos2)
+            return self._power(atom, k, pos2, atom_name)
         return atom
 
     def _power(self, atom, k, pos, atom_name=None):
@@ -266,14 +275,14 @@ class ExpressionParser:
 
 
 def parse_expression(text, model):
-    return ExpressionParser(model).parse(text)
+    return ExpressionParser(model.namespace(), model.calculus).parse(text)
 
 
 def parse_derivation(text, model):
     """theta specs: 'u -> expr, v -> expr' | 'h: expr' | 'S: expr' |
     'x: expr, y: expr, S: expr'."""
     kind = model.backend.kind
-    parser = ExpressionParser(model)
+    parser = ExpressionParser(model.namespace(), model.calculus)
     if "->" in text:
         from .cartan import PresentedDerivation
 
@@ -380,7 +389,7 @@ def load_presentation(path):
         raise ParseError("presentation declares no generators")
 
     scratch = CalculusPresentation(generators, [], [], p=p, letter_order=order)
-    scratch_model = _ScratchModel(scratch)
+    scratch_parser = ExpressionParser(scratch.namespace(), scratch)
 
     def parse_rule(text):
         lhs_txt, arrow, rhs_txt = text.partition("->")
@@ -390,7 +399,7 @@ def load_presentation(path):
         for tok in lhs_txt.split():
             name, _, power = tok.partition("^")
             lhs.append((name, int(power) if power else 1))
-        rhs_el = ExpressionParser(scratch_model).parse(rhs_txt.strip())
+        rhs_el = scratch_parser.parse(rhs_txt.strip())
         rhs_terms = []
         table = scratch.system.table
         for word, coeff in rhs_el.terms.items():
@@ -405,9 +414,8 @@ def load_presentation(path):
     form_rules = [parse_rule(t) for t in frule_lines]
     calc = CalculusPresentation(generators, algebra_rules, form_rules, p=p,
                                 letter_order=order)
-    backend = PresentedAdapter(calc)
-    model = _ScratchModel(calc)
-    parser = ExpressionParser(model)
+    namespace = calc.namespace()
+    parser = ExpressionParser(namespace, calc)
 
     derivations = []
     for text in derivation_lines:
@@ -442,66 +450,7 @@ def load_presentation(path):
             combo = combo + rng.choice([1, -1, 2]) * rng.choice(derivations)
         return combo
 
-    if omega is None:
-        return _PresentationOnlyModel(calc, backend, derivations,
-                                      random_form, random_derivation)
     return ModelDescriptor(
-        kind="file", params={}, backend=backend, calculus=calc, omega=omega,
-        basis=derivations, random_form=random_form,
-        random_derivation=random_derivation, namespace=calc.namespace(),
-        confluence_target=calc)
-
-
-class _ScratchModel:
-    """Just enough of the model surface for the expression parser."""
-
-    def __init__(self, calculus):
-        self.calculus = calculus
-        self.kind = "file"
-
-    def namespace(self):
-        return self.calculus.namespace()
-
-
-class _PresentationOnlyModel:
-    """A loaded presentation without a symplectic form."""
-
-    kind = "file"
-
-    def __init__(self, calculus, backend, derivations, random_form,
-                 random_derivation):
-        self.calculus = calculus
-        self.backend = backend
-        self.derivations = derivations
-        self.params = {}
-        self.omega = None
-        self.space = None
-        self._random_form = random_form
-        self._random_derivation = random_derivation
-        self._confluence_target = calculus
-
-    @property
-    def name(self):
-        return "file"
-
-    def namespace(self):
-        return self.calculus.namespace()
-
-    def random_form(self, rng, max_degree=2):
-        return self._random_form(rng, max_degree)
-
-    def random_derivation(self, rng):
-        return self._random_derivation(rng)
-
-    def certify(self):
-        from .algebra import check_local_confluence
-        from .cartan import consistency_of
-
-        rep = check_local_confluence(self.calculus)
-        out = [("local confluence", rep.all_joinable,
-                "%d critical pairs" % len(rep.pairs))]
-        bad = sum(1 for th in self.derivations
-                  if not consistency_of(th).ok)
-        out.append(("derivation consistency", bad == 0,
-                    "%d derivations" % len(self.derivations)))
-        return out
+        kind="file", params={}, backend=PresentedAdapter(calc), calculus=calc,
+        omega=omega, basis=derivations, random_form=random_form,
+        random_derivation=random_derivation, namespace=namespace)

@@ -95,11 +95,20 @@ class ExactLinearSystem:
         rhs = {k: v for k, v in rhs.items() if v}
         if any(k not in self.key_index for k in rhs):
             return None
-        y = {}
-        for ki, key in enumerate(self.keys):
-            v = rhs.get(key)
-            if v:
-                y[ki] = v
+        coeffs = self._back_substitute(rhs)
+        # exact residual check covers the inconsistent rows
+        return None if self._subtract_span(rhs, coeffs) else coeffs
+
+    def residual(self, rhs):
+        """rhs minus its projection onto the column span (exact)."""
+        rhs = {k: v for k, v in rhs.items() if v}
+        return self._subtract_span(rhs, self._back_substitute(rhs))
+
+    def _back_substitute(self, rhs):
+        """Pivot coefficients from the recorded row operations; free
+        columns get zero and keys outside the columns are ignored."""
+        y = {self.key_index[k]: v for k, v in rhs.items()
+             if k in self.key_index}
         coeffs = [self.zero] * len(self.columns)
         for (row, trans), pc in zip(self.echelon, self.pivots):
             acc = self.zero
@@ -108,7 +117,10 @@ class ExactLinearSystem:
                 if v:
                     acc = acc + t * v
             coeffs[pc] = acc
-        # exact residual check covers the inconsistent rows
+        return coeffs
+
+    def _subtract_span(self, rhs, coeffs):
+        """rhs - sum c_j columns_j, dropping exact zeros."""
         residual = dict(rhs)
         for j, c in enumerate(coeffs):
             if not c:
@@ -119,45 +131,4 @@ class ExactLinearSystem:
                     residual[k] = acc
                 elif k in residual:
                     del residual[k]
-        if residual:
-            return None
-        return coeffs
-
-    def residual(self, rhs):
-        """rhs minus its projection onto the column span (exact)."""
-        coeffs = self._best_effort(rhs)
-        residual = {k: v for k, v in rhs.items() if v}
-        for j, c in enumerate(coeffs):
-            if not c:
-                continue
-            for k, v in self.columns[j].items():
-                acc = residual.get(k, self.zero) - c * v
-                if acc:
-                    residual[k] = acc
-                elif k in residual:
-                    del residual[k]
         return residual
-
-    def _best_effort(self, rhs):
-        y = {}
-        for ki, key in enumerate(self.keys):
-            v = rhs.get(key)
-            if v:
-                y[ki] = v
-        coeffs = [self.zero] * len(self.columns)
-        for (row, trans), pc in zip(self.echelon, self.pivots):
-            acc = self.zero
-            for ki, t in trans.items():
-                v = y.get(ki)
-                if v:
-                    acc = acc + t * v
-            coeffs[pc] = acc
-        return coeffs
-
-
-def solve_exact(columns, rhs, one):
-    return ExactLinearSystem(columns, one).solve(rhs)
-
-
-def nullspace_exact(columns, one):
-    return ExactLinearSystem(columns, one).nullspace()

@@ -4,7 +4,8 @@ Each builder returns a ModelDescriptor bundling the calculus, the closed
 2-form, the default derivation ansatz, seeded random generators for the
 property suite, and a `certify` method running the structural checks
 (local confluence, d omega = 0, consistency of the ansatz, trivial
-omega_tilde kernel).
+omega_tilde kernel).  A presentation file loads to the same type, with
+omega None when the file declares no 2-form.
 
 Rule orientations.  Torus: differentials first, dv < du < u < v, so the
 single algebra rule reads v u -> q^-1 u v and normal form words are
@@ -38,22 +39,25 @@ from .symplectic import AnsatzSpace, HamiltonianSolver, SymplecticForm
 
 
 class ModelDescriptor:
-    """A built model: calculus + omega + ansatz + random generators."""
+    """A built model: calculus + omega + ansatz + random generators.
+
+    `calculus` is None on the tensor backends, which have no presentation
+    to check for confluence; `omega` is None for a presentation file
+    without a 2-form, which then has no solver.
+    """
 
     def __init__(self, kind, params, backend, calculus, omega, basis,
-                 random_form, random_derivation, namespace, confluence_target,
-                 v_family=None):
+                 random_form, random_derivation, namespace, v_family=None):
         self.kind = kind
         self.params = dict(params)
         self.backend = backend
         self.calculus = calculus
-        self.omega = SymplecticForm(backend, omega)
+        self.omega = None if omega is None else SymplecticForm(backend, omega)
         self.space = AnsatzSpace(backend, list(basis))
         self.v_family = list(v_family) if v_family is not None else list(basis)
         self._random_form = random_form
         self._random_derivation = random_derivation
         self._namespace = namespace
-        self._confluence_target = confluence_target
         self._solver = None
 
     @property
@@ -63,6 +67,10 @@ class ModelDescriptor:
 
     @property
     def solver(self) -> HamiltonianSolver:
+        if self.omega is None:
+            # an AttributeError, so hasattr(model, "solver") is False
+            raise AttributeError("model %s declares no symplectic form, so "
+                                 "it has no solver" % self.name)
         if self._solver is None:
             self._solver = HamiltonianSolver(self.omega, self.space)
         return self._solver
@@ -79,19 +87,21 @@ class ModelDescriptor:
     def certify(self):
         """Structural certificates; list of (check, ok, detail)."""
         out = []
-        if self._confluence_target is not None:
-            rep = check_local_confluence(self._confluence_target)
+        if self.calculus is not None:
+            rep = check_local_confluence(self.calculus)
             out.append(("local confluence", rep.all_joinable,
                         "%d critical pairs" % len(rep.pairs)))
-        out.append(("d omega = 0",
-                    self.backend.is_zero(self.backend.d(self.omega.omega)), ""))
         bad = 0
         for theta in self.space.basis:
             rep = consistency_of(theta)
             if rep is not None and not rep.ok:
                 bad += 1
-        out.append(("ansatz consistency", bad == 0,
-                    "%d derivations" % len(self.space.basis)))
+        consistent = (bad == 0, "%d derivations" % len(self.space.basis))
+        if self.omega is None:
+            return out + [("derivation consistency",) + consistent]
+        out.append(("d omega = 0",
+                    self.backend.is_zero(self.backend.d(self.omega.omega)), ""))
+        out.append(("ansatz consistency",) + consistent)
         ker = self.solver.kernel_report()
         out.append(("omega_tilde injective", ker.nonsingular, ker.summary()))
         return out
@@ -171,7 +181,7 @@ def build_torus(p: int, bound: int = 3, root_exp: int = 1) -> ModelDescriptor:
         {"p": p, "root": root_exp},
         backend=backend, calculus=calc, omega=omega, basis=basis,
         random_form=random_form, random_derivation=random_derivation,
-        namespace=calc.namespace(), confluence_target=calc)
+        namespace=calc.namespace())
 
 
 # -- matrix algebra ---------------------------------------------------------
@@ -212,8 +222,7 @@ def build_matrix(n: int) -> ModelDescriptor:
     return ModelDescriptor(
         kind="matrix", params={"n": n}, backend=backend, calculus=None,
         omega=omega, basis=basis, random_form=random_form,
-        random_derivation=random_derivation, namespace=ns,
-        confluence_target=None)
+        random_derivation=random_derivation, namespace=ns)
 
 
 # -- Cuntz algebra -----------------------------------------------------------
@@ -323,7 +332,7 @@ def build_cuntz(n: int) -> ModelDescriptor:
         kind="cuntz", params={"n": n}, backend=backend, calculus=calc,
         omega=omega, basis=basis, random_form=random_form,
         random_derivation=random_derivation, namespace=calc.namespace(),
-        confluence_target=calc, v_family=family)
+        v_family=family)
 
 
 # -- polynomial functions with matrix values ----------------------------------
@@ -394,8 +403,7 @@ def build_poly_matrix(degree_bound: int = 3) -> ModelDescriptor:
     return ModelDescriptor(
         kind="polymat", params={"D": degree_bound}, backend=backend,
         calculus=None, omega=omega, basis=basis, random_form=random_form,
-        random_derivation=random_derivation, namespace=ns,
-        confluence_target=None)
+        random_derivation=random_derivation, namespace=ns)
 
 
 # -- model strings ------------------------------------------------------------

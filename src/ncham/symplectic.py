@@ -9,6 +9,11 @@ solution X in span(V); then {a, b} = X_a(b), and the truncated flow of b
 is exp(t X_b) a cut at a fixed order.  Everything is solved by exact
 Gauss-Jordan elimination over the coefficient field; there is no
 tolerance anywhere.
+
+HamiltonianSolver is the one solver surface: it factorizes omega_tilde
+on the ansatz once and answers solve, poisson and flow from that
+factorization.  A model builds it on first use and keeps it as
+`model.solver`.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ class SymplecticForm:
     def __post_init__(self):
         if not self.backend.is_zero(self.backend.d(self.omega)):
             raise ValueError("the 2-form is not closed")
-        self.closed = True
 
 
 @dataclass
@@ -123,10 +127,6 @@ class HamiltonianSolver:
     def kernel_report(self) -> KernelReport:
         return KernelReport(len(self._kernel), self._kernel)
 
-    @property
-    def nonsingular(self):
-        return not self._kernel
-
     def solve(self, a):
         if self._kernel:
             raise SingularFormError(
@@ -209,30 +209,3 @@ class FlowSeries:
 
     __repr__ = __str__
 
-
-_solver_cache = {}
-
-
-def _solver(form: SymplecticForm, space: AnsatzSpace) -> HamiltonianSolver:
-    key = (id(form), id(space))
-    solver = _solver_cache.get(key)
-    if solver is None or solver.form is not form or solver.space is not space:
-        solver = HamiltonianSolver(form, space)
-        _solver_cache[key] = solver
-    return solver
-
-
-def check_nonsingular(form: SymplecticForm, space: AnsatzSpace) -> KernelReport:
-    return _solver(form, space).kernel_report()
-
-
-def solve_hamiltonian(a, form: SymplecticForm, space: AnsatzSpace):
-    return _solver(form, space).solve(a)
-
-
-def poisson(a, b, form: SymplecticForm, space: AnsatzSpace):
-    return _solver(form, space).poisson(a, b)
-
-
-def flow(b, a, order: int, form: SymplecticForm, space: AnsatzSpace) -> FlowSeries:
-    return _solver(form, space).flow(b, a, order)

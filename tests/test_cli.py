@@ -7,7 +7,7 @@ import pytest
 from ncham.cli import main
 from ncham.exprparse import (ParseError, load_presentation, parse_derivation,
                              parse_expression)
-from ncham.models import build_matrix, build_torus
+from ncham.models import ModelDescriptor, build_matrix, build_torus
 from ncham.scalars import q_power
 
 
@@ -99,8 +99,7 @@ def test_parse_derivations(torus2m):
         parse_derivation("S: E12", pm)   # not antisymmetric
 
 
-def test_presentation_file_round_trip(tmp_path):
-    text = """\
+TORUS2_RELATIONS = """\
 # the p=2 noncommutative torus, spelled out by hand
 cyclotomic 2
 generator u invertible
@@ -114,11 +113,14 @@ frule v dv -> dv v
 frule du dv -> -q dv du
 frule du du -> 0
 frule dv dv -> 0
-omega u^-1 du dv v^-1
-derivation xa: u -> 2 u^3 v^2, v -> -2 u^2 v^3
 """
+TORUS2_OMEGA = "omega u^-1 du dv v^-1\n"
+TORUS2_DERIVATION = "derivation xa: u -> 2 u^3 v^2, v -> -2 u^2 v^3\n"
+
+
+def test_presentation_file_round_trip(tmp_path):
     path = tmp_path / "torus.pres"
-    path.write_text(text)
+    path.write_text(TORUS2_RELATIONS + TORUS2_OMEGA + TORUS2_DERIVATION)
     model = load_presentation(str(path))
     calc = model.calculus
     assert calc.p == 2
@@ -287,3 +289,116 @@ def test_cli_maps_reduction_budget_to_exit_2(capsys, tmp_path, monkeypatch):
     assert code == 2 and out == ""
     assert "rewrite budget of 50 steps exceeded reducing b^8 a^8" in err
     assert "last rule applied: b a ->" in err
+
+
+_PROPERTY_LINES = ["PASS %s (3 trials, seed 2026)" % name for name in (
+    "magic formula", "d L = L d", "L/iprod commutation", "iprod antisymmetry",
+    "Lie commutator")]
+
+
+@pytest.mark.parametrize("omega, derivation, code, lines", [
+    (True, True, 0, [
+        "PASS local confluence 44 critical pairs",
+        "PASS d omega = 0",
+        "PASS ansatz consistency 1 derivations",
+        "PASS omega_tilde injective omega_tilde kernel: 0 (nonsingular on "
+        "the ansatz)"] + _PROPERTY_LINES),
+    (False, True, 0, [
+        "PASS local confluence 44 critical pairs",
+        "PASS derivation consistency 1 derivations"] + _PROPERTY_LINES),
+    (True, False, 1, [
+        "PASS local confluence 44 critical pairs",
+        "PASS d omega = 0",
+        "PASS ansatz consistency 0 derivations",
+        "PASS omega_tilde injective omega_tilde kernel: 0 (nonsingular on "
+        "the ansatz)",
+        "FAIL property suite (presentation file declares no derivations)"]),
+    (False, False, 0, [
+        "PASS local confluence 44 critical pairs",
+        "PASS derivation consistency 0 derivations"]),
+], ids=["omega+derivation", "derivation-only", "omega-only", "neither"])
+def test_cli_check_on_presentation_variants(capsys, tmp_path, omega,
+                                            derivation, code, lines):
+    path = tmp_path / "torus.pres"
+    path.write_text(TORUS2_RELATIONS + (TORUS2_OMEGA if omega else "")
+                    + (TORUS2_DERIVATION if derivation else ""))
+    got, out, err = run_cli(capsys, "--presentation", str(path), "check",
+                            "--count", "3")
+    assert (got, out, err) == (code, "\n".join(lines), "")
+    model = load_presentation(str(path))
+    assert isinstance(model, ModelDescriptor)
+    assert (model.omega is not None) == omega == hasattr(model, "solver")
+    assert len(model.space.basis) == derivation
+
+
+def test_cli_bracket_needs_symplectic_presentation(capsys, tmp_path):
+    path = tmp_path / "torus.pres"
+    path.write_text(TORUS2_RELATIONS)
+    code, out, err = run_cli(capsys, "--presentation", str(path), "bracket",
+                             "u", "v")
+    assert (code, out) == (2, "")
+    assert err == ("error: this command needs a symplectic model (built-in, "
+                   "or a presentation file with omega and derivation lines)")
+
+
+def test_cli_json_not_hamiltonian_payload(capsys):
+    code, out, _ = run_cli(capsys, "--model", "torus:p=2", "--format", "json",
+                           "is-hamiltonian", "u")
+    assert code == 1
+    assert out == """\
+{
+  "ansatz_size": 98,
+  "kernel_dimension": 0,
+  "residual": {
+    "(1,)": "1"
+  },
+  "status": "NOT_HAMILTONIAN"
+}"""
+
+
+def test_cli_iprod_and_lie_refuse_an_inconsistent_derivation(capsys):
+    # theta(u) = u v, theta(v) = 0 breaks u du = du u (and du du = 0)
+    summary = [
+        "consistency checks: 26, failing: 6",
+        "  FAIL iprod on rule u du: residual 2 u^2 v",
+        "  FAIL lie on rule u du: residual 2 dv u^2",
+        "  FAIL iprod on rule du du: residual -2 du u v",
+        "  FAIL lie on rule du du: residual -2 dv du u",
+        "  FAIL iprod on derived rule u^-1 du: residual 2 v",
+        "  FAIL lie on derived rule u^-1 du: residual 2 dv"]
+    for cmd in ("lie", "iprod"):
+        code, out, err = run_cli(capsys, "--model", "torus:p=2", cmd,
+                                 "u -> u v, v -> 0", "du")
+        assert (code, out, err) == (1, "\n".join(["NOT_CONSISTENT"] + summary),
+                                    "")
+    code, out, _ = run_cli(capsys, "--model", "torus:p=2", "--format", "json",
+                           "lie", "u -> u v, v -> 0", "du")
+    assert code == 1
+    assert json.loads(out) == {"status": "NOT_CONSISTENT", "detail": summary}
+    # a consistent derivation still gets its answer
+    code, out, _ = run_cli(capsys, "--model", "torus:p=2", "lie",
+                           "u -> 2 u^3 v^2, v -> -2 u^2 v^3", "u")
+    assert (code, out) == (0, "2 u^3 v^2")
+
+
+def test_cli_power_bound_exit_2(capsys):
+    from ncham.exprparse import ExpressionParser
+
+    assert ExpressionParser.MAX_POWER == 10 ** 6
+    for expr, message in (
+            ("u^1000001", "error: power 1000001 exceeds the bound 1000000 in "
+                          "absolute value (at position 1)"),
+            ("v u^-3000000", "error: power -3000000 exceeds the bound "
+                             "1000000 in absolute value (at position 3)"),
+            ("2^99999999 u", "error: power 99999999 exceeds the bound "
+                             "1000000 in absolute value (at position 1)"),
+            ("(u v)^-1000001", "error: power -1000001 exceeds the bound "
+                               "1000000 in absolute value (at position 5)")):
+        code, out, err = run_cli(capsys, "--model", "torus:p=2", "normalize",
+                                 expr)
+        assert (code, out, err) == (2, "", message)
+    # the bound itself is allowed
+    for expr in ("1^1000000 u", "1^-1000000 u"):
+        code, out, _ = run_cli(capsys, "--model", "torus:p=2", "normalize",
+                               expr)
+        assert (code, out) == (0, "u")

@@ -10,9 +10,7 @@ from ncham.matrixcalc import MatrixDerivation, TensorForm
 from ncham.symplectic import (AnsatzSpace, HamiltonianSolution,
                               HamiltonianSolver, NotHamiltonian,
                               NotHamiltonianError, SingularFormError,
-                              SymplecticForm, check_nonsingular, flow,
-                              in_v_omega, omega_tilde, poisson,
-                              solve_hamiltonian)
+                              SymplecticForm, in_v_omega, omega_tilde)
 
 
 def torus_monomial(calc, a, b, coeff=1):
@@ -44,16 +42,16 @@ def test_in_v_omega_examples(torus2, matrix2):
 
 def test_nonsingularity(torus2, matrix3, cuntz2, polymat):
     for model in (torus2, matrix3, cuntz2, polymat):
-        assert check_nonsingular(model.omega, model.space).nonsingular
+        assert model.solver.kernel_report().nonsingular
 
 
 def test_zero_form_is_totally_singular(torus2):
     calc = torus2.calculus
     om0 = SymplecticForm(torus2.backend, calc.zero())
     space = AnsatzSpace(torus2.backend, torus2.space.basis[:5])
-    rep = check_nonsingular(om0, space)
-    assert rep.dimension == len(space.basis)
     solver = HamiltonianSolver(om0, space)
+    rep = solver.kernel_report()
+    assert rep.dimension == len(space.basis)
     with pytest.raises(SingularFormError):
         solver.solve(calc.gen("u"))
 
@@ -69,7 +67,7 @@ def test_nonclosed_form_rejected(torus2):
 def test_torus_solver_paper_fields(torus2):
     calc = torus2.calculus
     a = torus_monomial(calc, 2, 2)
-    sol = solve_hamiltonian(a, torus2.omega, torus2.space)
+    sol = torus2.solver.solve(a)
     assert isinstance(sol, HamiltonianSolution)
     assert sol.vector_field.images["u"] == torus_monomial(calc, 3, 2, 2)
     assert sol.vector_field.images["v"] == torus_monomial(calc, 2, 3, -2)
@@ -77,7 +75,7 @@ def test_torus_solver_paper_fields(torus2):
     for bad in [calc.gen("u"), calc.gen("v"),
                 calc.gen("u") * calc.gen("v"),
                 torus_monomial(calc, 2, 1)]:
-        verdict = solve_hamiltonian(bad, torus2.omega, torus2.space)
+        verdict = torus2.solver.solve(bad)
         assert isinstance(verdict, NotHamiltonian)
         assert verdict.residual          # carries the unreachable part of da
 
@@ -86,24 +84,24 @@ def test_poisson_examples(torus2, cuntz2, matrix3, polymat):
     calc = torus2.calculus
     a = torus_monomial(calc, 2, 2)
     b = torus_monomial(calc, 2, 4)
-    assert poisson(a, b, torus2.omega, torus2.space) == \
+    assert torus2.solver.poisson(a, b) == \
         torus_monomial(calc, 4, 6, -4)
 
     cc = cuntz2.calculus
-    got = poisson(cc.gen("s1") * cc.gen("s2*"), cc.gen("s2") * cc.gen("s1*"),
-                  cuntz2.omega, cuntz2.space)
+    got = cuntz2.solver.poisson(cc.gen("s1") * cc.gen("s2*"),
+                                cc.gen("s2") * cc.gen("s1*"))
     want = cc.gen("s1") * cc.gen("s1*") - cc.gen("s2") * cc.gen("s2*")
     assert got == want
 
     ns = matrix3.namespace()
     s = ns["E12"] - ns["E21"]
     t = ns["E23"] - ns["E32"]
-    assert poisson(s, t, matrix3.omega, matrix3.space) == ns["E13"] - ns["E31"]
+    assert matrix3.solver.poisson(s, t) == ns["E13"] - ns["E31"]
 
     np_ = polymat.namespace()
     t7 = 2 * (np_["E12"] - np_["E21"])
     r7 = -1 * (np_["E12"] - np_["E21"])
-    got = poisson(t7 + np_["x"], r7 + np_["y"], polymat.omega, polymat.space)
+    got = polymat.solver.poisson(t7 + np_["x"], r7 + np_["y"])
     assert got == -1 * np_["I"]
 
 
@@ -111,22 +109,22 @@ def test_poisson_requires_hamiltonian_inputs(torus2):
     calc = torus2.calculus
     a = torus_monomial(calc, 2, 2)
     with pytest.raises(NotHamiltonianError):
-        poisson(calc.gen("u"), a, torus2.omega, torus2.space)
+        torus2.solver.poisson(calc.gen("u"), a)
     with pytest.raises(NotHamiltonianError):
-        poisson(a, calc.gen("u"), torus2.omega, torus2.space)
+        torus2.solver.poisson(a, calc.gen("u"))
 
 
 def test_flow_examples(torus2):
     calc = torus2.calculus
     b = torus_monomial(calc, 2, 2)
     u = calc.gen("u")
-    series = flow(b, u, 1, torus2.omega, torus2.space)
+    series = torus2.solver.flow(b, u, 1)
     assert series.coefficient(0) == u
     assert series.coefficient(1) == torus_monomial(calc, 3, 2, 2)
 
     a = torus_monomial(calc, 2, 4)
-    series2 = flow(b, a, 3, torus2.omega, torus2.space)
-    assert series2.coefficient(1) == poisson(b, a, torus2.omega, torus2.space)
+    series2 = torus2.solver.flow(b, a, 3)
+    assert series2.coefficient(1) == torus2.solver.poisson(b, a)
 
 
 def test_flow_matches_conjugation_series(matrix2):
@@ -144,7 +142,7 @@ def test_flow_matches_conjugation_series(matrix2):
     for _ in range(10):
         a = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         a_form = TensorForm.from_matrix(a)
-        series = flow(s_form, a_form, 2, matrix2.omega, matrix2.space)
+        series = matrix2.solver.flow(s_form, a_form, 2)
         sa = mat_mul(s, a)
         as_ = mat_mul(a, s)
         first = [[sa[i][j] - as_[i][j] for j in range(n)] for i in range(n)]
@@ -161,10 +159,9 @@ def test_flow_matches_conjugation_series(matrix2):
 def test_flow_rejects_non_hamiltonian_generator(torus2):
     calc = torus2.calculus
     with pytest.raises(NotHamiltonianError):
-        flow(calc.gen("u"), calc.gen("v"), 2, torus2.omega, torus2.space)
+        torus2.solver.flow(calc.gen("u"), calc.gen("v"), 2)
     with pytest.raises(ValueError):
-        flow(torus_monomial(calc, 2, 2), calc.gen("u"), -1,
-             torus2.omega, torus2.space)
+        torus2.solver.flow(torus_monomial(calc, 2, 2), calc.gen("u"), -1)
 
 
 def test_solver_uniqueness_under_nonsingularity(torus2):
