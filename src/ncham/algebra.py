@@ -11,7 +11,11 @@ routine: d, apply, iprod and lie are per-letter substitutions over it.
 
 Rewrite rules replace a subword (the lhs) by an element (the rhs); every
 rhs word must be strictly smaller than the lhs in the term order, which
-makes rewriting terminate.  `check_local_confluence` enumerates all
+makes rewriting terminate.  `reduce_word` always rewrites the leftmost
+redex, and resumes the scan of each new word at the rewrite junction: no
+redex of concat(pre, rhs word, suf) starts before i - c - (L - 1), where i
+is the redex just rewritten, c the inverse pairs the concatenation
+cancelled and L the longest lhs.  `check_local_confluence` enumerates all
 overlap and inclusion ambiguities between rule left-hand sides (including
 the implicit cancellation rules of invertible generators) and reports
 whether both branches reduce to the same normal form.
@@ -249,10 +253,10 @@ class RewriteSystem:
 
     # -- rewriting -----------------------------------------------------
 
-    def _find_redex(self, word):
+    def _find_redex(self, word, start):
+        """Leftmost redex at or after `start`: (i, first rule matching at i)."""
         by_first = self._rules_by_first
-        n = len(word)
-        for i in range(n):
+        for i in range(start, len(word)):
             rules = by_first.get(word[i])
             if not rules:
                 continue
@@ -263,7 +267,18 @@ class RewriteSystem:
         return None
 
     def reduce_word(self, word):
-        """Normal form of a single word, as a dict word -> scalar."""
+        """Normal form of a single word, as a dict word -> scalar.
+
+        Always rewrites the leftmost redex with the first matching rule,
+        so the rewrite sequence is canonical.  Each stacked word carries
+        the position where its redex scan starts: rewriting w = pre lhs suf
+        at its leftmost redex i gives w' = concat(pre, rw, suf), and c
+        cancelled inverse pairs remove at most c letters of pre, so w' keeps
+        pre[:i - c], which holds no redex.  Every window of w' ending there
+        is a window of pre, so no redex of w' starts before
+        max(0, i - c - (L - 1)), with L the longest lhs.  A step therefore
+        scans O(L) letters instead of the whole word.
+        """
         cache = self._nf_cache
         hit = cache.get(word)
         if hit is not None:
@@ -271,16 +286,17 @@ class RewriteSystem:
         budget = self.step_budget
         steps = 0
         concat = self.table.concat
+        reach = self._max_lhs - 1
         expansions = {}
-        stack = [word]
+        stack = [(word, 0)]
         while stack:
-            w = stack[-1]
+            w, start = stack[-1]
             if w in cache:
                 stack.pop()
                 continue
             exp = expansions.get(w)
             if exp is None:
-                m = self._find_redex(w)
+                m = self._find_redex(w, start)
                 if m is None:
                     cache[w] = {w: self.one()}
                     stack.pop()
@@ -294,15 +310,21 @@ class RewriteSystem:
                     raise ReductionBudgetExceeded(
                         "rewrite budget of %d steps exceeded reducing %s; last rule "
                         "applied: %s -> ..." % (budget, text, self.word_str(rule.lhs)))
-                pre, suf = w[:i], w[i + len(rule.lhs):]
-                exp = [(concat(pre, rw, suf), c) for rw, c in rule.rhs.items()]
+                j = i + len(rule.lhs)
+                pre, suf = w[:i], w[j:]
+                kept = len(w) - j + i      # letters of pre and suf
+                exp = []
+                for rw, c in rule.rhs.items():
+                    nw = concat(pre, rw, suf)
+                    cancelled = (kept + len(rw) - len(nw)) // 2
+                    exp.append((nw, c, max(0, i - cancelled - reach)))
                 expansions[w] = exp
-            pending = [wi for wi, _ in exp if wi not in cache]
+            pending = [(wi, hi) for wi, _, hi in exp if wi not in cache]
             if pending:
                 stack.extend(pending)
                 continue
             out = {}
-            for wi, ci in exp:
+            for wi, ci, _ in exp:
                 for wf, cf in cache[wi].items():
                     acc = out.get(wf)
                     acc = ci * cf if acc is None else acc + ci * cf

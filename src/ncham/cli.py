@@ -7,8 +7,11 @@
 
 Exit codes: 0 success, 1 mathematical negative (not Hamiltonian, failed
 check, non-confluent presentation, a derivation for iprod or lie that
-fails its consistency check), 2 usage or parse error.  The
---format json flag switches to machine-readable reports.
+fails its consistency check), 2 usage or parse error.  The Hamiltonian
+commands (bracket, hamvec, is-hamiltonian, flow) on a presentation file
+exit 1 unless its rules are locally confluent and each of its
+derivations passes the consistency check.  The --format json flag
+switches to machine-readable reports.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 import random
 import sys
 
-from .algebra import ReductionBudgetExceeded
+from .algebra import ReductionBudgetExceeded, check_local_confluence
 from .cartan import consistency_of
 from .exprparse import ParseError, load_presentation, parse_derivation, \
     parse_expression
@@ -94,6 +97,45 @@ def _require_symplectic(model):
                          "and derivation lines)")
 
 
+def _confluence_payload(rep, system):
+    return {"status": "ok" if rep.all_joinable else "NOT_CONFLUENT",
+            "critical_pairs": len(rep.pairs),
+            "failures": [p.describe(system) for p in rep.failures()]}
+
+
+def _not_consistent(args, lines):
+    _emit(args, {"status": "NOT_CONSISTENT", "detail": lines},
+          "\n".join(["NOT_CONSISTENT"] + lines))
+    return 1
+
+
+def _refuse_unsound_file(args, model):
+    """True, after printing why, when a presentation file cannot carry
+    Hamiltonian answers.
+
+    Normal forms are unique only on locally confluent rules (Bergman's
+    diamond lemma), and an inconsistent derivation is no derivation of
+    the presented algebra, so its ansatz answers nothing.
+    """
+    system = model.calculus.system
+    rep = check_local_confluence(system)
+    if not rep.all_joinable:
+        payload = _confluence_payload(rep, system)
+        _emit(args, payload, "\n".join(
+            ["NOT_CONFLUENT", rep.summary().splitlines()[0]]
+            + ["  " + f for f in payload["failures"]]))
+        return True
+    lines = []
+    for theta in model.space.basis:
+        rep = consistency_of(theta)
+        if not rep.ok:
+            lines.append("derivation %s" % theta.label)
+            lines.extend(rep.summary().splitlines())
+    if lines:
+        _not_consistent(args, lines)
+    return bool(lines)
+
+
 def run(args) -> int:
     if bool(args.model) == bool(args.presentation):
         raise UsageError("exactly one of --model/--presentation is required")
@@ -107,6 +149,10 @@ def run(args) -> int:
         desc = "%s,%s=%s" % (desc, key, val)
     model = build_model(desc) if desc else load_presentation(args.presentation)
     cmd = args.command
+    if cmd in ("bracket", "hamvec", "is-hamiltonian", "flow"):
+        _require_symplectic(model)
+        if args.presentation and _refuse_unsound_file(args, model):
+            return 1
 
     if cmd == "normalize":
         el = parse_expression(args.expr, model)
@@ -122,15 +168,11 @@ def run(args) -> int:
         el = parse_expression(args.expr, model)
         rep = consistency_of(theta)
         if rep is not None and not rep.ok:
-            lines = rep.summary().splitlines()
-            _emit(args, {"status": "NOT_CONSISTENT", "detail": lines},
-                  "\n".join(["NOT_CONSISTENT"] + lines))
-            return 1
+            return _not_consistent(args, rep.summary().splitlines())
         out = theta.iprod(el) if cmd == "iprod" else theta.lie(el)
         _emit(args, {"status": "ok", "result": str(out)}, str(out))
         return 0
     if cmd == "bracket":
-        _require_symplectic(model)
         a = parse_expression(args.a, model)
         b = parse_expression(args.b, model)
         try:
@@ -142,7 +184,6 @@ def run(args) -> int:
         _emit(args, {"status": "ok", "result": str(out)}, str(out))
         return 0
     if cmd in ("hamvec", "is-hamiltonian"):
-        _require_symplectic(model)
         a = parse_expression(args.a, model)
         sol = model.solver.solve(a)
         ker = model.solver.kernel_report()
@@ -166,7 +207,6 @@ def run(args) -> int:
         _emit(args, payload, text)
         return 0
     if cmd == "flow":
-        _require_symplectic(model)
         b = parse_expression(args.b, model)
         a = parse_expression(args.a, model)
         try:
@@ -186,14 +226,9 @@ def run(args) -> int:
                          "detail": "tensor backends have no presentation"},
                   "no presentation to check (tensor backend)")
             return 0
-        from .algebra import check_local_confluence
-
         rep = check_local_confluence(target)
-        payload = {"status": "ok" if rep.all_joinable else "NOT_CONFLUENT",
-                   "critical_pairs": len(rep.pairs),
-                   "failures": [p.describe(target.system)
-                                for p in rep.failures()]}
-        _emit(args, payload, rep.summary(target.system))
+        _emit(args, _confluence_payload(rep, target.system),
+              rep.summary(target.system))
         return 0 if rep.all_joinable else 1
     if cmd == "check":
         return _run_check(args, model)
@@ -267,8 +302,46 @@ def _force_degree2(model, rng):
     return None
 
 
+def _parse_args(parser, argv):
+    """parse_args, with every argument after the command that starts
+    with "-" but names no option (such as the expression "-u") taken as
+    a value.
+
+    argparse reads such an argument as an unknown option.  Each one is
+    swapped for a placeholder that cannot start an option, and swapped
+    back after parsing.  An option is named exactly, as --opt=value, or by
+    a prefix of its long name, as argparse allows; the argument after an
+    option that takes a value is that option's.
+    """
+    options = {s: a.nargs != 0 for a in parser._actions
+               for s in a.option_strings}
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    argv = list(sys.argv[1:] if argv is None else argv)
+    hidden = {}
+    command = value_due = False
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            break
+        name = arg.partition("=")[0]
+        named = [o for o in options
+                 if o == name or name[:2] == "--" and o.startswith(name)]
+        if value_due or named:
+            value_due = (not value_due and len(named) == 1 and name == arg
+                         and options[named[0]])
+        elif not command:
+            command = arg in commands
+        elif arg.startswith("-"):
+            argv[i] = "\0%d" % i
+            hidden[argv[i]] = arg
+    args = parser.parse_args(argv)
+    for key, value in vars(args).items():
+        if value in hidden:
+            setattr(args, key, hidden[value])
+    return args
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parse_args(make_parser(), argv)
     try:
         return run(args)
     except (ParseError, UsageError, ValueError, OSError,

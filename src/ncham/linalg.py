@@ -92,17 +92,23 @@ class ExactLinearSystem:
         Free columns get coefficient zero; the solution is unique exactly
         when the kernel is trivial.
         """
-        rhs = {k: v for k, v in rhs.items() if v}
-        if any(k not in self.key_index for k in rhs):
+        if any(v and k not in self.key_index for k, v in rhs.items()):
             return None
-        coeffs = self._back_substitute(rhs)
-        # exact residual check covers the inconsistent rows
-        return None if self._subtract_span(rhs, coeffs) else coeffs
+        coeffs, residual = self.project(rhs)
+        return None if residual else coeffs
 
     def residual(self, rhs):
         """rhs minus its projection onto the column span (exact)."""
+        return self.project(rhs)[1]
+
+    def project(self, rhs):
+        """(coeffs, residual) in one back-substitution: rhs is in the
+        column span exactly when the residual is empty, and then coeffs
+        solve it."""
         rhs = {k: v for k, v in rhs.items() if v}
-        return self._subtract_span(rhs, self._back_substitute(rhs))
+        coeffs = self._back_substitute(rhs)
+        # exact residual check covers the inconsistent rows
+        return coeffs, self._subtract_span(rhs, coeffs)
 
     def _back_substitute(self, rhs):
         """Pivot coefficients from the recorded row operations; free

@@ -138,9 +138,9 @@ class HamiltonianSolver:
             return hit
         da = self.backend.d(a)
         rhs = self.backend.coordinates(da)
-        coeffs = self._system.solve(rhs)
-        if coeffs is None:
-            out = NotHamiltonian(a, self._system.residual(rhs))
+        coeffs, unreached = self._system.project(rhs)
+        if unreached:
+            out = NotHamiltonian(a, unreached)
         else:
             x_a = self.backend.combo(coeffs, self.space.basis)
             residual = x_a.iprod(self.form.omega) - da

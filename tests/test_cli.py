@@ -402,3 +402,106 @@ def test_cli_power_bound_exit_2(capsys):
         code, out, _ = run_cli(capsys, "--model", "torus:p=2", "normalize",
                                expr)
         assert (code, out) == (0, "u")
+
+
+def test_cli_expression_with_leading_minus(capsys):
+    for argv, want in (
+            (["normalize", "-u"], "-u"),
+            (["normalize", "--", "-u"], "-u"),
+            (["normalize", "-u", "--format", "json"],
+             '{\n  "result": "-u",\n  "status": "ok"\n}'),
+            (["--format=json", "normalize", "-u"],
+             '{\n  "result": "-u",\n  "status": "ok"\n}'),
+            (["normalize", "-(v u)"], "u v"),
+            (["normalize", "--u"], "u"),
+            (["d", "-u"], "-du"),
+            (["bracket", "-u^2 v^2", "-u^2 v^4"], "-4 u^4 v^6")):
+        code, out, err = run_cli(capsys, "--model", "torus:p=2", *argv)
+        assert (code, out, err) == (0, want, ""), argv
+    # a "-" word after an option that takes a value is still its value,
+    # and one before the command is still an unknown option
+    for argv, message in (
+            (["--model", "torus:p=2", "--seed", "-x", "check"],
+             "argument --seed: expected one argument"),
+            (["-u", "--model", "torus:p=2", "normalize", "u"],
+             "unrecognized arguments: -u")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    # the real options keep working wherever they appear
+    with pytest.raises(SystemExit) as exc:
+        main(["--model", "torus:p=2", "normalize", "-u", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ncham normalize")
+    code, out, err = run_cli(capsys, "--mod", "torus:p=2", "normalize", "-x")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown generator 'x' (at position 1)"
+
+
+BAD_DERIVATION = "derivation bad: u -> u v, v -> 0\n"
+HAMILTONIAN_COMMANDS = (["bracket", "u^2 v^2", "u^2 v^4"],
+                        ["hamvec", "u^2 v^2"],
+                        ["is-hamiltonian", "u^2 v^2"],
+                        ["flow", "u^2 v^2", "u"])
+
+
+def test_cli_presentation_refuses_an_inconsistent_derivation(capsys,
+                                                             tmp_path):
+    path = tmp_path / "torus.pres"
+    path.write_text(TORUS2_RELATIONS + TORUS2_OMEGA + TORUS2_DERIVATION)
+    code, out, _ = run_cli(capsys, "--presentation", str(path),
+                           "is-hamiltonian", "u^2 v^2")
+    assert (code, out) == (0, "HAMILTONIAN (relative to ansatz of 1 "
+                              "derivations)")
+    path.write_text(TORUS2_RELATIONS + TORUS2_OMEGA + TORUS2_DERIVATION
+                    + BAD_DERIVATION)
+    detail = [
+        "derivation bad",
+        "consistency checks: 26, failing: 6",
+        "  FAIL iprod on rule u du: residual 2 u^2 v",
+        "  FAIL lie on rule u du: residual 2 dv u^2",
+        "  FAIL iprod on rule du du: residual -2 du u v",
+        "  FAIL lie on rule du du: residual -2 dv du u",
+        "  FAIL iprod on derived rule u^-1 du: residual 2 v",
+        "  FAIL lie on derived rule u^-1 du: residual 2 dv"]
+    for argv in HAMILTONIAN_COMMANDS:
+        code, out, err = run_cli(capsys, "--presentation", str(path), *argv)
+        assert (code, out, err) == (1, "\n".join(["NOT_CONSISTENT"] + detail),
+                                    ""), argv
+    code, out, _ = run_cli(capsys, "--presentation", str(path), "--format",
+                           "json", "hamvec", "u^2 v^2")
+    assert code == 1
+    assert json.loads(out) == {"status": "NOT_CONSISTENT", "detail": detail}
+    # the file's algebra is unaffected, and a built-in model is not gated
+    code, out, _ = run_cli(capsys, "--presentation", str(path), "normalize",
+                           "v u")
+    assert (code, out) == (0, "-u v")
+    code, out, _ = run_cli(capsys, "--model", "torus:p=2", "is-hamiltonian",
+                           "u^2 v^2")
+    assert code == 0
+
+
+def test_cli_presentation_refuses_non_confluent_rules(capsys, tmp_path):
+    path = tmp_path / "torus.pres"
+    path.write_text(TORUS2_RELATIONS.replace(
+        "rule v u -> q^-1 u v\n", "rule v u -> q^-1 u v\nrule v u -> u v\n")
+        + TORUS2_OMEGA + TORUS2_DERIVATION + BAD_DERIVATION)
+    failures = [
+        "NOT JOINABLE: v u  (v u -> ... <- v u)",
+        "NOT JOINABLE: v u  (v u -> ... <- v u)",
+        "NOT JOINABLE: v u dv  (v u -> ... <- u dv)",
+        "NOT JOINABLE: v u du  (v u -> ... <- u du)",
+        "NOT JOINABLE: v u u^-1  (v u -> ... <- u u^-1)",
+        "NOT JOINABLE: v^-1 v u  (v^-1 v -> ... <- v u)"]
+    for argv in HAMILTONIAN_COMMANDS:
+        code, out, err = run_cli(capsys, "--presentation", str(path), *argv)
+        assert (code, err) == (1, ""), argv
+        assert out == "\n".join(
+            ["NOT_CONFLUENT", "critical pairs: 50, joinable: 44, failing: 6"]
+            + ["  " + f for f in failures]), argv
+    code, out, _ = run_cli(capsys, "--presentation", str(path), "--format",
+                           "json", "bracket", "u^2 v^2", "u^2 v^4")
+    assert code == 1
+    assert json.loads(out) == {"status": "NOT_CONFLUENT", "critical_pairs": 50,
+                               "failures": failures}

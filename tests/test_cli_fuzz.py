@@ -1,11 +1,13 @@
-"""Exit-code contract of `ncham normalize` under generated input.
+"""Exit-code contract of `ncham normalize` and `ncham d` under generated
+input.
 
 Inputs come from a small grammar over the names of torus:p=2,
 matrix:n=2 and cuntz:n=2 (so most names are foreign to the chosen
 model), rationals including zero denominators, q, the operators, the
 tensor sign, parentheses nested up to three deep and stray characters.
 A power is either small or above ExpressionParser.MAX_POWER.  Every
-input must give exit code 0 or 2 and never raise.
+input must give exit code 0 or 2 and never raise, and must give the same
+result whether or not "--" precedes it.
 """
 
 import contextlib
@@ -63,14 +65,36 @@ def inputs(draw):
     return text
 
 
+def run(argv):
+    """(exit code, stdout, stderr) of the CLI; argparse may not exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_contract(model, command, text):
+    # "--" keeps argparse from reading a leading "-" as an option; without
+    # it, an expression that names no option must read the same
+    got = run(["--model", model, command, "--", text])
+    assert got[0] in (0, 2), (model, command, text, got)
+    assert run(["--model", model, command, text]) == got, (model, command,
+                                                          text)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(model=st.sampled_from(MODELS), text=inputs())
 @example(model="torus:p=2", text="u^1000001")
 @example(model="torus:p=2", text="2^99999999 u")
 @example(model="matrix:n=2", text="E11 ⊗ 0")
+@example(model="torus:p=2", text="-u")
 def test_normalize_exits_0_or_2(model, text):
-    # "--" keeps argparse from reading a leading "-" as an option
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(["--model", model, "normalize", "--", text])
-    assert code in (0, 2), (model, text, code)
+    check_contract(model, "normalize", text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(model=st.sampled_from(MODELS), text=inputs())
+@example(model="torus:p=2", text="-u v")
+@example(model="cuntz:n=2", text="-s1*")
+def test_d_exits_0_or_2(model, text):
+    check_contract(model, "d", text)

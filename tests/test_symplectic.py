@@ -80,6 +80,31 @@ def test_torus_solver_paper_fields(torus2):
         assert verdict.residual          # carries the unreachable part of da
 
 
+def test_verdict_back_substitutes_once(matrix2, monkeypatch):
+    """One back-substitution per right-hand side, whatever the verdict:
+    da of E12 lies on the columns' keys but outside their span, da of
+    E11 has a key no column has."""
+    from ncham.exprparse import parse_expression
+    from ncham.linalg import ExactLinearSystem
+
+    solver = HamiltonianSolver(matrix2.omega, matrix2.space)
+    calls = []
+    back_substitute = ExactLinearSystem._back_substitute
+    monkeypatch.setattr(ExactLinearSystem, "_back_substitute",
+                        lambda self, rhs: calls.append(1)
+                        or back_substitute(self, rhs))
+    for expr, hamiltonian in (("E12", False), ("E11", False),
+                              ("E12 - E21", True)):
+        del calls[:]
+        a = parse_expression(expr, matrix2)
+        verdict = solver.solve(a)
+        assert (verdict.hamiltonian, len(calls)) == (hamiltonian, 1), expr
+        if not hamiltonian:
+            rhs = matrix2.backend.coordinates(matrix2.backend.d(a))
+            assert verdict.residual == solver._system.residual(rhs) != {}
+            assert solver._system.solve(rhs) is None
+
+
 def test_poisson_examples(torus2, cuntz2, matrix3, polymat):
     calc = torus2.calculus
     a = torus_monomial(calc, 2, 2)
