@@ -21,10 +21,11 @@ from .matrixcalc import (MatrixDerivation, TensorForm, antisymmetric_basis,
 from .polynomials import Poly
 from .bigraded import (BigradedForm, MixedDerivation,
                        poly_matrix_symplectic_form)
-from .symplectic import (AnsatzSpace, FlowSeries, HamiltonianSolution,
-                         HamiltonianSolver, KernelReport, NotHamiltonian,
-                         NotHamiltonianError, SingularFormError,
-                         SymplecticForm, in_v_omega, omega_tilde)
+from .backends import Backend
+from .symplectic import (FlowSeries, HamiltonianSolution, HamiltonianSolver,
+                         KernelReport, NotHamiltonian, NotHamiltonianError,
+                         SingularFormError, SymplecticForm, in_v_omega,
+                         omega_tilde)
 from .models import (ModelDescriptor, build_cuntz, build_matrix, build_model,
                      build_poly_matrix, build_torus, cuntz_calculus, theta_h,
                      torus_calculus)
@@ -43,7 +44,7 @@ __all__ = [
     "MatrixDerivation", "TensorForm", "antisymmetric_basis",
     "matrix_symplectic_form",
     "Poly", "BigradedForm", "MixedDerivation", "poly_matrix_symplectic_form",
-    "AnsatzSpace", "FlowSeries", "HamiltonianSolution", "HamiltonianSolver",
+    "Backend", "FlowSeries", "HamiltonianSolution", "HamiltonianSolver",
     "KernelReport", "NotHamiltonian", "NotHamiltonianError",
     "SingularFormError", "SymplecticForm", "in_v_omega", "omega_tilde",
     "ModelDescriptor", "build_cuntz", "build_matrix", "build_model",

@@ -557,6 +557,10 @@ class Element:
     def is_zero(self):
         return not self.terms
 
+    def coordinates(self):
+        """word -> coefficient; the live dict, not a copy."""
+        return self.terms
+
     def degrees(self):
         deg = self.system.table.word_degree
         return sorted({deg(w) for w in self.terms})

@@ -1,129 +1,55 @@
-"""Thin adapters giving every calculus backend one solver-facing surface.
+"""One solver-facing surface for every calculus backend.
 
-The symplectic machinery only needs a handful of primitives: the
-differential, zero tests, exact coordinates of a form in a canonical
-basis (for the linear solver), a hashable freeze of a form (for caching),
-and linear combinations of derivations; the CLI adds a display of a
-derivation's images.  Elements and derivations already share their
-arithmetic dunders and `str` across backends, so adapters do not wrap
-them.
+The symplectic machinery needs a handful of primitives: the differential,
+zero tests, exact coordinates of a form in a canonical basis (for the
+linear solver), a hashable freeze of a form (for caching), and linear
+combinations of derivations; the CLI adds a display of a derivation's
+images.  On every backend, forms answer `is_zero()` and `coordinates()`
+and derivations `describe()` themselves, so these rules are written
+once here; a backend differs only in constructor data: its kind, its
+differential, its zero derivation and the one of its coefficient field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bigraded import MixedDerivation
-from .forms import CalculusPresentation
-from .matrixcalc import MatrixDerivation, TensorForm
-from .polynomials import Poly
+from .cartan import PresentedDerivation
 
 
-class PresentedAdapter:
-    kind = "presented"
+class Backend:
+    def __init__(self, kind, d, zero_derivation, field_one=Fraction(1)):
+        self.kind = kind
+        self.d = d
+        self.zero_derivation = zero_derivation
+        self.field_one = field_one
 
-    def __init__(self, calculus: CalculusPresentation):
-        self.calculus = calculus
-        self.field_one = calculus.system.one()
+    @classmethod
+    def presented(cls, calculus):
+        return cls("presented", calculus.d, PresentedDerivation(calculus, {}),
+                   calculus.system.one())
 
-    def d(self, x):
-        return self.calculus.d(x)
-
-    def is_zero(self, x):
+    @staticmethod
+    def is_zero(x):
         return x.is_zero()
 
-    def coordinates(self, x):
-        return dict(x.terms)
+    @staticmethod
+    def coordinates(x):
+        return x.coordinates()
 
-    def freeze(self, x):
-        return frozenset(x.terms.items())
+    @staticmethod
+    def freeze(x):
+        return frozenset(x.coordinates().items())
 
     def combo(self, coeffs, derivations):
+        """sum c * theta over the nonzero coefficients."""
         out = None
         for c, theta in zip(coeffs, derivations):
-            if not c:
-                continue
-            term = c * theta
-            out = term if out is None else out + term
-        if out is None:
-            from .cartan import PresentedDerivation
-
-            return PresentedDerivation(self.calculus, {})
-        return out
-
-    def describe_derivation(self, theta):
-        return {name: str(img) for name, img in sorted(theta.images.items())}
-
-
-class MatrixAdapter:
-    kind = "matrix"
-
-    def __init__(self, n):
-        self.n = n
-        self.field_one = Fraction(1)
-
-    def d(self, x):
-        return x.d()
-
-    def is_zero(self, x):
-        return x.is_zero()
-
-    def coordinates(self, x):
-        return dict(x.terms)
-
-    def freeze(self, x):
-        return (x.degree, frozenset(x.terms.items()))
-
-    def combo(self, coeffs, derivations):
-        out = MatrixDerivation.zero(self.n)
-        for c, theta in zip(coeffs, derivations):
             if c:
-                out = out + c * theta
-        return out
+                term = c * theta
+                out = term if out is None else out + term
+        return self.zero_derivation if out is None else out
 
-    def describe_derivation(self, theta):
-        from .printing import unit_name
-
-        out = {}
-        for i in range(self.n * self.n):
-            img = theta.apply_unit(i)
-            if img:
-                out[unit_name(self.n, i)] = str(
-                    TensorForm(self.n, 0, {(o,): v for o, v in img.items()}))
-        return out
-
-
-class BigradedAdapter:
-    kind = "bigraded"
-
-    def __init__(self):
-        self.field_one = Fraction(1)
-
-    def d(self, x):
-        return x.d()
-
-    def is_zero(self, x):
-        return x.is_zero()
-
-    def coordinates(self, x):
-        coords = {}
-        for csym, t in x.parts.items():
-            for key, val in t.terms.items():
-                poly = val if isinstance(val, Poly) else Poly.const(val)
-                for mono, c in poly.coeffs.items():
-                    coords[(csym, key, mono)] = c
-        return coords
-
-    def freeze(self, x):
-        return frozenset(self.coordinates(x).items())
-
-    def combo(self, coeffs, derivations):
-        out = MixedDerivation()
-        for c, theta in zip(coeffs, derivations):
-            if c:
-                out = out + c * theta
-        return out
-
-    def describe_derivation(self, theta):
-        return {"theta_x": str(theta.theta_x), "theta_y": str(theta.theta_y),
-                "theta_S(1,2)": str(theta.theta_s[0][1])}
+    @staticmethod
+    def describe_derivation(theta):
+        return theta.describe()

@@ -107,6 +107,15 @@ class BigradedForm:
     def is_zero(self):
         return not self.parts
 
+    def coordinates(self):
+        """(classical symbol, tensor key, monomial) -> rational."""
+        coords = {}
+        for csym, t in self.parts.items():
+            for key, val in t.terms.items():
+                for mono, c in _poly(val).coeffs.items():
+                    coords[(csym, key, mono)] = c
+        return coords
+
     # -- linear structure ----------------------------------------------------
 
     def _put(self, parts, csym, t):
@@ -394,6 +403,11 @@ class MixedDerivation:
                 for mono, c in self.theta_s[i][j].coeffs.items():
                     coords[("S", i, j, mono)] = c
         return coords
+
+    def describe(self):
+        """The three components, printed."""
+        return {"theta_x": str(self.theta_x), "theta_y": str(self.theta_y),
+                "theta_S(1,2)": str(self.theta_s[0][1])}
 
     def __repr__(self):
         return ("mixed derivation(theta_x=%s, theta_y=%s, theta_S12=%s)"

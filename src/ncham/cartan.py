@@ -133,6 +133,10 @@ class PresentedDerivation:
                 coords[(name, w)] = c
         return coords
 
+    def describe(self):
+        """generator -> its image, printed."""
+        return {name: str(img) for name, img in sorted(self.images.items())}
+
     def __repr__(self):
         body = ", ".join("%s -> %s" % (n, self.images[n])
                          for n in sorted(self.images))
@@ -241,7 +245,9 @@ def classify_torus_derivations(p: int, bound: int, calculus=None, root_exp=1):
 
 
 class DerivationSpace:
-    """A finite, consistency-checked basis of derivations.
+    """A finite basis of derivations, consistency-checked unless built
+    with check=False (a presentation file's ansatz, which `certify` and
+    the CLI report on instead).
 
     Commutator closure is verified span-wise: a commutator lying outside
     the stored span is accepted when it still passes the consistency
@@ -252,25 +258,25 @@ class DerivationSpace:
     def __init__(self, basis, backend=None, check=True):
         self.basis = list(basis)
         self.backend = backend
-        if check:
-            for theta in self.basis:
-                rep = consistency_of(theta)
-                if rep is not None and not rep.ok:
-                    raise InconsistentDerivationError(
-                        "basis member fails consistency:\n" + rep.summary())
+        failing = self.inconsistent() if check else []
+        if failing:
+            raise InconsistentDerivationError(
+                "basis member fails consistency:\n" + failing[0][1].summary())
+
+    def inconsistent(self):
+        """(theta, report) for each member failing its consistency check."""
+        out = []
+        for theta in self.basis:
+            rep = consistency_of(theta)
+            if rep is not None and not rep.ok:
+                out.append((theta, rep))
+        return out
 
     def __len__(self):
         return len(self.basis)
 
     def __iter__(self):
         return iter(self.basis)
-
-    def combo(self, coeffs):
-        out = None
-        for c, theta in zip(coeffs, self.basis):
-            term = c * theta
-            out = term if out is None else out + term
-        return out
 
     def _system(self):
         cols = [theta.coordinates() for theta in self.basis]
@@ -302,8 +308,8 @@ class DerivationSpace:
 
 
 def consistency_of(theta):
-    """Consistency report if the backend defines one, else None."""
+    """Consistency report of a presented derivation; None on the tensor
+    backends, which have no relations to check."""
     if isinstance(theta, PresentedDerivation):
         return check_consistency(theta)
-    checker = getattr(theta, "check_consistency", None)
-    return checker() if checker else None
+    return None

@@ -126,11 +126,9 @@ def _refuse_unsound_file(args, model):
             + ["  " + f for f in payload["failures"]]))
         return True
     lines = []
-    for theta in model.space.basis:
-        rep = consistency_of(theta)
-        if not rep.ok:
-            lines.append("derivation %s" % theta.label)
-            lines.extend(rep.summary().splitlines())
+    for theta, rep in model.space.inconsistent():
+        lines.append("derivation %s" % theta.label)
+        lines.extend(rep.summary().splitlines())
     if lines:
         _not_consistent(args, lines)
     return bool(lines)

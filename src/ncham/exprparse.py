@@ -26,9 +26,10 @@ models, with omega None when the file has no `omega` line.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 
-from .algebra import GeneratorSymbol, RuleSpec
+from .algebra import GeneratorSymbol, RewriteSystem, RuleSpec
 from .forms import CalculusPresentation
 from .scalars import CycScalar, q_power
 
@@ -344,19 +345,32 @@ def parse_derivation(text, model):
 # -- presentation files ---------------------------------------------------
 
 
+@contextmanager
+def _at_line(lineno):
+    """Re-raise a failure of the enclosed step as a ParseError that names
+    the presentation-file line it came from."""
+    try:
+        yield
+    except (ValueError, KeyError) as exc:
+        detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        raise ParseError("line %d: %s" % (lineno, detail)) from None
+
+
 def load_presentation(path):
-    """Parse a presentation file; returns a ModelDescriptor."""
-    from .backends import PresentedAdapter
+    """Parse a presentation file; returns a ModelDescriptor.
+
+    A line that cannot be read, or that names an unknown letter, is a
+    ParseError naming that line.
+    """
+    from .backends import Backend
     from .cartan import PresentedDerivation
-    from .models import ModelDescriptor
+    from .models import MAX_CYCLOTOMIC_ORDER, ModelDescriptor, check_bound
 
     p = 1
     generators = []
     order = None
-    rule_lines = []
-    frule_lines = []
-    omega_text = None
-    derivation_lines = []
+    order_line = None
+    body = []                           # (lineno, directive, text)
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -364,34 +378,38 @@ def load_presentation(path):
                 continue
             head, _, rest = line.partition(" ")
             rest = rest.strip()
-            try:
+            with _at_line(lineno):
                 if head == "cyclotomic":
-                    p = int(rest)
+                    p = check_bound("cyclotomic order", int(rest), 1,
+                                    MAX_CYCLOTOMIC_ORDER)
                 elif head == "generator":
                     parts = rest.split()
+                    if not parts:
+                        raise ParseError("generator line names no generator")
+                    if parts[0] in {g.name for g in generators}:
+                        raise ParseError("generator %r declared twice" % parts[0])
                     generators.append(GeneratorSymbol(
                         parts[0], invertible="invertible" in parts[1:]))
                 elif head == "order":
                     order = [t.strip() for t in rest.split("<")]
-                elif head == "rule":
-                    rule_lines.append(rest)
-                elif head == "frule":
-                    frule_lines.append(rest)
-                elif head == "omega":
-                    omega_text = rest
-                elif head == "derivation":
-                    derivation_lines.append(rest)
+                    order_line = lineno
+                elif head in ("rule", "frule", "omega", "derivation"):
+                    body.append((lineno, head, rest))
                 else:
                     raise ParseError("unknown directive %r" % head)
-            except ParseError as exc:
-                raise ParseError("line %d: %s" % (lineno, exc))
     if not generators:
         raise ParseError("presentation declares no generators")
 
-    scratch = CalculusPresentation(generators, [], [], p=p, letter_order=order)
+    # without an order line the checks above leave nothing here to fail
+    with _at_line(order_line):
+        scratch = CalculusPresentation(generators, [], [], p=p,
+                                       letter_order=order)
     scratch_parser = ExpressionParser(scratch.namespace(), scratch)
+    # algebra rules go to both the algebra and the calculus letter tables
+    tables = {"rule": (scratch.base.system.table, scratch.system.table),
+              "frule": (scratch.system.table,)}
 
-    def parse_rule(text):
+    def parse_rule(text, head):
         lhs_txt, arrow, rhs_txt = text.partition("->")
         if not arrow:
             raise ParseError("rule %r has no ->" % text)
@@ -408,27 +426,38 @@ def load_presentation(path):
                 lt = table.letters[li]
                 factors.append((("d" + lt.base) if lt.diff else lt.base, lt.exp))
             rhs_terms.append((coeff, factors))
-        return RuleSpec.make(lhs, rhs_terms)
+        spec = RuleSpec.make(lhs, rhs_terms)
+        # unknown letters and non-decreasing rules fail here, at their line
+        for letter_table in tables[head]:
+            RewriteSystem(letter_table, p).add_rule(spec)
+        return spec
 
-    algebra_rules = [parse_rule(t) for t in rule_lines]
-    form_rules = [parse_rule(t) for t in frule_lines]
-    calc = CalculusPresentation(generators, algebra_rules, form_rules, p=p,
-                                letter_order=order)
+    rules = {"rule": [], "frule": []}
+    for lineno, head, text in body:
+        if head in rules:
+            with _at_line(lineno):
+                rules[head].append(parse_rule(text, head))
+    calc = CalculusPresentation(generators, rules["rule"], rules["frule"],
+                                p=p, letter_order=order)
     namespace = calc.namespace()
     parser = ExpressionParser(namespace, calc)
 
     derivations = []
-    for text in derivation_lines:
-        name, _, spec = text.partition(":")
-        images = {}
-        for chunk in spec.split(","):
-            lhs, _, rhs = chunk.partition("->")
-            if not rhs:
-                raise ParseError("malformed derivation %r" % text)
-            images[lhs.strip()] = parser.parse(rhs)
-        derivations.append(PresentedDerivation(calc, images, label=name.strip()))
-
-    omega = parser.parse(omega_text) if omega_text else None
+    omega = None
+    for lineno, head, text in body:
+        with _at_line(lineno):
+            if head == "omega":
+                omega = parser.parse(text) if text else None
+            elif head == "derivation":
+                name, _, spec = text.partition(":")
+                images = {}
+                for chunk in spec.split(","):
+                    lhs, _, rhs = chunk.partition("->")
+                    if not rhs:
+                        raise ParseError("malformed derivation %r" % text)
+                    images[lhs.strip()] = parser.parse(rhs)
+                derivations.append(PresentedDerivation(calc, images,
+                                                       label=name.strip()))
     gen_names = [g.name for g in generators]
 
     def random_form(rng, max_degree=2):
@@ -451,6 +480,6 @@ def load_presentation(path):
         return combo
 
     return ModelDescriptor(
-        kind="file", params={}, backend=PresentedAdapter(calc), calculus=calc,
+        kind="file", params={}, backend=Backend.presented(calc), calculus=calc,
         omega=omega, basis=derivations, random_form=random_form,
         random_derivation=random_derivation, namespace=namespace)

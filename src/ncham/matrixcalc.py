@@ -175,6 +175,10 @@ class TensorForm:
     def is_zero(self):
         return not self.terms
 
+    def coordinates(self):
+        """tensor key -> coefficient; the live dict, not a copy."""
+        return self.terms
+
     # -- calculus ----------------------------------------------------------
 
     def d(self):
@@ -394,6 +398,18 @@ class MatrixDerivation:
 
     def coordinates(self):
         return dict(self.theta)
+
+    def describe(self):
+        """matrix unit -> its nonzero image, printed."""
+        from .printing import unit_name
+
+        out = {}
+        for i in range(self.n * self.n):
+            img = self.apply_unit(i)
+            if img:
+                out[unit_name(self.n, i)] = str(
+                    TensorForm(self.n, 0, {(o,): v for o, v in img.items()}))
+        return out
 
     def __repr__(self):
         return "MatrixDerivation(n=%d, %d entries)" % (self.n, len(self.theta))

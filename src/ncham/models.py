@@ -1,11 +1,14 @@
 """Built-in models: torus, matrix algebra, Cuntz algebra, poly (x) M_2.
 
-Each builder returns a ModelDescriptor bundling the calculus, the closed
-2-form, the default derivation ansatz, seeded random generators for the
-property suite, and a `certify` method running the structural checks
-(local confluence, d omega = 0, consistency of the ansatz, trivial
-omega_tilde kernel).  A presentation file loads to the same type, with
-omega None when the file declares no 2-form.
+Each builder returns a ModelDescriptor bundling the calculus, its
+`backends.Backend`, the closed 2-form, the default derivation ansatz as
+a `DerivationSpace`, seeded random generators for the property suite,
+and a `certify` method running the structural checks (local confluence,
+d omega = 0, consistency of the ansatz, trivial omega_tilde kernel).  A
+presentation file loads to the same type, with omega None when the file
+declares no 2-form; its ansatz is loaded unchecked, so that `certify`
+and the CLI can report an inconsistent member instead of raising.  The
+model parameters are bounded by the MAX_* constants below.
 
 Rule orientations.  Torus: differentials first, dv < du < u < v, so the
 single algebra rule reads v u -> q^-1 u v and normal form words are
@@ -25,17 +28,34 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import GeneratorSymbol, RuleSpec, check_local_confluence
-from .backends import BigradedAdapter, MatrixAdapter, PresentedAdapter
+from .backends import Backend
 from .bigraded import (BigradedForm, MixedDerivation,
                        poly_matrix_symplectic_form)
 from .cartan import (DerivationSpace, PresentedDerivation,
-                     classify_torus_derivations, consistency_of)
+                     classify_torus_derivations)
 from .forms import CalculusPresentation
 from .matrixcalc import (MatrixDerivation, TensorForm, antisymmetric_basis,
                          matrix_symplectic_form)
 from .polynomials import Poly
 from .scalars import q_power
-from .symplectic import AnsatzSpace, HamiltonianSolver, SymplecticForm
+from .symplectic import HamiltonianSolver, SymplecticForm
+
+# Stated bounds on model size, for the model strings and the `cyclotomic`
+# line of a presentation file.  A torus ansatz word carries exponents up to
+# 1 + B p over Q[q]/(Phi_p), of dimension phi(p) < p, and the Cuntz ansatz
+# has n^2 - 1 members over 2 n^2 + 2 rules; at these bounds a Hamiltonian
+# answer takes seconds, and it grows fast beyond them.
+MAX_CYCLOTOMIC_ORDER = 32
+MAX_TORUS_BOUND = 8
+MAX_CUNTZ_N = 16
+
+
+def check_bound(name, value, low, high):
+    """value, unless it lies outside its stated bounds low..high."""
+    if not low <= value <= high:
+        raise ValueError("%s %d is outside the bounds %d..%d"
+                         % (name, value, low, high))
+    return value
 
 
 class ModelDescriptor:
@@ -53,7 +73,7 @@ class ModelDescriptor:
         self.backend = backend
         self.calculus = calculus
         self.omega = None if omega is None else SymplecticForm(backend, omega)
-        self.space = AnsatzSpace(backend, list(basis))
+        self.space = DerivationSpace(basis, backend, check=False)
         self.v_family = list(v_family) if v_family is not None else list(basis)
         self._random_form = random_form
         self._random_derivation = random_derivation
@@ -91,12 +111,8 @@ class ModelDescriptor:
             rep = check_local_confluence(self.calculus)
             out.append(("local confluence", rep.all_joinable,
                         "%d critical pairs" % len(rep.pairs)))
-        bad = 0
-        for theta in self.space.basis:
-            rep = consistency_of(theta)
-            if rep is not None and not rep.ok:
-                bad += 1
-        consistent = (bad == 0, "%d derivations" % len(self.space.basis))
+        consistent = (not self.space.inconsistent(),
+                      "%d derivations" % len(self.space.basis))
         if self.omega is None:
             return out + [("derivation consistency",) + consistent]
         out.append(("d omega = 0",
@@ -148,11 +164,13 @@ def torus_calculus(p: int, root_exp: int = 1) -> CalculusPresentation:
 
 
 def build_torus(p: int, bound: int = 3, root_exp: int = 1) -> ModelDescriptor:
+    check_bound("torus p", p, 1, MAX_CYCLOTOMIC_ORDER)
+    check_bound("torus ansatz bound B", bound, 0, MAX_TORUS_BOUND)
     calc = torus_calculus(p, root_exp)
     basis = classify_torus_derivations(p, bound, calculus=calc)
     omega = (calc.gen("u", -1) * calc.dgen("u") * calc.dgen("v")
              * calc.gen("v", -1))
-    backend = PresentedAdapter(calc)
+    backend = Backend.presented(calc)
     # small-offset pool for randomized identity checking; large exponents
     # only slow the rewriting down without adding coverage
     pool = classify_torus_derivations(p, min(bound, 1), calculus=calc)
@@ -193,7 +211,7 @@ def build_matrix(n: int) -> ModelDescriptor:
     omega = matrix_symplectic_form(n)
     anti = antisymmetric_basis(n)
     basis = [MatrixDerivation.ad(a.to_matrix(), label="ad(%s)" % a) for a in anti]
-    backend = MatrixAdapter(n)
+    backend = Backend("matrix", TensorForm.d, MatrixDerivation.zero(n))
 
     def rand_matrix(rng, entries=2):
         # sparse: the identities are multilinear, dense input only costs time
@@ -270,6 +288,7 @@ def theta_h(calc: CalculusPresentation, h, n: int, label=None):
 
 
 def build_cuntz(n: int) -> ModelDescriptor:
+    check_bound("cuntz n", n, 2, MAX_CUNTZ_N)
     calc = cuntz_calculus(n)
     omega = calc.zero()
     for i in range(n):
@@ -295,7 +314,7 @@ def build_cuntz(n: int) -> ModelDescriptor:
         member = diag[i] - diag[i + 1]
         member.label = "theta[s%d s%d* - s%d s%d*]" % (i + 1, i + 1, i + 2, i + 2)
         basis.append(member)
-    backend = PresentedAdapter(calc)
+    backend = Backend.presented(calc)
     gen_names = ["s%d" % (i + 1) for i in range(n)] + \
                 ["s%d*" % (i + 1) for i in range(n)]
 
@@ -356,7 +375,7 @@ def build_poly_matrix(degree_bound: int = 3) -> ModelDescriptor:
         basis.append(MixedDerivation(
             0, 0, [[Poly(), m], [-m, Poly()]],
             label="rotation x^%d y^%d" % (i, j)))
-    backend = BigradedAdapter()
+    backend = Backend("bigraded", BigradedForm.d, MixedDerivation())
 
     def rand_poly(rng, d=2, terms=2):
         out = {}

@@ -11,9 +11,9 @@ Gauss-Jordan elimination over the coefficient field; there is no
 tolerance anywhere.
 
 HamiltonianSolver is the one solver surface: it factorizes omega_tilde
-on the ansatz once and answers solve, poisson and flow from that
-factorization.  A model builds it on first use and keeps it as
-`model.solver`.
+on the ansatz (a DerivationSpace, over the form's `backends.Backend`)
+once and answers solve, poisson and flow from that factorization.  A
+model builds it on first use and keeps it as `model.solver`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cartan import DerivationSpace
 from .linalg import ExactLinearSystem
 
 
@@ -43,18 +44,6 @@ class SymplecticForm:
     def __post_init__(self):
         if not self.backend.is_zero(self.backend.d(self.omega)):
             raise ValueError("the 2-form is not closed")
-
-
-@dataclass
-class AnsatzSpace:
-    backend: object
-    basis: list
-
-    def __len__(self):
-        return len(self.basis)
-
-    def __iter__(self):
-        return iter(self.basis)
 
 
 @dataclass
@@ -111,7 +100,7 @@ def in_v_omega(theta, form: SymplecticForm) -> bool:
 class HamiltonianSolver:
     """Factorizes omega_tilde on an ansatz once; solves many right sides."""
 
-    def __init__(self, form: SymplecticForm, space: AnsatzSpace):
+    def __init__(self, form: SymplecticForm, space: DerivationSpace):
         if form.backend is not space.backend:
             raise ValueError("form and ansatz use different backends")
         self.form = form
@@ -186,15 +175,8 @@ class FlowSeries:
 
     coefficients: list
 
-    @property
-    def order(self):
-        return len(self.coefficients) - 1
-
     def coefficient(self, k):
         return self.coefficients[k]
-
-    def derivative_at_zero(self):
-        return self.coefficients[1] if len(self.coefficients) > 1 else None
 
     def __str__(self):
         parts = []

@@ -159,6 +159,26 @@ def test_presentation_file_errors(tmp_path):
         load_presentation(str(path))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("generator u\ngenerator v\norder du < zz\n",
+     "line 3: letter 'zz' refers to no generator"),
+    ("generator u\ngenerator v\nrule v zz -> u\n",
+     "line 3: unknown letter 'zz'^1"),
+    ("generator u\ngenerator\n", "line 2: generator line names no generator"),
+    ("cyclotomic abc\ngenerator u\n",
+     "line 1: invalid literal for int() with base 10: 'abc'"),
+    ("generator u\nrule u^x -> 1\n",
+     "line 2: invalid literal for int() with base 10: 'x'"),
+], ids=["order", "rule-lhs", "bare-generator", "cyclotomic", "rule-power"])
+def test_cli_presentation_error_names_the_line(capsys, tmp_path, text,
+                                               message):
+    path = tmp_path / "bad.pres"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "--presentation", str(path), "normalize",
+                             "u")
+    assert (code, out, err) == (2, "", "error: " + message)
+
+
 # -- command line ------------------------------------------------------------
 
 
@@ -473,6 +493,10 @@ def test_cli_presentation_refuses_an_inconsistent_derivation(capsys,
                            "json", "hamvec", "u^2 v^2")
     assert code == 1
     assert json.loads(out) == {"status": "NOT_CONSISTENT", "detail": detail}
+    # the file loads, and certify reports the inconsistent member
+    model = load_presentation(str(path))
+    assert [t.label for t, _ in model.space.inconsistent()] == ["bad"]
+    assert ("ansatz consistency", False, "2 derivations") in model.certify()
     # the file's algebra is unaffected, and a built-in model is not gated
     code, out, _ = run_cli(capsys, "--presentation", str(path), "normalize",
                            "v u")
@@ -505,3 +529,77 @@ def test_cli_presentation_refuses_non_confluent_rules(capsys, tmp_path):
     assert code == 1
     assert json.loads(out) == {"status": "NOT_CONFLUENT", "critical_pairs": 50,
                                "failures": failures}
+
+
+@pytest.mark.parametrize("model, argv, code, payload", [
+    ("matrix:n=3", ["hamvec", "E12 - E21"], 0, {
+        "field": {"E11": "-E12 - E21", "E12": "E11 - E22", "E13": "-E23",
+                  "E21": "E11 - E22", "E22": "E12 + E21", "E23": "E13",
+                  "E31": "-E32", "E32": "E31"},
+        "kernel_dimension": 0, "residual": "0", "status": "HAMILTONIAN"}),
+    ("cuntz:n=2", ["hamvec", "s1 s2*"], 0, {
+        "field": {"s1": "0", "s1*": "-s2*", "s2": "s1", "s2*": "0"},
+        "kernel_dimension": 0, "residual": "0", "status": "HAMILTONIAN"}),
+    ("polymat:D=3", ["hamvec", "2 (E12 - E21) + x"], 0, {
+        "field": {"theta_S(1,2)": "2", "theta_x": "0", "theta_y": "-1"},
+        "kernel_dimension": 0, "residual": "0", "status": "HAMILTONIAN"}),
+    ("polymat:D=3", ["is-hamiltonian", "x E11"], 1, {
+        "ansatz_size": 30, "kernel_dimension": 0,
+        "residual": {"(('x',), (3,), (0, 0))": "-1",
+                     "((), (0, 3), (1, 0))": "-1",
+                     "((), (3, 0), (1, 0))": "1"},
+        "status": "NOT_HAMILTONIAN"}),
+], ids=["matrix", "cuntz", "polymat", "polymat-not-hamiltonian"])
+def test_cli_json_hamvec_golden_per_backend(capsys, model, argv, code,
+                                            payload):
+    got, out, err = run_cli(capsys, "--model", model, "--format", "json",
+                            *argv)
+    assert (got, err) == (code, "")
+    assert out == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_cli_hamvec_on_an_empty_ansatz(capsys, tmp_path):
+    """With no derivation lines the ansatz is empty, and only an element
+    with da = 0 is Hamiltonian, with the zero field."""
+    path = tmp_path / "torus.pres"
+    path.write_text(TORUS2_RELATIONS + TORUS2_OMEGA)
+    code, out, err = run_cli(capsys, "--presentation", str(path), "--format",
+                             "json", "hamvec", "1")
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"field": {"u": "0", "v": "0"},
+                              "kernel_dimension": 0, "residual": "0",
+                              "status": "HAMILTONIAN"}, indent=2,
+                             sort_keys=True)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "cuntz:n=60", "is-hamiltonian", "1"],
+     "cuntz n 60 is outside the bounds 2..16"),
+    (["--model", "torus:p=10007", "is-hamiltonian", "1"],
+     "torus p 10007 is outside the bounds 1..32"),
+    (["--model", "torus:p=2,B=60", "is-hamiltonian", "1"],
+     "torus ansatz bound B 60 is outside the bounds 0..8"),
+    (["--presentation", "cyclotomic.pres", "normalize", "u"],
+     "line 1: cyclotomic order 10007 is outside the bounds 1..32"),
+], ids=["cuntz-n", "torus-p", "torus-B", "cyclotomic-line"])
+def test_cli_model_size_bounds_exit_2_at_once(capsys, tmp_path, monkeypatch,
+                                              argv, message):
+    import time
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cyclotomic.pres").write_text("cyclotomic 10007\ngenerator u\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: " + message)
+
+
+def test_model_size_bounds_are_inclusive(capsys, tmp_path):
+    for model in ("torus:p=32,B=0", "torus:p=2,B=8", "cuntz:n=16"):
+        code, out, _ = run_cli(capsys, "--model", model, "normalize", "2")
+        assert (code, out) == (0, "2"), model
+    path = tmp_path / "top.pres"
+    path.write_text("cyclotomic 32\ngenerator u\n")
+    code, out, _ = run_cli(capsys, "--presentation", str(path), "normalize",
+                           "q^16 u")
+    assert (code, out) == (0, "-u")

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from ncham.cartan import PresentedDerivation
+from ncham.cartan import DerivationSpace, PresentedDerivation
 from ncham.matrixcalc import MatrixDerivation, TensorForm
-from ncham.symplectic import (AnsatzSpace, HamiltonianSolution,
-                              HamiltonianSolver, NotHamiltonian,
-                              NotHamiltonianError, SingularFormError,
-                              SymplecticForm, in_v_omega, omega_tilde)
+from ncham.symplectic import (HamiltonianSolution, HamiltonianSolver,
+                              NotHamiltonian, NotHamiltonianError,
+                              SingularFormError, SymplecticForm, in_v_omega,
+                              omega_tilde)
 
 
 def torus_monomial(calc, a, b, coeff=1):
@@ -48,7 +48,8 @@ def test_nonsingularity(torus2, matrix3, cuntz2, polymat):
 def test_zero_form_is_totally_singular(torus2):
     calc = torus2.calculus
     om0 = SymplecticForm(torus2.backend, calc.zero())
-    space = AnsatzSpace(torus2.backend, torus2.space.basis[:5])
+    space = DerivationSpace(torus2.space.basis[:5], torus2.backend,
+                            check=False)
     solver = HamiltonianSolver(om0, space)
     rep = solver.kernel_report()
     assert rep.dimension == len(space.basis)
