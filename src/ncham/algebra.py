@@ -41,6 +41,14 @@ class DegreeError(ValueError):
     """An operation received a form of inadmissible degree."""
 
 
+class DerivedVariantError(ValueError):
+    """A derived inverse variant does not decrease; `rule` is its source."""
+
+    def __init__(self, message, rule):
+        super().__init__(message)
+        self.rule = rule
+
+
 class UnknownGeneratorError(KeyError):
     pass
 
@@ -244,7 +252,10 @@ class RewriteSystem:
                 if lhs in existing:
                     continue
                 if word_key(rw) >= word_key(lhs):
-                    raise ValueError("derived variant does not decrease")
+                    raise DerivedVariantError(
+                        "derived variant %s of rule %s does not decrease"
+                        % (self._swap_str(lhs, rw, c),
+                           self._swap_str(rule.lhs, word, coeff)), rule)
                 var = RewriteRule(lhs, {rw: c}, derived=True)
                 self.rules.append(var)
                 self._rules_by_first.setdefault(lhs[0], []).append(var)
@@ -417,6 +428,12 @@ class RewriteSystem:
                     del terms[nw]
 
     # -- display -------------------------------------------------------
+
+    def _swap_str(self, lhs, rhs, coeff):
+        from .printing import term_str
+
+        return "%s -> %s" % (self.word_str(lhs),
+                             term_str(coeff, self.word_str(rhs), lead=True))
 
     def word_str(self, word):
         if not word:

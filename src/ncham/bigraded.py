@@ -24,6 +24,8 @@ alternating junction insertions.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .algebra import DegreeError
 from .matrixcalc import MatrixDerivation, TensorForm
 from .polynomials import P_ONE, Poly
@@ -112,8 +114,10 @@ class BigradedForm:
         coords = {}
         for csym, t in self.parts.items():
             for key, val in t.terms.items():
-                for mono, c in _poly(val).coeffs.items():
-                    coords[(csym, key, mono)] = c
+                val = _poly(val)
+                den = val.den
+                for mono, n in val.nums.items():
+                    coords[(csym, key, mono)] = Fraction(n, den)
         return coords
 
     # -- linear structure ----------------------------------------------------
@@ -394,14 +398,13 @@ class MixedDerivation:
 
     def coordinates(self):
         coords = {}
-        for mono, c in self.theta_x.coeffs.items():
-            coords[("x", mono)] = c
-        for mono, c in self.theta_y.coeffs.items():
-            coords[("y", mono)] = c
-        for i in range(2):
-            for j in range(2):
-                for mono, c in self.theta_s[i][j].coeffs.items():
-                    coords[("S", i, j, mono)] = c
+        parts = [(("x",), self.theta_x), (("y",), self.theta_y)]
+        parts += [(("S", i, j), self.theta_s[i][j])
+                  for i in range(2) for j in range(2)]
+        for head, p in parts:
+            den = p.den
+            for mono, n in p.nums.items():
+                coords[head + (mono,)] = Fraction(n, den)
         return coords
 
     def describe(self):

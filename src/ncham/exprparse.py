@@ -29,7 +29,8 @@ import re
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .algebra import GeneratorSymbol, RewriteSystem, RuleSpec
+from .algebra import (DerivedVariantError, GeneratorSymbol, RewriteSystem,
+                      RuleSpec)
 from .forms import CalculusPresentation
 from .scalars import CycScalar, q_power
 
@@ -360,7 +361,8 @@ def load_presentation(path):
     """Parse a presentation file; returns a ModelDescriptor.
 
     A line that cannot be read, or that names an unknown letter, is a
-    ParseError naming that line.
+    ParseError naming that line; so is an `omega` line whose 2-form is
+    not closed, and a rule whose derived inverse variant does not decrease.
     """
     from .backends import Backend
     from .cartan import PresentedDerivation
@@ -432,12 +434,25 @@ def load_presentation(path):
             RewriteSystem(letter_table, p).add_rule(spec)
         return spec
 
-    rules = {"rule": [], "frule": []}
+    rules = {"rule": [], "frule": []}       # head -> [(lineno, spec)]
     for lineno, head, text in body:
         if head in rules:
             with _at_line(lineno):
-                rules[head].append(parse_rule(text, head))
-    calc = CalculusPresentation(generators, rules["rule"], rules["frule"],
+                rules[head].append((lineno, parse_rule(text, head)))
+    # install the derived inverse variants as the calculus will, so that
+    # one that does not decrease names the line of the rule it comes from
+    for table, heads in ((scratch.base.system.table, ("rule",)),
+                         (scratch.system.table, ("rule", "frule"))):
+        check = RewriteSystem(table, p)
+        line_of = {check.add_rule(spec): lineno
+                   for head in heads for lineno, spec in rules[head]}
+        try:
+            check.install_inverse_variants()
+        except DerivedVariantError as exc:
+            raise ParseError("line %d: %s" % (line_of[exc.rule], exc)) from None
+    calc = CalculusPresentation(generators,
+                                [spec for _, spec in rules["rule"]],
+                                [spec for _, spec in rules["frule"]],
                                 p=p, letter_order=order)
     namespace = calc.namespace()
     parser = ExpressionParser(namespace, calc)
@@ -448,6 +463,9 @@ def load_presentation(path):
         with _at_line(lineno):
             if head == "omega":
                 omega = parser.parse(text) if text else None
+                if omega is not None and not calc.d(omega).is_zero():
+                    raise ValueError("the 2-form is not closed: d omega = %s"
+                                     % calc.d(omega))
             elif head == "derivation":
                 name, _, spec = text.partition(":")
                 images = {}

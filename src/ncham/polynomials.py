@@ -1,35 +1,58 @@
 """Sparse exact polynomials in two commuting variables x, y.
 
-Coefficients are nonzero Fractions; exponent pairs map to coefficients.
-Arithmetic results keep that invariant by construction and skip the
-re-validation the public constructor does.  Partial
-derivatives are exact, which is all the tensor-product model needs: the
-smooth functions of the plane are represented by polynomials throughout.
+A polynomial is stored as integer numerators over one positive common
+denominator, the layout of FLINT's fmpq_mpoly and of `CycScalar`: `nums`
+is a dict from exponent pair (i, j) to a nonzero int and `den` a positive
+int.  The form is canonical: gcd(den, *nums) == 1, and zero is {} over 1,
+so equal polynomials have equal fields and equal hashes.  A product is an
+integer convolution followed by one gcd; a sum over equal denominators
+adds numerators directly.  `.coeffs` gives the coefficients as a dict of
+nonzero Fractions.
+
+Partial derivatives are exact, which is all the tensor-product model
+needs: the smooth functions of the plane are represented by polynomials
+throughout.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class Poly:
-    __slots__ = ("coeffs",)
+    """An element of Q[x, y], exact, immutable and canonical.
+
+    `Poly(coeffs)` takes a dict from exponent pair to int or Fraction.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for mono, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[mono] = c
+        coeffs = [(m, Fraction(c)) for m, c in coeffs.items()] if coeffs else []
+        # the lcm of reduced denominators leaves gcd(den, *nums) == 1
+        den = lcm(*(c.denominator for _, c in coeffs))
+        self.nums = {m: c.numerator * (den // c.denominator)
+                     for m, c in coeffs if c}
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The coefficients, a dict from exponent pair to nonzero Fraction."""
+        den = self.den
+        return {m: Fraction(n, den) for m, n in self.nums.items()}
 
     @classmethod
     def const(cls, c):
-        return cls({(0, 0): Fraction(c)})
+        return cls.monomial(0, 0, c)
 
     @classmethod
     def monomial(cls, i, j, c=1):
-        return cls({(i, j): Fraction(c)})
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        if not c:
+            return _trusted({}, 1)
+        return _trusted({(i, j): c.numerator}, c.denominator)
 
     @classmethod
     def x(cls):
@@ -46,93 +69,114 @@ class Poly:
             return Poly.const(other)
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            acc = out.get(m)
-            acc = c if acc is None else acc + c
+    def __add__(self, other, sign=1):
+        # sign=-1 gives self - other (__sub__)
+        if other.__class__ is not Poly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        b = other.nums
+        if not b:
+            return self
+        a = self.nums
+        if not a:
+            return other if sign == 1 else -other
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            out = dict(a)
+            s2 = sign
+        else:
+            out = {m: n * d2 for m, n in a.items()}
+            s2 = sign * d1
+            d1 *= d2
+        get = out.get
+        for m, n in b.items():
+            acc = get(m, 0) + n * s2
             if acc:
                 out[m] = acc
-            elif m in out:
+            else:
                 del out[m]
-        return _trusted(out)
+        return _canonical(out, d1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _trusted({m: -c for m, c in self.coeffs.items()})
+        return _trusted({m: -n for m, n in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return -self + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Poly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         out = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
+        get = out.get
+        b = other.nums.items()
+        for (i1, j1), x in self.nums.items():
+            for (i2, j2), y in b:
                 m = (i1 + i2, j1 + j2)
-                c = c1 * c2
-                acc = out.get(m)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[m] = acc
-                elif m in out:
-                    del out[m]
-        return _trusted(out)
+                out[m] = get(m, 0) + x * y
+        return _canonical({m: n for m, n in out.items() if n},
+                          self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = Poly.const(1)
-        for _ in range(k):
-            out = out * self
+        out = P_ONE
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            inv = Fraction(1, 1) / Fraction(other)
-            return _trusted({m: c * inv for m, c in self.coeffs.items()})
+            if not other:
+                raise ZeroDivisionError("division of a polynomial by zero")
+            num, den = other.numerator, other.denominator
+            if num < 0:
+                num, den = -num, -den
+            return _canonical({m: n * den for m, n in self.nums.items()},
+                              self.den * num)
         return NotImplemented
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if other.__class__ is not Poly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.den == other.den and self.nums == other.nums
 
     def __ne__(self, other):
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((frozenset(self.nums.items()), self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def diff_x(self):
-        return _trusted({(i - 1, j): c * i
-                         for (i, j), c in self.coeffs.items() if i})
+        return _canonical({(i - 1, j): n * i
+                           for (i, j), n in self.nums.items() if i}, self.den)
 
     def diff_y(self):
-        return _trusted({(i, j - 1): c * j
-                         for (i, j), c in self.coeffs.items() if j})
+        return _canonical({(i, j - 1): n * j
+                           for (i, j), n in self.nums.items() if j}, self.den)
 
     def degree(self):
-        return max((i + j for (i, j) in self.coeffs), default=0)
+        return max((i + j for (i, j) in self.nums), default=0)
 
     def __str__(self):
         from .printing import poly_str
@@ -142,11 +186,21 @@ class Poly:
     __repr__ = __str__
 
 
-def _trusted(coeffs):
-    """A Poly over `coeffs`, whose values are already nonzero Fractions."""
+def _trusted(nums, den):
+    """A Poly from fields that are already canonical."""
     out = object.__new__(Poly)
-    out.coeffs = coeffs
+    out.nums = nums
+    out.den = den
     return out
+
+
+def _canonical(nums, den):
+    """A Poly from a dict of nonzero int numerators over a positive `den`."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            return _trusted({m: n // g for m, n in nums.items()}, den // g)
+    return _trusted(nums, den)
 
 
 P_ZERO = Poly()

@@ -80,3 +80,57 @@ def test_poly_results_store_only_nonzero_fractions():
                   f.diff_y(), (f * g).diff_x(), f + 1, 2 * f, f * 0,
                   f / 3, f ** 2):
             assert all(type(c) is Fraction and c for c in h.coeffs.values())
+
+
+def assert_poly_canonical(h):
+    assert type(h.den) is int and h.den > 0
+    assert all(type(n) is int and n for n in h.nums.values())
+    # also pins zero to {} over 1, as gcd(den) == den
+    assert gcd(h.den, *h.nums.values()) == 1
+    assert all(type(c) is Fraction and c for c in h.coeffs.values())
+
+
+def rand_poly(rng):
+    return Poly({(rng.randint(0, 2), rng.randint(0, 2)):
+                 Fraction(rng.randint(-4, 4), rng.randint(1, 7))
+                 for _ in range(rng.randint(0, 4))})
+
+
+def test_poly_equal_values_are_equal_and_hash_equal():
+    half = Poly({(1, 0): Fraction(2, 4), (0, 1): Fraction(-3, 6)})
+    other = Poly({(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 2), (2, 2): 0})
+    assert half == other and hash(half) == hash(other)
+    assert half.nums == {(1, 0): 1, (0, 1): -1} and half.den == 2
+
+    rng = random.Random(77)
+    for _ in range(80):
+        f, g, h = rand_poly(rng), rand_poly(rng), rand_poly(rng)
+        routes = ((f + g) - g, g + f - g, -(-f), f * 6 / 6, (f / 7) * 7,
+                  f - g + g, f + h - h, f * Poly.const(1), f ** 1)
+        for c in routes:
+            assert c == f and hash(c) == hash(f)
+            assert_poly_canonical(c)
+        lhs, rhs = (f + g) * h, f * h + g * h
+        assert lhs == rhs and hash(lhs) == hash(rhs)
+        for c in (f * g, f - g, f + g, 3 - f, f.diff_x(), f.diff_y(), f ** 3,
+                  f / Fraction(-2, 3)):
+            assert_poly_canonical(c)
+
+
+def test_poly_zero_is_empty_over_one():
+    f = Poly({(1, 2): Fraction(2, 3), (0, 0): Fraction(-1, 5)})
+    zeros = (f - f, f + (-f), f * 0, 0 * f, f * Poly(), Poly(), Poly({(1, 1): 0}),
+             Poly.const(Fraction(0, 3)), Poly.monomial(2, 1, 0), f / 5 - f / 5,
+             2 - Poly.const(2), Poly.const(Fraction(1, 3)).diff_x(), Poly() ** 3,
+             Poly() - Poly(), Poly() / 4)
+    for z in zeros:
+        assert z.nums == {} and z.den == 1 and z.coeffs == {}
+        assert not z and z == 0 and z == Poly() and hash(z) == hash(Poly())
+
+
+def test_poly_subtracting_zero_keeps_the_operand():
+    f = Poly({(1, 0): Fraction(3, 2), (0, 3): -2})
+    zero = Poly()
+    assert f - zero == f and f - 0 == f and f + zero == f
+    assert zero - f == -f and 0 - f == -f and 2 - zero == 2
+    assert zero - zero == zero and zero + f == f

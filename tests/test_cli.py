@@ -169,7 +169,19 @@ def test_presentation_file_errors(tmp_path):
      "line 1: invalid literal for int() with base 10: 'abc'"),
     ("generator u\nrule u^x -> 1\n",
      "line 2: invalid literal for int() with base 10: 'x'"),
-], ids=["order", "rule-lhs", "bare-generator", "cyclotomic", "rule-power"])
+    ("generator u invertible\ngenerator v invertible\nomega u dv\n"
+     "derivation t: u -> u\n",
+     "line 3: the 2-form is not closed: d omega = du dv"),
+    ("generator u invertible\ngenerator v invertible\n"
+     "order dv < du < v < u < v^-1 < u^-1\nrule u v -> v u\n",
+     "line 4: derived variant u v^-1 -> v^-1 u of rule u v -> v u does not "
+     "decrease"),
+    ("generator u invertible\ngenerator v\norder du < v < u^-1 < dv < u\n"
+     "rule u v -> v u\nfrule u dv -> dv u\n",
+     "line 5: derived variant u^-1 dv -> dv u^-1 of rule u dv -> dv u does "
+     "not decrease"),
+], ids=["order", "rule-lhs", "bare-generator", "cyclotomic", "rule-power",
+        "omega-not-closed", "derived-variant", "derived-form-variant"])
 def test_cli_presentation_error_names_the_line(capsys, tmp_path, text,
                                                message):
     path = tmp_path / "bad.pres"
