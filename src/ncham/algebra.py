@@ -457,7 +457,13 @@ class RewriteSystem:
 
 
 class Element:
-    """A finite scalar-linear combination of words, kept in normal form."""
+    """A finite scalar-linear combination of words, kept in normal form.
+
+    No stored coefficient is zero, so `is_zero` is an empty-dict test.
+    The constructor owns that invariant: it drops the zeros of the dict it
+    is given (through `normalize_terms` unless `normal`), so operations
+    hand it their raw sums.
+    """
 
     __slots__ = ("system", "terms")
 
@@ -495,11 +501,7 @@ class Element:
         out = dict(self.terms)
         for w, c in other.terms.items():
             acc = out.get(w)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[w] = acc
-            elif w in out:
-                del out[w]
+            out[w] = c if acc is None else acc + c
         return Element(self.system, out, normal=True)
 
     __radd__ = __add__
@@ -528,13 +530,8 @@ class Element:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = concat(w1, w2)
-                c = c1 * c2
                 acc = raw.get(w)
-                acc = c if acc is None else acc + c
-                if acc:
-                    raw[w] = acc
-                elif w in raw:
-                    del raw[w]
+                raw[w] = c1 * c2 if acc is None else acc + c1 * c2
         return Element(self.system, raw)
 
     def __rmul__(self, other):

@@ -57,16 +57,17 @@ def _poly(v):
 
 
 class BigradedForm:
-    """Map from classical wedge symbol to a matrix-direction TensorForm."""
+    """Map from classical wedge symbol to a matrix-direction TensorForm.
+
+    No stored part is zero, so `is_zero` is an empty-dict test.  The
+    constructor owns that invariant: it drops the zero parts of the dict
+    it is given, so operations hand it their raw sums (see `_put`).
+    """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=None):
-        self.parts = {}
-        if parts:
-            for csym, t in parts.items():
-                if not t.is_zero():
-                    self.parts[csym] = t
+        self.parts = {c: t for c, t in (parts or {}).items() if not t.is_zero()}
 
     # -- constructors ------------------------------------------------------
 
@@ -122,22 +123,12 @@ class BigradedForm:
 
     # -- linear structure ----------------------------------------------------
 
-    def _put(self, parts, csym, t):
-        if t.is_zero():
-            return
-        cur = parts.get(csym)
-        acc = t if cur is None else cur + t
-        if acc.is_zero():
-            parts.pop(csym, None)
-        else:
-            parts[csym] = acc
-
     def __add__(self, other):
         if not isinstance(other, BigradedForm):
             return NotImplemented
         parts = dict(self.parts)
         for csym, t in other.parts.items():
-            self._put(parts, csym, t)
+            _put(parts, csym, t)
         return BigradedForm(parts)
 
     def __neg__(self):
@@ -172,7 +163,7 @@ class BigradedForm:
                 t = t1 * t2
                 if sign < 0:
                     t = -t
-                self._put(parts, csym, t)
+                _put(parts, csym, t)
         return BigradedForm(parts)
 
     def tensor(self, other: "BigradedForm") -> "BigradedForm":
@@ -199,14 +190,14 @@ class BigradedForm:
             for var, dt in (("x", _map_scalars(t, Poly.diff_x)),
                             ("y", _map_scalars(t, Poly.diff_y))):
                 w = wedge((var,), csym)
-                if w is None or dt.is_zero():
+                if w is None:
                     continue
                 sign, nc = w
-                self._put(parts, nc, dt if sign > 0 else -dt)
+                _put(parts, nc, dt if sign > 0 else -dt)
             dm = t.d()
             if len(csym) % 2 == 1:
                 dm = -dm
-            self._put(parts, csym, dm)
+            _put(parts, csym, dm)
         return BigradedForm(parts)
 
     def __str__(self):
@@ -215,6 +206,12 @@ class BigradedForm:
         return bigraded_str(self)
 
     __repr__ = __str__
+
+
+def _put(parts, csym, t):
+    """Add t to parts[csym]; BigradedForm drops the parts that cancel."""
+    cur = parts.get(csym)
+    parts[csym] = t if cur is None else cur + t
 
 
 def _map_scalars(t: TensorForm, fn) -> TensorForm:
@@ -236,13 +233,8 @@ def _junction_insert(t: TensorForm, p_matrix) -> list:
             if not val:
                 continue
             nk = key[:j - 1] + (ai * n + bj,) + key[j + 1:]
-            add = c * val
             acc = out.get(nk)
-            acc = add if acc is None else acc + add
-            if acc:
-                out[nk] = acc
-            elif nk in out:
-                del out[nk]
+            out[nk] = c * val if acc is None else acc + c * val
         outs.append(TensorForm(n, t.degree - 1, out, t.one))
     return outs
 
@@ -305,8 +297,7 @@ class MixedDerivation:
         t = a.component(())
         if set(a.parts) - {()} or t.degree != 0:
             raise ValueError("apply expects a 0-form; use lie for forms")
-        out = self._scalar_transport(t) + self._ad().lie(t)
-        return BigradedForm({(): out})
+        return self.lie(a)
 
     def __call__(self, a):
         return self.apply(a)
@@ -317,19 +308,18 @@ class MixedDerivation:
         evals = {"x": self.theta_x, "y": self.theta_y}
         ad = self._ad()
         parts = {}
-        out = BigradedForm()
         for csym, t in x.parts.items():
             for j, var in enumerate(csym):
                 rest = csym[:j] + csym[j + 1:]
                 term = t.scale(evals[var])
                 if j % 2 == 1:
                     term = -term
-                out._put(parts, rest, term)
+                _put(parts, rest, term)
             if t.degree >= 1:
                 term = ad.iprod(t)
                 if len(csym) % 2 == 1:
                     term = -term
-                out._put(parts, csym, term)
+                _put(parts, csym, term)
         return BigradedForm(parts)
 
     def lie(self, x: BigradedForm) -> BigradedForm:
@@ -340,7 +330,6 @@ class MixedDerivation:
         ds_dx = [[v.diff_x() for v in row] for row in self.theta_s]
         ds_dy = [[v.diff_y() for v in row] for row in self.theta_s]
         ad = self._ad()
-        out = BigradedForm()
         parts = {}
         for csym, t in x.parts.items():
             # replace each classical letter dxi by d(theta_xi)
@@ -360,9 +349,9 @@ class MixedDerivation:
                     term = t.scale(coeff)
                     if s1 * s2 < 0:
                         term = -term
-                    out._put(parts, nc, term)
+                    _put(parts, nc, term)
             # transport of polynomial scalars plus leg-wise commutator
-            out._put(parts, csym, self._scalar_transport(t) + ad.lie(t))
+            _put(parts, csym, self._scalar_transport(t) + ad.lie(t))
             # bidegree leakage of a non-constant theta_S
             for var, dS in (("x", ds_dx), ("y", ds_dy)):
                 if not any(any(row) for row in dS):
@@ -375,11 +364,11 @@ class MixedDerivation:
                 for j, ins in enumerate(_junction_insert(t, dS)):
                     term = ins if j % 2 == 0 else -ins
                     acc = term if acc is None else acc + term
-                if acc is None or acc.is_zero():
+                if acc is None:
                     continue
                 if sign < 0:
                     acc = -acc
-                out._put(parts, nc, acc)
+                _put(parts, nc, acc)
         return BigradedForm(parts)
 
     def commutator(self, other: "MixedDerivation") -> "MixedDerivation":

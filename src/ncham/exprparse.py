@@ -91,6 +91,8 @@ class ExpressionParser:
     def __init__(self, namespace, calculus):
         self.namespace = namespace
         self.calculus = calculus            # None for tensor backends
+        # a rational r reads as r times the unit; tensor backends name it I
+        self.unit = namespace["I"] if calculus is None else calculus.one()
 
     def parse(self, text):
         self.tokens = tokenize(text)
@@ -104,10 +106,7 @@ class ExpressionParser:
 
     def _to_element(self, value):
         if isinstance(value, _Scalar):
-            if self.calculus is not None:
-                return self.calculus.scalar(value.value)
-            raise ParseError("bare scalar expression; multiply a form "
-                             "(e.g. the identity I) instead")
+            return self.unit * value.value
         return value
 
     def _peek(self):
@@ -172,9 +171,9 @@ class ExpressionParser:
         if isinstance(a, _Scalar) and isinstance(b, _Scalar):
             return _Scalar(a.value * b.value)
         if isinstance(a, _Scalar):
-            return b * a.value if not hasattr(b, "scale") else b.scale(a.value)
+            return b * a.value
         if isinstance(b, _Scalar):
-            return a * b.value if not hasattr(a, "scale") else a.scale(b.value)
+            return a * b.value
         try:
             return a * b
         except (TypeError, ValueError) as exc:
@@ -228,11 +227,7 @@ class ExpressionParser:
                 k >>= 1
                 if k:
                     atom = atom * atom
-            if result is None:
-                if self.calculus is not None:
-                    return self.calculus.one()
-                raise ParseError("power 0 of a tensor form is not supported", pos)
-            return result
+            return self.unit if result is None else result
         if self.calculus is None or atom_name is None:
             raise ParseError("negative powers need an invertible generator", pos)
         gens = {g.name: g for g in self.calculus.generators}
@@ -322,8 +317,7 @@ def parse_derivation(text, model):
         from .polynomials import Poly
 
         def zero_form_of(key):
-            # multiplying by the identity lifts bare scalars to 0-forms
-            el = parser.parse("(%s) I" % fields[key])
+            el = parser.parse(fields[key])
             t = el.component(())
             if set(el.parts) - {()} or t.degree != 0:
                 raise ParseError("%s must be a 0-form" % key)

@@ -29,7 +29,12 @@ def _is_scalar(x):
 
 
 class TensorForm:
-    """Sparse tensor-leg form over M_n; keys are tuples of flat unit indices."""
+    """Sparse tensor-leg form over M_n; keys are tuples of flat unit indices.
+
+    No stored coefficient is zero, so `is_zero` is an empty-dict test.
+    The constructor owns that invariant: it drops the zeros of the dict it
+    is given, so operations hand it their raw sums.
+    """
 
     __slots__ = ("n", "degree", "terms", "one")
 
@@ -64,12 +69,8 @@ class TensorForm:
     def from_matrix(cls, mat, one=Fraction(1)):
         """mat: n x n nested sequence of scalars."""
         n = len(mat)
-        terms = {}
-        for i in range(n):
-            for j in range(n):
-                if mat[i][j]:
-                    terms[(i * n + j,)] = mat[i][j]
-        return cls(n, 0, terms, one)
+        return cls(n, 0, {(i * n + j,): mat[i][j]
+                          for i in range(n) for j in range(n)}, one)
 
     def to_matrix(self):
         if self.degree != 0:
@@ -97,11 +98,7 @@ class TensorForm:
         out = dict(self.terms)
         for k, c in other.terms.items():
             acc = out.get(k)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
+            out[k] = c if acc is None else acc + c
         return TensorForm(self.n, self.degree, out, self.one)
 
     def __neg__(self):
@@ -140,13 +137,8 @@ class TensorForm:
                 if aj != bi:
                     continue
                 key = k1[:-1] + (ai * n + bj,) + k2[1:]
-                c = c1 * c2
                 acc = out.get(key)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
+                out[key] = c1 * c2 if acc is None else acc + c1 * c2
         return TensorForm(n, self.degree + other.degree, out, self.one)
 
     def tensor(self, other: "TensorForm") -> "TensorForm":
@@ -157,9 +149,7 @@ class TensorForm:
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                c = c1 * c2
-                if c:
-                    out[k1 + k2] = c
+                out[k1 + k2] = c1 * c2
         return TensorForm(self.n, self.degree + other.degree + 1, out, self.one)
 
     def __eq__(self, other):
@@ -191,11 +181,7 @@ class TensorForm:
                 for i in range(n):
                     nk = key[:pos] + (i * n + i,) + key[pos:]
                     acc = out.get(nk)
-                    acc = sign if acc is None else acc + sign
-                    if acc:
-                        out[nk] = acc
-                    elif nk in out:
-                        del out[nk]
+                    out[nk] = sign if acc is None else acc + sign
         return TensorForm(n, self.degree + 1, out, self.one)
 
     def junction_contractions(self):
@@ -211,11 +197,7 @@ class TensorForm:
                     continue
                 nk = key[:j] + (ai * n + bj,) + key[j + 2:]
                 acc = out.get(nk)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[nk] = acc
-                elif nk in out:
-                    del out[nk]
+                out[nk] = c if acc is None else acc + c
             outs.append(TensorForm(n, self.degree - 1, out, self.one))
         return outs
 
@@ -231,7 +213,12 @@ class TensorForm:
 
 
 class MatrixDerivation:
-    """Derivation on M_n given by its coefficient array on matrix units."""
+    """Derivation on M_n given by its coefficient array on matrix units.
+
+    No stored entry of `theta` is zero, so `is_zero` is an empty-dict test.
+    The constructor owns that invariant: it drops the zeros of the array
+    it is given, so operations hand it their raw sums.
+    """
 
     __slots__ = ("n", "theta", "one", "label")
 
@@ -254,14 +241,9 @@ class MatrixDerivation:
         theta = {}
 
         def put(out, inp, val):
-            if val:
-                key = (out, inp)
-                acc = theta.get(key)
-                acc = val if acc is None else acc + val
-                if acc:
-                    theta[key] = acc
-                elif key in theta:
-                    del theta[key]
+            key = (out, inp)
+            acc = theta.get(key)
+            theta[key] = val if acc is None else acc + val
 
         for i in range(n):
             for j in range(n):
@@ -299,11 +281,7 @@ class MatrixDerivation:
         theta = dict(self.theta)
         for k, v in other.theta.items():
             acc = theta.get(k)
-            acc = v if acc is None else acc + v
-            if acc:
-                theta[k] = acc
-            elif k in theta:
-                del theta[k]
+            theta[k] = v if acc is None else acc + v
         return MatrixDerivation(self.n, theta, self.one, check=False)
 
     def __rmul__(self, c):
@@ -326,17 +304,7 @@ class MatrixDerivation:
     def apply(self, x: TensorForm) -> TensorForm:
         if x.degree != 0:
             raise ValueError("apply expects a 0-form; use lie for forms")
-        out = {}
-        for (f,), c in x.terms.items():
-            for o, v in self.apply_unit(f).items():
-                key = (o,)
-                acc = out.get(key)
-                acc = c * v if acc is None else acc + c * v
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-        return TensorForm(x.n, 0, out, x.one)
+        return self.lie(x)
 
     def __call__(self, x):
         return self.apply(x)
@@ -356,13 +324,8 @@ class MatrixDerivation:
                     if lj != oi:
                         continue
                     nk = key[:j - 1] + (li * n + oj,) + key[j + 1:]
-                    add = sign * v
                     acc = out.get(nk)
-                    acc = add if acc is None else acc + add
-                    if acc:
-                        out[nk] = acc
-                    elif nk in out:
-                        del out[nk]
+                    out[nk] = sign * v if acc is None else acc + sign * v
         return TensorForm(n, x.degree - 1, out, x.one)
 
     def lie(self, x: TensorForm) -> TensorForm:
@@ -372,11 +335,7 @@ class MatrixDerivation:
                 for o, v in self.apply_unit(key[j]).items():
                     nk = key[:j] + (o,) + key[j + 1:]
                     acc = out.get(nk)
-                    acc = c * v if acc is None else acc + c * v
-                    if acc:
-                        out[nk] = acc
-                    elif nk in out:
-                        del out[nk]
+                    out[nk] = c * v if acc is None else acc + c * v
         return TensorForm(x.n, x.degree, out, x.one)
 
     def commutator(self, other: "MatrixDerivation") -> "MatrixDerivation":
@@ -392,8 +351,7 @@ class MatrixDerivation:
                 for o2, v2 in other.apply_unit(o).items():
                     img[o2] = img.get(o2, 0) - v * v2
             for o, v in img.items():
-                if v:
-                    theta[(o, b)] = v
+                theta[(o, b)] = v
         return MatrixDerivation(self.n, theta, self.one, check=False)
 
     def coordinates(self):

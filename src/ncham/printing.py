@@ -104,6 +104,12 @@ def tensor_str(x) -> str:
     return " ".join(parts)
 
 
+def _monomial_str(mono) -> str:
+    """x^i y^j for the exponent pair (i, j); '' for (0, 0)."""
+    return " ".join(v if e == 1 else "%s^%d" % (v, e)
+                    for v, e in zip(("x", "y"), mono) if e)
+
+
 def poly_str(p) -> str:
     from .polynomials import Poly
 
@@ -112,10 +118,7 @@ def poly_str(p) -> str:
             return "0"
         parts = []
         for i, (mono, c) in enumerate(sorted(p.coeffs.items())):
-            word = " ".join(
-                v if e == 1 else "%s^%d" % (v, e)
-                for v, e in zip(("x", "y"), mono) if e)
-            parts.append(term_str(c, word, lead=(i == 0)))
+            parts.append(term_str(c, _monomial_str(mono), lead=(i == 0)))
         return " ".join(parts)
     return scalar_str(p)
 
@@ -134,10 +137,7 @@ def bigraded_str(x) -> str:
             coeff = t.terms[key]
             if isinstance(coeff, Poly):
                 for mono, c in sorted(coeff.coeffs.items()):
-                    mono_txt = " ".join(
-                        v if e == 1 else "%s^%d" % (v, e)
-                        for v, e in zip(("x", "y"), mono) if e)
-                    full = " ".join(s for s in (mono_txt, word) if s)
+                    full = " ".join(s for s in (_monomial_str(mono), word) if s)
                     chunks.append(term_str(c, full, lead=first))
                     first = False
             else:

@@ -251,9 +251,6 @@ class CycScalar:
     def __hash__(self):
         return hash((self.p, self.nums, self.den))
 
-    def is_rational(self):
-        return not any(self.nums[1:])
-
     def monomial_form(self):
         """(k, r) if the element is r*q^k in the power basis, else None."""
         nz = [i for i, n in enumerate(self.nums) if n]

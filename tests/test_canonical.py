@@ -1,10 +1,17 @@
-"""Canonical storage: equal scalars have equal fields and hashes, and Poly
-arithmetic never stores a zero or non-Fraction coefficient."""
+"""Canonical storage: equal scalars have equal fields and hashes, Poly
+arithmetic never stores a zero or non-Fraction coefficient, and no form or
+derivation stores a zero coefficient or a zero part."""
 
 import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
+from ncham.bigraded import BigradedForm, MixedDerivation
+from ncham.cartan import iprod_or_zero
+from ncham.matrixcalc import MatrixDerivation, TensorForm
+from ncham.models import build_model
 from ncham.polynomials import Poly
 from ncham.scalars import CycScalar, cyc_one, cyc_zero, euler_phi, q_power
 
@@ -134,3 +141,127 @@ def test_poly_subtracting_zero_keeps_the_operand():
     assert f - zero == f and f - 0 == f and f + zero == f
     assert zero - f == -f and 0 - f == -f and 2 - zero == 2
     assert zero - zero == zero and zero + f == f
+
+
+# -- forms and derivations: no stored zero ----------------------------------
+
+
+def assert_no_stored_zero(x):
+    """No coefficient of x is zero and, on BigradedForm, no part is zero."""
+    if isinstance(x, BigradedForm):
+        for t in x.parts.values():
+            assert not t.is_zero(), x.parts
+            assert_no_stored_zero(t)
+        return
+    coeffs = x.theta if isinstance(x, MatrixDerivation) else x.terms
+    assert all(coeffs.values()), coeffs
+
+
+def assert_zero(x):
+    assert x.is_zero()
+    assert_no_stored_zero(x)
+
+
+FORM_MODELS = ("torus:p=2", "torus:p=3", "cuntz:n=2", "matrix:n=2",
+               "polymat:D=3")
+
+
+@pytest.mark.parametrize("desc", FORM_MODELS)
+def test_cancelling_operations_store_no_zero(desc):
+    model = build_model(desc)
+    d = model.backend.d
+    rng = random.Random(desc)
+    for _ in range(4):
+        x = model.random_form(rng, 2)
+        th, ph = model.random_derivation(rng), model.random_derivation(rng)
+        y = th.lie(x)                       # of the degree of x
+        zero = x - x
+        for z in (zero, x + (-x), -x + x, (x + y) - (y + x), x * zero,
+                  zero * y, x * y - x * y, d(x - x), d(d(x)), d(y) - d(y),
+                  iprod_or_zero(th, x) - iprod_or_zero(th, x),
+                  iprod_or_zero(th, zero), th.lie(zero), th.lie(x) - y,
+                  th.commutator(th).lie(x), (th - th).lie(y)):
+            assert_zero(z)
+        for r in (x, y, x + y, x - y, x * y, d(x), d(x + y),
+                  iprod_or_zero(th, x), iprod_or_zero(ph, y), th.lie(x),
+                  ph.lie(y), th.commutator(ph).lie(x)):
+            assert_no_stored_zero(r)
+        # equal values reached by different routes are ==
+        assert (x + y) - y == x
+        assert x + (y - x) == y
+        assert x * (y + x) == x * y + x * x
+        assert d(x + y) == d(x) + d(y)
+        assert th.lie(x + y) == th.lie(x) + th.lie(y)
+        assert iprod_or_zero(th, x + y) == \
+            iprod_or_zero(th, x) + iprod_or_zero(th, y)
+        assert th.commutator(ph).lie(x) == \
+            th.lie(ph.lie(x)) - ph.lie(th.lie(x))
+        assert d(iprod_or_zero(th, x)) + iprod_or_zero(th, d(x)) == th.lie(x)
+
+
+def test_elements_store_no_zero():
+    for desc in ("torus:p=2", "torus:p=3", "cuntz:n=2"):
+        calc = build_model(desc).calculus
+        ns = calc.namespace()
+        a, b = (ns["u"], ns["v"]) if "torus" in desc else (ns["s1"], ns["s2*"])
+        for z in (a.commutator(a), a * b - a * b, a + 1 - 1 - a, (a - a) * b,
+                  a ** 0 - 1):
+            assert_zero(z)
+        x = a * b + 2 * b * a - 3
+        for r in (x, x.commutator(a), x * x, x + 3, x - a * b):
+            assert_no_stored_zero(r)
+        assert x.commutator(a) == x * a - a * x
+        assert (x - a * b) + a * b == x == x + (a - a)
+
+
+@pytest.mark.parametrize("desc", ("matrix:n=2", "polymat:D=3"))
+def test_matrix_units_store_no_zero(desc):
+    ns = build_model(desc).namespace()
+    e11, e12, e21, e22 = ns["E11"], ns["E12"], ns["E21"], ns["E22"]
+    for z in (e12 * e21 - e11, e11 * e22, e12 * e12, e12 * e21 - e21 * e12
+              - e11 + e22, ns["dE12"] * e11 - ns["dE12"] * e11,
+              ns["I"] * ns["dE12"] - ns["dE12"] * ns["I"]):
+        assert_zero(z)
+    assert e12 * e21 + e21 * e12 == ns["I"] == e11 + e22
+    assert (e12 * e21).d() == e11.d()
+    assert_no_stored_zero(ns["dE12"] * ns["dE21"] + ns["dE11"] * ns["dE11"])
+
+
+def test_matrix_derivations_store_no_zero():
+    s = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
+    t = [[Fraction(2), Fraction(0)], [Fraction(3), Fraction(-1)]]
+    ad_s, ad_t = MatrixDerivation.ad(s), MatrixDerivation.ad(t)
+    for theta in (ad_s, ad_t, ad_s + ad_t, ad_s.commutator(ad_t)):
+        assert_no_stored_zero(theta)
+        assert not theta.is_zero()
+    # the identity is central, so ad(I) cancels entry by entry
+    ident = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    for z in (ad_s - ad_s, ad_s + (-ad_s), ad_s.commutator(ad_s),
+              MatrixDerivation.ad(ident), MatrixDerivation.ad(s) - ad_s,
+              Fraction(0) * ad_t):
+        assert_zero(z)
+    assert ((ad_s + ad_t) - ad_t).theta == ad_s.theta
+    e12 = TensorForm.unit(2, 0, 1)
+    form = e12 * TensorForm.unit(2, 1, 0).d()
+    for z in ((ad_s - ad_s).lie(form), ad_s.iprod(form) - ad_s.iprod(form),
+              (ad_s - ad_s).apply(e12), ad_s.apply(e12) - ad_s.lie(e12)):
+        assert_zero(z)
+
+
+def test_bigraded_forms_store_no_zero():
+    x = BigradedForm.scalar(Poly.x())
+    dx = BigradedForm.classical(("x",))
+    g = Poly.monomial(1, 1)
+    theta = MixedDerivation(Poly.y(), Poly(), [[Poly(), g], [-g, Poly()]])
+    const = MixedDerivation(0, 0, [[0, 1], [-1, 0]])
+    ident = BigradedForm.from_matrix([[1, 0], [0, 1]])
+    for z in (dx * dx, x * dx - dx * x, dx.d(), (x * x).d() - 2 * x * x.d(),
+              theta.iprod(dx - dx), theta.lie(x - x), const.lie(ident),
+              const.lie(x), theta.commutator(theta).lie(x * dx),
+              theta.iprod(x.d()) - theta.lie(x)):
+        assert_zero(z)
+    form = x * x.d() + ident.d() + (x * dx).d() + dx * theta.lie(x)
+    for r in (form, theta.lie(form), theta.iprod(form), form.d(),
+              theta.lie(form) - theta.lie(form.d())):
+        assert_no_stored_zero(r)
+    assert theta.lie(form) == theta.iprod(form).d() + theta.iprod(form.d())

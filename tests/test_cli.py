@@ -471,6 +471,40 @@ def test_cli_expression_with_leading_minus(capsys):
     assert err == "error: unknown generator 'x' (at position 1)"
 
 
+@pytest.mark.parametrize("model,expr,want", [
+    ("polymat:D=3", "x + 1", "E11 + x E11 + E22 + x E22"),
+    ("polymat:D=3", "x + I", "E11 + x E11 + E22 + x E22"),
+    ("polymat:D=3", "E12^0", "E11 + E22"),
+    ("polymat:D=3", "1/2 - 1/2", "0"),
+    ("matrix:n=2", "E11 + 1", "2 E11 + E22"),
+    ("matrix:n=2", "E12^0", "E11 + E22"),
+    ("matrix:n=2", "(1 + E12)^2", "E11 + 2 E12 + E22"),
+    ("matrix:n=2", "-2", "-2 E11 - 2 E22"),
+])
+def test_cli_tensor_backends_read_a_rational_as_a_multiple_of_i(
+        capsys, model, expr, want):
+    code, out, err = run_cli(capsys, "--model", model, "normalize", "--", expr)
+    assert (code, out, err) == (0, want, "")
+
+
+def test_cli_q_stays_presented_only(capsys):
+    for model in ("matrix:n=2", "polymat:D=3"):
+        code, out, err = run_cli(capsys, "--model", model, "normalize",
+                                 "E12 + q")
+        assert (code, out) == (2, "")
+        assert err == ("error: q is only defined on presented models "
+                       "(at position 6)")
+
+
+def test_cli_mixed_derivation_fields_take_rationals(capsys):
+    code, out, _ = run_cli(capsys, "--model", "polymat:D=3", "lie",
+                           "x: x + 1", "x")
+    assert (code, out) == (0, "E11 + x E11 + E22 + x E22")
+    code, out, _ = run_cli(capsys, "--model", "polymat:D=3", "lie",
+                           "x: 1, S: E12 - E21", "x")
+    assert (code, out) == (0, "E11 + E22")
+
+
 BAD_DERIVATION = "derivation bad: u -> u v, v -> 0\n"
 HAMILTONIAN_COMMANDS = (["bracket", "u^2 v^2", "u^2 v^4"],
                         ["hamvec", "u^2 v^2"],
