@@ -243,7 +243,7 @@ class MixedDerivation:
     """(theta_x, theta_y, theta_S) acting as
     theta(f) = theta_x df/dx + theta_y df/dy + [theta_S, f]."""
 
-    __slots__ = ("theta_x", "theta_y", "theta_s", "label")
+    __slots__ = ("theta_x", "theta_y", "theta_s", "label", "_ad_s")
 
     def __init__(self, theta_x=0, theta_y=0, theta_s=None, label=None,
                  require_antisymmetric=True):
@@ -253,6 +253,7 @@ class MixedDerivation:
             theta_s = [[Poly(), Poly()], [Poly(), Poly()]]
         self.theta_s = [[_poly(v) for v in row] for row in theta_s]
         self.label = label
+        self._ad_s = None                   # ad(theta_S), built on first use
         if require_antisymmetric:
             for i in range(2):
                 for j in range(2):
@@ -285,7 +286,9 @@ class MixedDerivation:
                     or any(any(row) for row in self.theta_s))
 
     def _ad(self):
-        return MatrixDerivation.ad(self.theta_s, P_ONE)
+        if self._ad_s is None:
+            self._ad_s = MatrixDerivation.ad(self.theta_s, P_ONE)
+        return self._ad_s
 
     def _scalar_transport(self, t: TensorForm) -> TensorForm:
         out = _map_scalars(t, Poly.diff_x).scale(self.theta_x)

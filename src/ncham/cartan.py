@@ -286,9 +286,6 @@ class DerivationSpace:
         one = ones[0] / ones[0]
         return ExactLinearSystem(cols, one)
 
-    def contains(self, theta):
-        return self._system().solve(theta.coordinates()) is not None
-
     def verify_closure(self):
         """Status of [theta_i, theta_j] for all i < j."""
         system = self._system()

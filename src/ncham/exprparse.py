@@ -17,10 +17,14 @@ Presentation files are line oriented:
     omega u^-1 du dv v^-1
     derivation theta: u -> u^3 v^2, v -> u^2 v^3
 
-Lines starting with # are comments.  `omega` and `derivation` lines are
-optional; when present they make the Hamiltonian commands available on a
-user presentation.  A file loads to a ModelDescriptor like the built-in
-models, with omega None when the file has no `omega` line.
+Lines starting with # are comments.  A file builds one calculus: bare, it
+parses every rule's right-hand side; then all `rule` lines (which may not
+name a differential) go in, then all `frule` lines, each in file order,
+then the derived inverse variants, and only then are the optional `omega`
+and `derivation` lines read; when present they make the Hamiltonian
+commands available on a user presentation.  A file loads to a
+ModelDescriptor like the built-in models, with omega None when the file
+has no `omega` line.
 """
 
 from __future__ import annotations
@@ -29,8 +33,7 @@ import re
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .algebra import (DerivedVariantError, GeneratorSymbol, RewriteSystem,
-                      RuleSpec)
+from .algebra import DerivedVariantError, GeneratorSymbol, RuleSpec
 from .forms import CalculusPresentation
 from .scalars import CycScalar, q_power
 
@@ -275,23 +278,28 @@ def parse_expression(text, model):
     return ExpressionParser(model.namespace(), model.calculus).parse(text)
 
 
+def _image_derivation(text, parser, label=None):
+    """The derivation 'u -> expr, v -> expr' on the parser's calculus."""
+    from .cartan import PresentedDerivation
+
+    images = {}
+    for chunk in text.split(","):
+        lhs, _, rhs = chunk.partition("->")
+        if not rhs:
+            raise ParseError("malformed derivation chunk %r" % chunk)
+        images[lhs.strip()] = parser.parse(rhs)
+    return PresentedDerivation(parser.calculus, images, label=label)
+
+
 def parse_derivation(text, model):
     """theta specs: 'u -> expr, v -> expr' | 'h: expr' | 'S: expr' |
     'x: expr, y: expr, S: expr'."""
     kind = model.backend.kind
     parser = ExpressionParser(model.namespace(), model.calculus)
     if "->" in text:
-        from .cartan import PresentedDerivation
-
         if kind != "presented":
             raise ParseError("generator-image derivations need a presented model")
-        images = {}
-        for chunk in text.split(","):
-            lhs, _, rhs = chunk.partition("->")
-            if not rhs:
-                raise ParseError("malformed derivation chunk %r" % chunk)
-            images[lhs.strip()] = parser.parse(rhs)
-        return PresentedDerivation(model.calculus, images)
+        return _image_derivation(text, parser)
     fields = {}
     for chunk in text.split(","):
         key, _, rhs = chunk.partition(":")
@@ -355,11 +363,11 @@ def load_presentation(path):
     """Parse a presentation file; returns a ModelDescriptor.
 
     A line that cannot be read, or that names an unknown letter, is a
-    ParseError naming that line; so is an `omega` line whose 2-form is
-    not closed, and a rule whose derived inverse variant does not decrease.
+    ParseError naming that line; so is a `rule` line that names a
+    differential, an `omega` line whose 2-form is not closed, and a rule
+    whose derived inverse variant does not decrease.
     """
     from .backends import Backend
-    from .cartan import PresentedDerivation
     from .models import MAX_CYCLOTOMIC_ORDER, ModelDescriptor, check_bound
 
     p = 1
@@ -382,10 +390,14 @@ def load_presentation(path):
                     parts = rest.split()
                     if not parts:
                         raise ParseError("generator line names no generator")
-                    if parts[0] in {g.name for g in generators}:
-                        raise ParseError("generator %r declared twice" % parts[0])
+                    name, names = parts[0], {g.name for g in generators}
+                    if name in names:
+                        raise ParseError("generator %r declared twice" % name)
+                    if "d" + name in names or name in {"d" + n for n in names}:
+                        raise ParseError("generator %r: generator and "
+                                         "differential names must differ" % name)
                     generators.append(GeneratorSymbol(
-                        parts[0], invertible="invertible" in parts[1:]))
+                        name, invertible="invertible" in parts[1:]))
                 elif head == "order":
                     order = [t.strip() for t in rest.split("<")]
                     order_line = lineno
@@ -398,14 +410,12 @@ def load_presentation(path):
 
     # without an order line the checks above leave nothing here to fail
     with _at_line(order_line):
-        scratch = CalculusPresentation(generators, [], [], p=p,
-                                       letter_order=order)
-    scratch_parser = ExpressionParser(scratch.namespace(), scratch)
-    # algebra rules go to both the algebra and the calculus letter tables
-    tables = {"rule": (scratch.base.system.table, scratch.system.table),
-              "frule": (scratch.system.table,)}
+        calc = CalculusPresentation(generators, [], [], p=p,
+                                    letter_order=order)
+    rhs_parser = ExpressionParser(calc.namespace(), calc)
+    letters = calc.system.table.letters
 
-    def parse_rule(text, head):
+    def parse_rule(text):
         lhs_txt, arrow, rhs_txt = text.partition("->")
         if not arrow:
             raise ParseError("rule %r has no ->" % text)
@@ -413,41 +423,31 @@ def load_presentation(path):
         for tok in lhs_txt.split():
             name, _, power = tok.partition("^")
             lhs.append((name, int(power) if power else 1))
-        rhs_el = scratch_parser.parse(rhs_txt.strip())
         rhs_terms = []
-        table = scratch.system.table
-        for word, coeff in rhs_el.terms.items():
+        for word, coeff in rhs_parser.parse(rhs_txt.strip()).terms.items():
             factors = []
             for li in word:
-                lt = table.letters[li]
+                lt = letters[li]
                 factors.append((("d" + lt.base) if lt.diff else lt.base, lt.exp))
             rhs_terms.append((coeff, factors))
-        spec = RuleSpec.make(lhs, rhs_terms)
-        # unknown letters and non-decreasing rules fail here, at their line
-        for letter_table in tables[head]:
-            RewriteSystem(letter_table, p).add_rule(spec)
-        return spec
+        return RuleSpec.make(lhs, rhs_terms)
 
+    # every right-hand side is read as written, before any rule can rewrite it
     rules = {"rule": [], "frule": []}       # head -> [(lineno, spec)]
     for lineno, head, text in body:
         if head in rules:
             with _at_line(lineno):
-                rules[head].append((lineno, parse_rule(text, head)))
-    # install the derived inverse variants as the calculus will, so that
-    # one that does not decrease names the line of the rule it comes from
-    for table, heads in ((scratch.base.system.table, ("rule",)),
-                         (scratch.system.table, ("rule", "frule"))):
-        check = RewriteSystem(table, p)
-        line_of = {check.add_rule(spec): lineno
-                   for head in heads for lineno, spec in rules[head]}
-        try:
-            check.install_inverse_variants()
-        except DerivedVariantError as exc:
-            raise ParseError("line %d: %s" % (line_of[exc.rule], exc)) from None
-    calc = CalculusPresentation(generators,
-                                [spec for _, spec in rules["rule"]],
-                                [spec for _, spec in rules["frule"]],
-                                p=p, letter_order=order)
+                rules[head].append((lineno, parse_rule(text)))
+    line_of = {}
+    for head, add in (("rule", calc.add_algebra_rule),
+                      ("frule", calc.system.add_rule)):
+        for lineno, spec in rules[head]:
+            with _at_line(lineno):
+                line_of[add(spec)] = lineno
+    try:
+        calc.finish_rules()
+    except DerivedVariantError as exc:
+        raise ParseError("line %d: %s" % (line_of[exc.rule], exc)) from None
     namespace = calc.namespace()
     parser = ExpressionParser(namespace, calc)
 
@@ -462,14 +462,8 @@ def load_presentation(path):
                                      % calc.d(omega))
             elif head == "derivation":
                 name, _, spec = text.partition(":")
-                images = {}
-                for chunk in spec.split(","):
-                    lhs, _, rhs = chunk.partition("->")
-                    if not rhs:
-                        raise ParseError("malformed derivation %r" % text)
-                    images[lhs.strip()] = parser.parse(rhs)
-                derivations.append(PresentedDerivation(calc, images,
-                                                       label=name.strip()))
+                derivations.append(_image_derivation(spec, parser,
+                                                     label=name.strip()))
     gen_names = [g.name for g in generators]
 
     def random_form(rng, max_degree=2):

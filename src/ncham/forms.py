@@ -1,52 +1,64 @@
 """Presented differential graded algebras.
 
-A calculus presentation extends an algebra presentation by one degree-1
-form generator dg per algebra generator and by graded rewrite rules.  The
-full letter precedence (differentials and algebra letters interleaved as
-the model requires) is declared at construction; by default differentials
-come first, in reverse generator order, so that torus-style normal forms
-read dv du u^n v^m.
+A calculus presentation has the algebra generators, one degree-1 form
+generator dg per algebra generator, and one rewrite system over all of
+these letters.  Its rules are the algebra rules, which relate 0-forms and
+so name no differential, then the form rules, then the derived inverse
+variants of both.  The full letter precedence (differentials and algebra
+letters interleaved as the model requires) is declared at construction;
+by default differentials come first, in reverse generator order, so that
+torus-style normal forms read dv du u^n v^m.
 
 The differential is the signed derivation with d(g) = dg, d(dg) = 0 and,
 for invertible generators, d(g^-1) = -g^-1 dg g^-1, which is forced by
 the Leibniz rule on g g^-1 = 1.  These letter images form a table built
-once per calculus, and `d` is one call of `RewriteSystem.leibniz` over it:
-one normalization per call.  No rewrite rules are guessed: where a
-commutation between letters is not installed, words are left unreduced.
+once the rules are in (`finish_rules`), and `d` is one call of
+`RewriteSystem.leibniz` over it: one normalization per call.  No rewrite
+rules are guessed: where a commutation between letters is not installed,
+words are left unreduced.
 """
 
 from __future__ import annotations
 
-from .algebra import Element, Presentation, RewriteSystem, _build_table
+from .algebra import Element, RewriteSystem, _build_table
 
 
 class CalculusPresentation:
-    """Algebra presentation plus form generators and graded rules."""
+    """Generators, their differentials and one rewrite system for both."""
 
     def __init__(self, generators, algebra_rules, form_rules, p=1,
                  letter_order=None, max_degree=None, step_budget=10 ** 6):
         self.generators = tuple(generators)
         self.p = p
-        self.max_degree = max_degree
         names = [g.name for g in self.generators]
+        if len(set(names)) != len(names):
+            raise ValueError("generator names must be unique")
         if letter_order is None:
             letter_order = ["d" + n for n in reversed(names)] + names
         else:
             missing = ["d" + n for n in reversed(names)
                        if "d" + n not in letter_order]
             letter_order = missing + list(letter_order)
-        self.letter_order = tuple(letter_order)
-        self.base = Presentation(self.generators, algebra_rules, p=p,
-                                 precedence=[n for n in letter_order
-                                             if not (n.startswith("d") and n[1:] in names)]
-                                 or names,
-                                 step_budget=step_budget)
-        self.system = RewriteSystem(_build_table(self.generators, self.letter_order),
+        self.system = RewriteSystem(_build_table(self.generators, letter_order),
                                     p, step_budget, max_degree=max_degree)
-        self.algebra_rule_specs = tuple(algebra_rules)
-        self.form_rule_specs = tuple(form_rules)
-        self._algebra_rules = [self.system.add_rule(s) for s in self.algebra_rule_specs]
-        self._form_rules = [self.system.add_rule(s) for s in self.form_rule_specs]
+        for spec in algebra_rules:
+            self.add_algebra_rule(spec)
+        for spec in form_rules:
+            self.system.add_rule(spec)
+        self.finish_rules()
+
+    def add_algebra_rule(self, spec):
+        """Install a rule between 0-forms, which names no differential."""
+        diffs = {"d" + g.name for g in self.generators}
+        for name, _ in list(spec.lhs) + [f for _, word in spec.rhs for f in word]:
+            if name in diffs:
+                raise ValueError("an algebra rule has degree 0, but this one "
+                                 "names the differential %s" % name)
+        return self.system.add_rule(spec)
+
+    def finish_rules(self):
+        """Install the derived inverse variants, then build d's letter
+        images under all the rules; call again after adding rules."""
         self.system.install_inverse_variants()
         table = self.system.table
         diff_of = {lt.base: i for i, lt in enumerate(table.letters) if lt.diff}
@@ -105,16 +117,7 @@ class CalculusPresentation:
             raise ValueError("element belongs to a different calculus")
         return Element(self.system, dict(x.terms))
 
-    def degree(self, x: Element) -> int:
-        return x.degree()
-
     # -- rule access -------------------------------------------------------
-
-    def algebra_rules(self):
-        return list(self._algebra_rules)
-
-    def form_rules(self):
-        return list(self._form_rules)
 
     def all_relations(self):
         """Every installed rule as (description, lhs element, rhs element)."""

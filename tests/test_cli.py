@@ -152,6 +152,33 @@ rule u v -> v u
     assert checks["local confluence"] is False
 
 
+def test_presentation_file_loads_the_builtin_torus(tmp_path):
+    """The README's file gives torus_calculus(2)'s letters and rules, in
+    order: the rule line, the frule lines, then the derived variants."""
+    from ncham.models import torus_calculus
+
+    path = tmp_path / "torus.pres"
+    path.write_text(TORUS2_RELATIONS + TORUS2_OMEGA + TORUS2_DERIVATION)
+    calc, builtin_calc = load_presentation(str(path)).calculus, torus_calculus(2)
+    loaded, builtin = calc.system, builtin_calc.system
+    assert loaded.table.letters == builtin.table.letters
+    assert ([(r.lhs, r.rhs, r.derived) for r in loaded.rules]
+            == [(r.lhs, r.rhs, r.derived) for r in builtin.rules])
+    assert any(r.derived for r in loaded.rules)
+    # d's letter images are normalized under all the rules, as built in
+    assert calc._d_of_letter == builtin_calc._d_of_letter
+
+
+def test_presentation_file_rule_rewrites_a_generator(capsys, tmp_path):
+    """d and every parsed element see the rules: u reads as v."""
+    path = tmp_path / "uv.pres"
+    path.write_text("generator u\ngenerator v\norder v < u\nrule u -> v\n")
+    for argv, expect in ((("normalize", "u du u"), "v du v"),
+                         (("d", "u"), "dv")):
+        code, out, err = run_cli(capsys, "--presentation", str(path), *argv)
+        assert (code, out, err) == (0, expect, "")
+
+
 def test_presentation_file_errors(tmp_path):
     path = tmp_path / "bad.pres"
     path.write_text("rule v u -> u v\n")
@@ -180,8 +207,17 @@ def test_presentation_file_errors(tmp_path):
      "rule u v -> v u\nfrule u dv -> dv u\n",
      "line 5: derived variant u^-1 dv -> dv u^-1 of rule u dv -> dv u does "
      "not decrease"),
+    ("generator u\ngenerator v\nrule u du -> du u\n",
+     "line 3: an algebra rule has degree 0, but this one names the "
+     "differential du"),
+    ("generator u\ngenerator du\n",
+     "line 2: generator 'du': generator and differential names must differ"),
+    ("generator du\ngenerator u\n",
+     "line 2: generator 'u': generator and differential names must differ"),
 ], ids=["order", "rule-lhs", "bare-generator", "cyclotomic", "rule-power",
-        "omega-not-closed", "derived-variant", "derived-form-variant"])
+        "omega-not-closed", "derived-variant", "derived-form-variant",
+        "rule-names-differential", "generator-is-a-differential",
+        "differential-is-a-generator"])
 def test_cli_presentation_error_names_the_line(capsys, tmp_path, text,
                                                message):
     path = tmp_path / "bad.pres"

@@ -27,9 +27,14 @@ def test_cuntz_confluent(n):
 
 
 def test_algebra_only_presentation_confluent():
-    # torus base algebra without the form rules
-    calc = torus_calculus(2)
-    rep = check_local_confluence(calc.base)
+    # torus base algebra without the form rules: v u -> q^-1 u v, u < v
+    gens = [GeneratorSymbol("u", invertible=True),
+            GeneratorSymbol("v", invertible=True)]
+    rules = [RuleSpec.make([("v", 1), ("u", 1)],
+                           [(q_power(2, -1), [("u", 1), ("v", 1)])])]
+    pres = Presentation(gens, rules, p=2, precedence=["u", "v"])
+    rep = check_local_confluence(pres)
+    assert rep.pairs
     assert rep.all_joinable
 
 

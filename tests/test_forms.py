@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from ncham.models import cuntz_calculus, torus_calculus
 from ncham.scalars import q_power
 
@@ -125,3 +127,27 @@ def test_max_degree_truncation():
     da = calc.dgen("a")
     assert not (calc.gen("a") * da).is_zero()
     assert (da * da).is_zero()            # degree 2 is truncated away
+
+
+def test_generator_names_must_be_unique():
+    from ncham.forms import CalculusPresentation
+    from ncham.algebra import GeneratorSymbol
+
+    with pytest.raises(ValueError, match="generator names must be unique"):
+        CalculusPresentation([GeneratorSymbol("a"), GeneratorSymbol("a")],
+                             [], [])
+
+
+def test_algebra_rule_may_not_name_a_differential():
+    from ncham.forms import CalculusPresentation
+    from ncham.algebra import GeneratorSymbol, RuleSpec
+
+    gens = [GeneratorSymbol("a"), GeneratorSymbol("b")]
+    for rule in (RuleSpec.make([("b", 1), ("da", 1)], [(1, [("da", 1), ("b", 1)])]),
+                 RuleSpec.make([("b", 1), ("a", 1)], [(1, [("da", 1)])])):
+        with pytest.raises(ValueError, match="names the differential da"):
+            CalculusPresentation(gens, [rule], [])
+    # the same rule is a form rule
+    calc = CalculusPresentation(gens, [], [RuleSpec.make(
+        [("b", 1), ("da", 1)], [(1, [("da", 1), ("b", 1)])])])
+    assert calc.gen("b") * calc.dgen("a") == calc.dgen("a") * calc.gen("b")
