@@ -47,7 +47,7 @@ T = 3 * (E12 - E21)
 a = T + BigradedForm.scalar(f)
 sol = model.solver.solve(a)
 print("a = 3(E12 - E21) + x^2 y I")
-print("X_a:", model.backend.describe_derivation(sol.vector_field))
+print("X_a:", sol.vector_field.describe())
 
 g = Poly.y() ** 2
 R = -1 * (E12 - E21)

@@ -2,7 +2,8 @@
 
 A presentation is a list of generators (some invertible) plus oriented
 rules whose right-hand sides are strictly smaller in a degree-
-lexicographic order, so rewriting always terminates.  Inverse
+lexicographic order, so rewriting always terminates.  An algebra-only
+presentation is a `CalculusPresentation` with no form rules.  Inverse
 cancellation is structural, and two-letter swap rules acquire their
 inverse-conjugated variants automatically.  The diamond lemma then
 reduces well-definedness of normal forms to joinability of finitely
@@ -16,9 +17,9 @@ Run:  python demos/rewriting.py
 import os
 import tempfile
 
-from ncham.algebra import (GeneratorSymbol, Presentation, RuleSpec,
-                           check_local_confluence)
+from ncham.algebra import GeneratorSymbol, RuleSpec, check_local_confluence
 from ncham.exprparse import load_presentation
+from ncham.forms import CalculusPresentation
 from ncham.models import cuntz_calculus, torus_calculus
 from ncham.scalars import q_power
 
@@ -33,10 +34,10 @@ print("critical pairs: %d, all joinable: %s" % (len(rep.pairs),
 print("\n== a bad presentation: two orientations of the same relation ==")
 q = q_power(3, 1)
 gens = [GeneratorSymbol("v"), GeneratorSymbol("u")]
-pres = Presentation(gens, [
+pres = CalculusPresentation(gens, [
     RuleSpec.make([("u", 1), ("v", 1)], [(q, [("v", 1), ("u", 1)])]),
     RuleSpec.make([("u", 1), ("v", 1)], [(1, [("v", 1), ("u", 1)])]),
-], p=3, precedence=["v", "u"])
+], [], p=3, letter_order=["v", "u"])
 rep = check_local_confluence(pres)
 print(rep.summary(pres.system))
 

@@ -57,7 +57,7 @@ for expr in ["u^2 v^2", "u", "u v", "u^2 v"]:
     a = parse_expression(expr, model)
     sol = model.solver.solve(a)
     if sol.hamiltonian:
-        images = model.backend.describe_derivation(sol.vector_field)
+        images = sol.vector_field.describe()
         print("%-8s Hamiltonian, X: %s" % (expr, images))
     else:
         print("%-8s not Hamiltonian relative to the ansatz" % expr)

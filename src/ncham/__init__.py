@@ -10,7 +10,7 @@ Cuntz algebra, and matrix-valued polynomial functions on the plane.
 
 from .scalars import (CycScalar, Rational, cyc_one, cyc_zero,
                       cyclotomic_polynomial, q_power)
-from .algebra import (DegreeError, Element, GeneratorSymbol, Presentation,
+from .algebra import (DegreeError, Element, GeneratorSymbol,
                       ReductionBudgetExceeded, RuleSpec,
                       UnknownGeneratorError, check_local_confluence)
 from .forms import CalculusPresentation
@@ -35,7 +35,7 @@ from .exprparse import (ParseError, load_presentation, parse_derivation,
 __all__ = [
     "CycScalar", "Rational", "cyc_one", "cyc_zero", "cyclotomic_polynomial",
     "q_power",
-    "DegreeError", "Element", "GeneratorSymbol", "Presentation",
+    "DegreeError", "Element", "GeneratorSymbol",
     "ReductionBudgetExceeded", "RuleSpec", "UnknownGeneratorError",
     "check_local_confluence",
     "CalculusPresentation",

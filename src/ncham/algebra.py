@@ -19,6 +19,9 @@ cancelled and L the longest lhs.  `check_local_confluence` enumerates all
 overlap and inclusion ambiguities between rule left-hand sides (including
 the implicit cancellation rules of invertible generators) and reports
 whether both branches reduce to the same normal form.
+
+This module has no presentation type of its own: an algebra-only
+presentation is a `forms.CalculusPresentation` with no form rules.
 """
 
 from __future__ import annotations
@@ -144,11 +147,10 @@ class RewriteRule:
 class RewriteSystem:
     """Letter table plus oriented rules plus a memoizing normalizer."""
 
-    def __init__(self, table, p, step_budget=10 ** 6, max_degree=None):
+    def __init__(self, table, p, step_budget=10 ** 6):
         self.table = table
         self.p = p
         self.step_budget = step_budget
-        self.max_degree = max_degree
         self.rules = []
         self._rules_by_first = {}
         self._nf_cache = {}
@@ -200,7 +202,7 @@ class RewriteSystem:
                 out.append(li)
         return tuple(out)
 
-    def add_rule(self, spec: RuleSpec, derived=False):
+    def add_rule(self, spec: RuleSpec):
         lhs = self.encode_word(spec.lhs)
         if not lhs:
             raise ValueError("rule lhs must be a nonempty word")
@@ -217,7 +219,7 @@ class RewriteSystem:
                 raise ValueError(
                     "rule %s does not decrease: rhs word %s is not smaller"
                     % (self.word_str(lhs), self.word_str(w)))
-        rule = RewriteRule(lhs, rhs, derived)
+        rule = RewriteRule(lhs, rhs)
         self.rules.append(rule)
         self._rules_by_first.setdefault(lhs[0], []).append(rule)
         self._max_lhs = max(self._max_lhs, len(lhs))
@@ -350,14 +352,10 @@ class RewriteSystem:
 
     def normalize_terms(self, terms):
         out = {}
-        cap = self.max_degree
-        deg = self.table.word_degree
         for w, c in terms.items():
             if not c:
                 continue
             for wf, cf in self.reduce_word(w).items():
-                if cap is not None and deg(wf) > cap:
-                    continue
                 acc = out.get(wf)
                 acc = c * cf if acc is None else acc + c * cf
                 if acc:
@@ -561,10 +559,6 @@ class Element:
             return NotImplemented
         return self.system is other.system and self.terms == other.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((id(self.system), frozenset(self.terms)))
 
@@ -601,7 +595,7 @@ class Element:
     __repr__ = __str__
 
 
-# -- presentations -----------------------------------------------------
+# -- letter tables -----------------------------------------------------
 
 
 def _build_table(generators, letter_order):
@@ -622,35 +616,6 @@ def _build_table(generators, letter_order):
         else:
             raise UnknownGeneratorError("letter %r refers to no generator" % disp)
     return LetterTable(letters)
-
-
-class Presentation:
-    """Generators plus oriented algebra rules, no differential structure."""
-
-    def __init__(self, generators, rules, p=1, precedence=None, step_budget=10 ** 6):
-        self.generators = tuple(generators)
-        self.p = p
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
-            raise ValueError("generator names must be unique")
-        order = list(precedence) if precedence is not None else names
-        self.system = RewriteSystem(_build_table(self.generators, order), p, step_budget)
-        self.rule_specs = tuple(rules)
-        for spec in self.rule_specs:
-            self.system.add_rule(spec)
-        self.system.install_inverse_variants()
-
-    @property
-    def rules(self):
-        return self.system.rules
-
-    def element(self, factors, coeff=1):
-        return Element.from_word(self.system, factors, coeff)
-
-    def normalize(self, x: Element) -> Element:
-        if x.system is not self.system:
-            raise ValueError("element does not belong to this presentation")
-        return Element(self.system, dict(x.terms))
 
 
 # -- local confluence ---------------------------------------------------

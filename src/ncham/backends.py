@@ -1,13 +1,14 @@
 """One solver-facing surface for every calculus backend.
 
 The symplectic machinery needs a handful of primitives: the differential,
-zero tests, exact coordinates of a form in a canonical basis (for the
-linear solver), a hashable freeze of a form (for caching), and linear
-combinations of derivations; the CLI adds a display of a derivation's
-images.  On every backend, forms answer `is_zero()` and `coordinates()`
-and derivations `describe()` themselves, so these rules are written
-once here; a backend differs only in constructor data: its kind, its
+zero tests, a hashable freeze of a form (for caching), and linear
+combinations of derivations.  On every backend, forms answer `is_zero()`
+and `coordinates()` (exact coordinates in a canonical basis, for the
+linear solver) and derivations `describe()` themselves, so callers ask
+them directly; a backend differs only in constructor data: its kind, its
 differential, its zero derivation and the one of its coefficient field.
+The presented backend covers every presentation, algebra-only ones (a
+`CalculusPresentation` with no form rules) included.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ class Backend:
         return x.is_zero()
 
     @staticmethod
-    def coordinates(x):
-        return x.coordinates()
-
-    @staticmethod
     def freeze(x):
         return frozenset(x.coordinates().items())
 
@@ -49,7 +46,3 @@ class Backend:
                 term = c * theta
                 out = term if out is None else out + term
         return self.zero_derivation if out is None else out
-
-    @staticmethod
-    def describe_derivation(theta):
-        return theta.describe()

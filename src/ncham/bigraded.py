@@ -76,8 +76,8 @@ class BigradedForm:
         return cls()
 
     @classmethod
-    def from_matrix_form(cls, t: TensorForm, csym=()):
-        return cls({csym: t})
+    def from_matrix_form(cls, t: TensorForm):
+        return cls({(): t})
 
     @classmethod
     def scalar(cls, value):
@@ -178,10 +178,6 @@ class BigradedForm:
             return NotImplemented
         return self.parts == other.parts
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     # -- calculus --------------------------------------------------------------
 
     def d(self):
@@ -245,8 +241,7 @@ class MixedDerivation:
 
     __slots__ = ("theta_x", "theta_y", "theta_s", "label", "_ad_s")
 
-    def __init__(self, theta_x=0, theta_y=0, theta_s=None, label=None,
-                 require_antisymmetric=True):
+    def __init__(self, theta_x=0, theta_y=0, theta_s=None, label=None):
         self.theta_x = _poly(theta_x)
         self.theta_y = _poly(theta_y)
         if theta_s is None:
@@ -254,11 +249,10 @@ class MixedDerivation:
         self.theta_s = [[_poly(v) for v in row] for row in theta_s]
         self.label = label
         self._ad_s = None                   # ad(theta_S), built on first use
-        if require_antisymmetric:
-            for i in range(2):
-                for j in range(2):
-                    if self.theta_s[i][j] != -self.theta_s[j][i]:
-                        raise ValueError("theta_S must be antisymmetric")
+        for i in range(2):
+            for j in range(2):
+                if self.theta_s[i][j] != -self.theta_s[j][i]:
+                    raise ValueError("theta_S must be antisymmetric")
 
     # -- linear structure ---------------------------------------------------
 
@@ -326,16 +320,17 @@ class MixedDerivation:
         return BigradedForm(parts)
 
     def lie(self, x: BigradedForm) -> BigradedForm:
-        dtheta = {
-            "x": (self.theta_x.diff_x(), self.theta_x.diff_y()),
-            "y": (self.theta_y.diff_x(), self.theta_y.diff_y()),
-        }
-        ds_dx = [[v.diff_x() for v in row] for row in self.theta_s]
-        ds_dy = [[v.diff_y() for v in row] for row in self.theta_s]
+        # first derivatives of theta, each taken when a part first needs it
+        dtheta = ds = None
         ad = self._ad()
         parts = {}
         for csym, t in x.parts.items():
             # replace each classical letter dxi by d(theta_xi)
+            if csym and dtheta is None:
+                dtheta = {
+                    "x": (self.theta_x.diff_x(), self.theta_x.diff_y()),
+                    "y": (self.theta_y.diff_x(), self.theta_y.diff_y()),
+                }
             for j, var in enumerate(csym):
                 cx, cy = dtheta[var]
                 for repl, coeff in (("x", cx), ("y", cy)):
@@ -355,8 +350,14 @@ class MixedDerivation:
                     _put(parts, nc, term)
             # transport of polynomial scalars plus leg-wise commutator
             _put(parts, csym, self._scalar_transport(t) + ad.lie(t))
-            # bidegree leakage of a non-constant theta_S
-            for var, dS in (("x", ds_dx), ("y", ds_dy)):
+            # bidegree leakage of a non-constant theta_S, which enters at
+            # the junctions of a part of matrix degree >= 1
+            if t.degree == 0:
+                continue
+            if ds is None:
+                ds = (("x", [[v.diff_x() for v in row] for row in self.theta_s]),
+                      ("y", [[v.diff_y() for v in row] for row in self.theta_s]))
+            for var, dS in ds:
                 if not any(any(row) for row in dS):
                     continue
                 w = wedge(csym, (var,))
@@ -367,8 +368,6 @@ class MixedDerivation:
                 for j, ins in enumerate(_junction_insert(t, dS)):
                     term = ins if j % 2 == 0 else -ins
                     acc = term if acc is None else acc + term
-                if acc is None:
-                    continue
                 if sign < 0:
                     acc = -acc
                 _put(parts, nc, acc)

@@ -180,8 +180,7 @@ class ConsistencyReport:
         return "\n".join(lines)
 
 
-def check_consistency(theta: PresentedDerivation,
-                      calculus: CalculusPresentation = None) -> ConsistencyReport:
+def check_consistency(theta: PresentedDerivation) -> ConsistencyReport:
     """Reduce theta(R), theta _| R and L_theta(R) for every relation R.
 
     Algebra relations are checked under apply; form relations under both
@@ -189,7 +188,7 @@ def check_consistency(theta: PresentedDerivation,
     rules are consequences of the declared ones, but checking them too is
     cheap and catches encoding mistakes.
     """
-    calc = calculus or theta.calculus
+    calc = theta.calculus
     report = ConsistencyReport()
     deg = calc.system.table.word_degree
     for desc, lhs, rhs in calc.all_relations():
@@ -211,19 +210,17 @@ def check_consistency(theta: PresentedDerivation,
 # -- torus classification -------------------------------------------------
 
 
-def classify_torus_derivations(p: int, bound: int, calculus=None, root_exp=1):
-    """Basis of consistent torus derivations with exponent offsets <= bound.
+def classify_torus_derivations(calculus: CalculusPresentation, bound: int):
+    """Basis of consistent derivations of a torus calculus with exponent
+    offsets <= bound.
 
-    The consistent family is theta(u) in span{u^(1+sp) v^(tp)} and
-    theta(v) in span{u^(sp) v^(1+tp)}; the returned basis has one member
-    per monomial image with |s|, |t| <= bound, u-type first, ordered by
-    (s, t).  `tests` confirm by brute force that nothing else passes the
-    consistency check.
+    With p = calculus.p, the consistent family is theta(u) in
+    span{u^(1+sp) v^(tp)} and theta(v) in span{u^(sp) v^(1+tp)}; the
+    returned basis has one member per monomial image with |s|, |t| <=
+    bound, u-type first, ordered by (s, t).  `tests` confirm by brute
+    force that nothing else passes the consistency check.
     """
-    if calculus is None:
-        from .models import torus_calculus
-
-        calculus = torus_calculus(p, root_exp)
+    p = calculus.p
     basis = []
     rng = range(-bound, bound + 1)
     for s in rng:
@@ -271,12 +268,6 @@ class DerivationSpace:
             if rep is not None and not rep.ok:
                 out.append((theta, rep))
         return out
-
-    def __len__(self):
-        return len(self.basis)
-
-    def __iter__(self):
-        return iter(self.basis)
 
     def _system(self):
         cols = [theta.coordinates() for theta in self.basis]

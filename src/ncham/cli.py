@@ -25,8 +25,13 @@ from .algebra import ReductionBudgetExceeded, check_local_confluence
 from .cartan import consistency_of
 from .exprparse import ParseError, load_presentation, parse_derivation, \
     parse_expression
-from .models import build_model
-from .symplectic import NotHamiltonian, NotHamiltonianError
+from .models import build_model, check_bound
+from .symplectic import HamiltonianSolver, NotHamiltonian, \
+    NotHamiltonianError
+
+# Stated bound on the random trials per property of `check`; a trial
+# takes tens of milliseconds on the built-in models.
+MAX_CHECK_COUNT = 1000
 
 
 def _add_common(parser, suppress):
@@ -40,11 +45,13 @@ def _add_common(parser, suppress):
                         help="override the ansatz bound, e.g. B=4 (torus) "
                              "or D=2 (polymat)")
     parser.add_argument("--order", type=int, default=default(2),
-                        help="flow truncation order (default 2)")
+                        help="flow truncation order, 0..%d (default 2)"
+                        % HamiltonianSolver.MAX_FLOW_ORDER)
     parser.add_argument("--seed", type=int, default=default(2026),
                         help="PRNG seed for check")
     parser.add_argument("--count", type=int, default=default(25),
-                        help="random trials per property in check")
+                        help="random trials per property in check, "
+                             "1..%d" % MAX_CHECK_COUNT)
     parser.add_argument("--format", choices=("text", "json"),
                         default=default("text"))
 
@@ -139,6 +146,8 @@ def run(args) -> int:
         raise UsageError("exactly one of --model/--presentation is required")
     if args.presentation and args.ansatz:
         raise UsageError("--ansatz applies to built-in models only")
+    if args.command == "check":
+        check_bound("check count", args.count, 1, MAX_CHECK_COUNT)
     desc = args.model
     if desc and args.ansatz:
         key, _, val = args.ansatz.partition("=")
@@ -194,7 +203,7 @@ def run(args) -> int:
                   "NOT_HAMILTONIAN (relative to ansatz of %d derivations)"
                   % len(model.space.basis))
             return 1
-        desc = model.backend.describe_derivation(sol.vector_field)
+        desc = sol.vector_field.describe()
         payload = {"status": "HAMILTONIAN", "field": desc, "residual": "0",
                    "kernel_dimension": ker.dimension}
         if cmd == "hamvec":

@@ -278,16 +278,35 @@ def parse_expression(text, model):
     return ExpressionParser(model.namespace(), model.calculus).parse(text)
 
 
+def _spec_chunks(text, sep):
+    """(chunk, key, value) of each comma-separated 'key <sep> value' chunk
+    of a derivation spec; a chunk without sep, or a key given twice, is a
+    ParseError naming the chunk."""
+    out, keys = [], set()
+    for chunk in text.split(","):
+        key, _, value = chunk.partition(sep)
+        key, chunk = key.strip(), chunk.strip()
+        if not value:
+            raise ParseError("malformed derivation chunk %r" % chunk)
+        if key in keys:
+            raise ParseError("derivation chunk %r: %r is given twice"
+                             % (chunk, key))
+        keys.add(key)
+        out.append((chunk, key, value))
+    return out
+
+
 def _image_derivation(text, parser, label=None):
     """The derivation 'u -> expr, v -> expr' on the parser's calculus."""
     from .cartan import PresentedDerivation
 
+    names = {g.name for g in parser.calculus.generators}
     images = {}
-    for chunk in text.split(","):
-        lhs, _, rhs = chunk.partition("->")
-        if not rhs:
-            raise ParseError("malformed derivation chunk %r" % chunk)
-        images[lhs.strip()] = parser.parse(rhs)
+    for chunk, name, rhs in _spec_chunks(text, "->"):
+        if name not in names:
+            raise ParseError("derivation chunk %r: %r is no generator"
+                             % (chunk, name))
+        images[name] = parser.parse(rhs)
     return PresentedDerivation(parser.calculus, images, label=label)
 
 
@@ -300,12 +319,7 @@ def parse_derivation(text, model):
         if kind != "presented":
             raise ParseError("generator-image derivations need a presented model")
         return _image_derivation(text, parser)
-    fields = {}
-    for chunk in text.split(","):
-        key, _, rhs = chunk.partition(":")
-        if not rhs:
-            raise ParseError("malformed derivation chunk %r" % chunk)
-        fields[key.strip()] = rhs.strip()
+    fields = {key: value.strip() for _, key, value in _spec_chunks(text, ":")}
     if set(fields) == {"h"}:
         from .models import theta_h
 
@@ -323,6 +337,11 @@ def parse_derivation(text, model):
     if kind == "bigraded":
         from .bigraded import MixedDerivation
         from .polynomials import Poly
+
+        unknown = sorted(set(fields) - {"x", "y", "S"})
+        if unknown:
+            raise ParseError("mixed derivation field %r is none of x, y, S"
+                             % unknown[0])
 
         def zero_form_of(key):
             el = parser.parse(fields[key])

@@ -16,6 +16,10 @@ once the rules are in (`finish_rules`), and `d` is one call of
 `RewriteSystem.leibniz` over it: one normalization per call.  No rewrite
 rules are guessed: where a commutation between letters is not installed,
 words are left unreduced.
+
+This is the one presented-algebra type: an algebra-only presentation is a
+calculus with no form rules, `CalculusPresentation(gens, rules, [], ...)`,
+whose 0-forms are the algebra and whose differentials no rule relates.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ class CalculusPresentation:
     """Generators, their differentials and one rewrite system for both."""
 
     def __init__(self, generators, algebra_rules, form_rules, p=1,
-                 letter_order=None, max_degree=None, step_budget=10 ** 6):
+                 letter_order=None, step_budget=10 ** 6):
         self.generators = tuple(generators)
         self.p = p
         names = [g.name for g in self.generators]
@@ -40,7 +44,7 @@ class CalculusPresentation:
                        if "d" + n not in letter_order]
             letter_order = missing + list(letter_order)
         self.system = RewriteSystem(_build_table(self.generators, letter_order),
-                                    p, step_budget, max_degree=max_degree)
+                                    p, step_budget)
         for spec in algebra_rules:
             self.add_algebra_rule(spec)
         for spec in form_rules:

@@ -158,10 +158,6 @@ class TensorForm:
         return (self.n == other.n and self.degree == other.degree
                 and self.terms == other.terms)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def is_zero(self):
         return not self.terms
 

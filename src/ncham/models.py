@@ -167,13 +167,13 @@ def build_torus(p: int, bound: int = 3, root_exp: int = 1) -> ModelDescriptor:
     check_bound("torus p", p, 1, MAX_CYCLOTOMIC_ORDER)
     check_bound("torus ansatz bound B", bound, 0, MAX_TORUS_BOUND)
     calc = torus_calculus(p, root_exp)
-    basis = classify_torus_derivations(p, bound, calculus=calc)
+    basis = classify_torus_derivations(calc, bound)
     omega = (calc.gen("u", -1) * calc.dgen("u") * calc.dgen("v")
              * calc.gen("v", -1))
     backend = Backend.presented(calc)
     # small-offset pool for randomized identity checking; large exponents
     # only slow the rewriting down without adding coverage
-    pool = classify_torus_derivations(p, min(bound, 1), calculus=calc)
+    pool = classify_torus_derivations(calc, min(bound, 1))
 
     def random_form(rng, max_degree=2):
         du, dv = calc.dgen("u"), calc.dgen("v")

@@ -157,10 +157,6 @@ class Poly:
                 return NotImplemented
         return self.den == other.den and self.nums == other.nums
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((frozenset(self.nums.items()), self.den))
 

@@ -241,10 +241,6 @@ class CycScalar:
                 return NotImplemented
         return self.den == other.den and self.nums == other.nums
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __bool__(self):
         return any(self.nums)
 

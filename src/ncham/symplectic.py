@@ -98,7 +98,15 @@ def in_v_omega(theta, form: SymplecticForm) -> bool:
 
 
 class HamiltonianSolver:
-    """Factorizes omega_tilde on an ansatz once; solves many right sides."""
+    """Factorizes omega_tilde on an ansatz once; solves many right sides.
+
+    A flow is truncated at an order 0 <= k <= MAX_FLOW_ORDER: its k-th
+    coefficient applies X_b k times, and on the torus every application
+    lengthens the words, so time and memory grow fast with k (on
+    torus:p=2 the flow of u^6 v^6 to order 32 exhausts 2 GB).
+    """
+
+    MAX_FLOW_ORDER = 16
 
     def __init__(self, form: SymplecticForm, space: DerivationSpace):
         if form.backend is not space.backend:
@@ -108,7 +116,7 @@ class HamiltonianSolver:
         self.backend = form.backend
         self._images = [theta.iprod(form.omega) for theta in space.basis]
         self._system = ExactLinearSystem(
-            [self.backend.coordinates(img) for img in self._images],
+            [img.coordinates() for img in self._images],
             self.backend.field_one)
         self._kernel = self._system.nullspace()
         self._cache = {}
@@ -126,7 +134,7 @@ class HamiltonianSolver:
         if hit is not None:
             return hit
         da = self.backend.d(a)
-        rhs = self.backend.coordinates(da)
+        rhs = da.coordinates()
         coeffs, unreached = self._system.project(rhs)
         if unreached:
             out = NotHamiltonian(a, unreached)
@@ -153,8 +161,9 @@ class HamiltonianSolver:
 
     def flow(self, b, a, order: int):
         """Truncated formal flow exp(t X_b) a as a FlowSeries."""
-        if order < 0:
-            raise ValueError("flow order must be >= 0")
+        if not 0 <= order <= self.MAX_FLOW_ORDER:
+            raise ValueError("flow order %d is outside the bounds 0..%d"
+                             % (order, self.MAX_FLOW_ORDER))
         x_b = self.require_field(b)
         coeffs = [a]
         cur = a

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from ncham.algebra import (GeneratorSymbol, Presentation,
-                           ReductionBudgetExceeded, RuleSpec,
+from ncham.algebra import (GeneratorSymbol, ReductionBudgetExceeded, RuleSpec,
                            UnknownGeneratorError)
+from ncham.forms import CalculusPresentation
 from ncham.models import cuntz_calculus, torus_calculus
 from ncham.scalars import q_power
 
@@ -174,10 +174,10 @@ def test_unknown_generator():
 def test_step_budget_guards_runaway_reductions():
     gens = [GeneratorSymbol("a"), GeneratorSymbol("b")]
     rules = [RuleSpec.make([("b", 1), ("a", 1)], [(1, [("a", 1), ("b", 1)])])]
-    pres = Presentation(gens, rules, p=1, step_budget=10)
+    pres = CalculusPresentation(gens, rules, [], p=1, step_budget=10)
     with pytest.raises(ReductionBudgetExceeded):
         pres.element([("b", 6), ("a", 6)])     # needs 36 swaps > 10
-    roomy = Presentation(gens, rules, p=1, step_budget=10 ** 6)
+    roomy = CalculusPresentation(gens, rules, [], p=1, step_budget=10 ** 6)
     assert roomy.element([("b", 6), ("a", 6)]) == roomy.element(
         [("a", 6), ("b", 6)])
 
@@ -185,5 +185,5 @@ def test_step_budget_guards_runaway_reductions():
 def test_rule_must_decrease():
     gens = [GeneratorSymbol("a"), GeneratorSymbol("b")]
     with pytest.raises(ValueError):
-        Presentation(gens, [RuleSpec.make(
-            [("a", 1), ("b", 1)], [(1, [("b", 1), ("a", 1)])])], p=1)
+        CalculusPresentation(gens, [RuleSpec.make(
+            [("a", 1), ("b", 1)], [(1, [("b", 1), ("a", 1)])])], [], p=1)

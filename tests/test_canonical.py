@@ -265,3 +265,34 @@ def test_bigraded_forms_store_no_zero():
               theta.lie(form) - theta.lie(form.d())):
         assert_no_stored_zero(r)
     assert theta.lie(form) == theta.iprod(form).d() + theta.iprod(form.d())
+
+
+def test_not_equal_is_the_negation_of_equal():
+    """`!=` comes from `__eq__` on every value type, reflected and mixed
+    operands included: int and Fraction on the scalar types, and a foreign
+    operand, which is unequal to all of them."""
+    torus = build_model("torus:p=3").calculus
+    matrix = build_model("matrix:n=2").namespace()
+    q = q_power(3, 1)
+    x, y = Poly.x(), Poly.y()
+    values = [
+        (cyc_one(3), [cyc_one(3), q, q * q, 1, 0, Fraction(1, 2),
+                      CycScalar(3, [Fraction(2, 2), 0])]),
+        (CycScalar.from_rational(3, Fraction(1, 2)),
+         [Fraction(1, 2), Fraction(2, 4), 1, q]),
+        (Poly.const(2), [2, Fraction(2), Fraction(1, 2), Poly.const(2), x]),
+        (x + y, [y + x, x, x - y, 0, Fraction(1, 3)]),
+        (torus.gen("u") * torus.gen("v"),
+         [torus.gen("v") * torus.gen("u") * q, torus.gen("u"), 0]),
+        (torus.one(), [1, torus.one(), torus.one() * q]),
+        (matrix["E12"], [matrix["E12"] + matrix["E21"] - matrix["E21"],
+                         matrix["E21"], matrix["E12"].d()]),
+        (BigradedForm.scalar(x), [BigradedForm.scalar(x),
+                                  BigradedForm.classical(("x",), x),
+                                  BigradedForm.zero()]),
+    ]
+    for a, others in values:
+        for b in others + [a, "u"]:
+            assert (a != b) is (not a == b), (a, b)
+            assert (b != a) is (not b == a), (a, b)
+        assert a != "u" and not a == "u"

@@ -55,7 +55,7 @@ def test_iprod_general_display_identity():
         du, dv = calc.dgen("u"), calc.dgen("v")
         ui, vi = calc.gen("u", -1), calc.gen("v", -1)
         omega = ui * du * dv * vi
-        basis = classify_torus_derivations(p, 1, calculus=calc)
+        basis = classify_torus_derivations(calc, 1)
         for _ in range(15):
             th = rng.choice(basis) + 2 * rng.choice(basis)
             a, b = th.images["u"], th.images["v"]
@@ -81,7 +81,7 @@ def test_lie_examples():
 
 def test_commutator_examples():
     calc = torus_calculus(2)
-    basis = classify_torus_derivations(2, 2, calculus=calc)
+    basis = classify_torus_derivations(calc, 2)
     th = basis[0] + 3 * basis[5]
     assert th.commutator(th).is_zero()
 
@@ -124,7 +124,7 @@ def test_consistency_examples():
 def test_classification_counts_and_membership():
     for p in (1, 2, 3):
         calc = torus_calculus(p)
-        basis = classify_torus_derivations(p, 1, calculus=calc)
+        basis = classify_torus_derivations(calc, 1)
         assert len(basis) == 18
         for th in basis:
             assert check_consistency(th).ok
@@ -132,7 +132,7 @@ def test_classification_counts_and_membership():
 
 def test_classification_p1_bound0_is_classical():
     calc = torus_calculus(1)
-    basis = classify_torus_derivations(1, 0, calculus=calc)
+    basis = classify_torus_derivations(calc, 0)
     assert len(basis) == 2
     assert basis[0].images["u"] == calc.gen("u")
     assert basis[0].images["v"].is_zero()
@@ -157,7 +157,7 @@ def test_classification_matches_brute_force_scan():
 
 def test_derivation_space_checks_and_closure():
     calc = torus_calculus(2)
-    basis = classify_torus_derivations(2, 1, calculus=calc)
+    basis = classify_torus_derivations(calc, 1)
     space = DerivationSpace(basis)
     statuses = {s for _, _, s in space.verify_closure()}
     assert "INCONSISTENT" not in statuses

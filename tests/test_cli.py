@@ -214,10 +214,17 @@ def test_presentation_file_errors(tmp_path):
      "line 2: generator 'du': generator and differential names must differ"),
     ("generator du\ngenerator u\n",
      "line 2: generator 'u': generator and differential names must differ"),
+    ("generator u invertible\ngenerator v invertible\n"
+     "derivation t: u -> u, u -> v\n",
+     "line 3: derivation chunk 'u -> v': 'u' is given twice"),
+    ("generator u invertible\ngenerator v invertible\n"
+     "derivation t: u -> u, w -> v\n",
+     "line 3: derivation chunk 'w -> v': 'w' is no generator"),
 ], ids=["order", "rule-lhs", "bare-generator", "cyclotomic", "rule-power",
         "omega-not-closed", "derived-variant", "derived-form-variant",
         "rule-names-differential", "generator-is-a-differential",
-        "differential-is-a-generator"])
+        "differential-is-a-generator", "derivation-repeats-a-generator",
+        "derivation-names-no-generator"])
 def test_cli_presentation_error_names_the_line(capsys, tmp_path, text,
                                                message):
     path = tmp_path / "bad.pres"
@@ -447,6 +454,55 @@ def test_cli_iprod_and_lie_refuse_an_inconsistent_derivation(capsys):
     code, out, _ = run_cli(capsys, "--model", "torus:p=2", "lie",
                            "u -> 2 u^3 v^2, v -> -2 u^2 v^3", "u")
     assert (code, out) == (0, "2 u^3 v^2")
+
+
+@pytest.mark.parametrize("model, cmd, spec, message", [
+    ("torus:p=2", "iprod", "w -> u", "derivation chunk 'w -> u': 'w' is no "
+     "generator"),
+    ("torus:p=2", "iprod", "du -> u", "derivation chunk 'du -> u': 'du' is "
+     "no generator"),
+    ("torus:p=2", "iprod", " -> u", "derivation chunk '-> u': '' is no "
+     "generator"),
+    ("cuntz:n=2", "lie", "s3 -> s1", "derivation chunk 's3 -> s1': 's3' is "
+     "no generator"),
+    ("torus:p=2", "lie", "u -> u, u -> v", "derivation chunk 'u -> v': 'u' "
+     "is given twice"),
+    ("polymat:D=3", "lie", "S: E12 - E21, z: x", "mixed derivation field "
+     "'z' is none of x, y, S"),
+    ("polymat:D=3", "lie", "x: 1, x: y", "derivation chunk 'x: y': 'x' is "
+     "given twice"),
+], ids=["unknown-generator", "differential", "empty-name", "cuntz-unknown",
+        "repeated-generator", "polymat-unknown-field",
+        "polymat-repeated-field"])
+def test_cli_bad_derivation_spec_names_the_chunk(capsys, model, cmd, spec,
+                                                 message):
+    code, out, err = run_cli(capsys, "--model", model, cmd, spec, "du")
+    assert (code, out, err) == (2, "", "error: " + message)
+
+
+def test_cli_check_count_and_flow_order_bounds(capsys):
+    from ncham.cli import MAX_CHECK_COUNT
+    from ncham.symplectic import HamiltonianSolver
+
+    assert (MAX_CHECK_COUNT, HamiltonianSolver.MAX_FLOW_ORDER) == (1000, 16)
+    for count in ("-1", "0", "1001"):
+        code, out, err = run_cli(capsys, "--model", "torus:p=2", "check",
+                                 "--count", count)
+        assert (code, out, err) == (
+            2, "", "error: check count %s is outside the bounds 1..1000"
+            % count)
+    for order in ("-1", "17"):
+        code, out, err = run_cli(capsys, "--model", "torus:p=2", "flow",
+                                 "u^2 v^2", "u", "--order", order)
+        assert (code, out, err) == (
+            2, "", "error: flow order %s is outside the bounds 0..16" % order)
+    # the bounds themselves are allowed
+    code, out, _ = run_cli(capsys, "--model", "torus:p=2", "check",
+                           "--count", "1")
+    assert code == 0 and "(1 trials, seed 2026)" in out
+    code, out, _ = run_cli(capsys, "--model", "torus:p=2", "flow", "u^2 v^2",
+                           "u", "--order", "16")
+    assert code == 0 and out.endswith("t^16 (2/638512875 u^33 v^32)")
 
 
 def test_cli_power_bound_exit_2(capsys):

@@ -3,8 +3,8 @@ confluent, and a deliberately broken one must be reported as such."""
 
 import pytest
 
-from ncham.algebra import (GeneratorSymbol, Presentation, RuleSpec,
-                           check_local_confluence)
+from ncham.algebra import GeneratorSymbol, RuleSpec, check_local_confluence
+from ncham.forms import CalculusPresentation
 from ncham.models import cuntz_calculus, torus_calculus
 from ncham.scalars import q_power
 
@@ -32,7 +32,7 @@ def test_algebra_only_presentation_confluent():
             GeneratorSymbol("v", invertible=True)]
     rules = [RuleSpec.make([("v", 1), ("u", 1)],
                            [(q_power(2, -1), [("u", 1), ("v", 1)])])]
-    pres = Presentation(gens, rules, p=2, precedence=["u", "v"])
+    pres = CalculusPresentation(gens, rules, [], p=2, letter_order=["u", "v"])
     rep = check_local_confluence(pres)
     assert rep.pairs
     assert rep.all_joinable
@@ -46,7 +46,7 @@ def test_conflicting_rules_not_joinable():
         RuleSpec.make([("u", 1), ("v", 1)], [(q, [("v", 1), ("u", 1)])]),
         RuleSpec.make([("u", 1), ("v", 1)], [(1, [("v", 1), ("u", 1)])]),
     ]
-    pres = Presentation(gens, rules, p=3, precedence=["v", "u"])
+    pres = CalculusPresentation(gens, rules, [], p=3, letter_order=["v", "u"])
     rep = check_local_confluence(pres)
     assert not rep.all_joinable
     assert len(rep.failures()) >= 1

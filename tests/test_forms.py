@@ -118,17 +118,6 @@ def test_normalize_form_idempotent_preserves_degree(torus2):
         assert set(renorm.degrees()) <= {0, 1, 2}
 
 
-def test_max_degree_truncation():
-    from ncham.forms import CalculusPresentation
-    from ncham.algebra import GeneratorSymbol
-
-    calc = CalculusPresentation([GeneratorSymbol("a")], [], [], p=1,
-                                max_degree=1)
-    da = calc.dgen("a")
-    assert not (calc.gen("a") * da).is_zero()
-    assert (da * da).is_zero()            # degree 2 is truncated away
-
-
 def test_generator_names_must_be_unique():
     from ncham.forms import CalculusPresentation
     from ncham.algebra import GeneratorSymbol

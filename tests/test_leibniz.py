@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from ncham.algebra import Element, GeneratorSymbol, Presentation, RuleSpec
+from ncham.algebra import Element, GeneratorSymbol, RuleSpec
+from ncham.forms import CalculusPresentation
 
 MODELS = ("torus1", "torus2", "torus3", "cuntz2")
 
@@ -185,7 +186,7 @@ def test_budget_error_names_word_and_rule():
 
     gens = [GeneratorSymbol("a"), GeneratorSymbol("b")]
     rules = [RuleSpec.make([("b", 1), ("a", 1)], [(1, [("a", 1), ("b", 1)])])]
-    pres = Presentation(gens, rules, p=1, step_budget=10)
+    pres = CalculusPresentation(gens, rules, [], p=1, step_budget=10)
     with pytest.raises(ReductionBudgetExceeded) as info:
         pres.element([("b", 6), ("a", 6)])
     assert "reducing b^6 a^6" in str(info.value)

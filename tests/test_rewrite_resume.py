@@ -13,8 +13,8 @@ import random
 
 import pytest
 
-from ncham.algebra import (GeneratorSymbol, Presentation,
-                           ReductionBudgetExceeded, RuleSpec)
+from ncham.algebra import GeneratorSymbol, ReductionBudgetExceeded, RuleSpec
+from ncham.forms import CalculusPresentation
 from ncham.models import cuntz_calculus, torus_calculus
 
 
@@ -113,7 +113,7 @@ def junction_presentation():
                       [(1, [("b", 1)]), (-2, [("a", -1), ("x", 1)])]),
         RuleSpec.make([("e", 1)], [(1, [("a", -1)]), (3, [])]),
     ]
-    return Presentation(gens, rules).system
+    return CalculusPresentation(gens, rules, []).system
 
 
 def test_resumed_scan_matches_scan_from_zero_on_cancelling_rules():
@@ -136,5 +136,5 @@ def test_resumed_scan_matches_scan_from_zero_on_cancelling_rules():
                      ("c", 1)]))
     rng = random.Random(7)
     total = sum(assert_matches_reference(system, w)
-                for w in random_words(system, rng, 600, 16))
+                for w in random_words(system, rng, 600, 16, forms=False))
     assert total > 1000

@@ -101,7 +101,7 @@ def test_verdict_back_substitutes_once(matrix2, monkeypatch):
         verdict = solver.solve(a)
         assert (verdict.hamiltonian, len(calls)) == (hamiltonian, 1), expr
         if not hamiltonian:
-            rhs = matrix2.backend.coordinates(matrix2.backend.d(a))
+            rhs = matrix2.backend.d(a).coordinates()
             assert verdict.residual == solver._system.residual(rhs) != {}
             assert solver._system.solve(rhs) is None
 
