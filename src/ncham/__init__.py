@@ -24,8 +24,7 @@ from .bigraded import (BigradedForm, MixedDerivation,
 from .backends import Backend
 from .symplectic import (FlowSeries, HamiltonianSolution, HamiltonianSolver,
                          KernelReport, NotHamiltonian, NotHamiltonianError,
-                         SingularFormError, SymplecticForm, in_v_omega,
-                         omega_tilde)
+                         SingularFormError, SymplecticForm)
 from .models import (ModelDescriptor, build_cuntz, build_matrix, build_model,
                      build_poly_matrix, build_torus, cuntz_calculus, theta_h,
                      torus_calculus)
@@ -46,7 +45,7 @@ __all__ = [
     "Poly", "BigradedForm", "MixedDerivation", "poly_matrix_symplectic_form",
     "Backend", "FlowSeries", "HamiltonianSolution", "HamiltonianSolver",
     "KernelReport", "NotHamiltonian", "NotHamiltonianError",
-    "SingularFormError", "SymplecticForm", "in_v_omega", "omega_tilde",
+    "SingularFormError", "SymplecticForm",
     "ModelDescriptor", "build_cuntz", "build_matrix", "build_model",
     "build_poly_matrix", "build_torus", "cuntz_calculus", "theta_h",
     "torus_calculus",

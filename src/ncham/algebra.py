@@ -392,39 +392,6 @@ class RewriteSystem:
                     c = -c
         return Element(self, raw)
 
-    def reduce_word_randomized(self, word, rng):
-        """Fully reduce choosing a random redex at each step (no cache).
-
-        On a locally confluent terminating system this agrees with
-        `reduce_word` whatever the random choices; used by tests.
-        """
-        terms = {word: self.one()}
-        budget = self.step_budget
-        steps = 0
-        while True:
-            redexes = []
-            for w in terms:
-                n = len(w)
-                for i in range(n):
-                    for rule in self._rules_by_first.get(w[i], ()):
-                        if w[i:i + len(rule.lhs)] == rule.lhs:
-                            redexes.append((w, i, rule))
-            if not redexes:
-                return terms
-            w, i, rule = redexes[rng.randrange(len(redexes))]
-            steps += 1
-            if steps > budget:
-                raise ReductionBudgetExceeded("randomized reduction exceeded budget")
-            c = terms.pop(w)
-            pre, suf = w[:i], w[i + len(rule.lhs):]
-            for rw, rc in rule.rhs.items():
-                nw = self.table.concat(pre, rw, suf)
-                acc = terms.get(nw, self.zero()) + c * rc
-                if acc:
-                    terms[nw] = acc
-                elif nw in terms:
-                    del terms[nw]
-
     # -- display -------------------------------------------------------
 
     def _swap_str(self, lhs, rhs, coeff):
@@ -665,22 +632,19 @@ def _cancellation_rules(system):
     return out
 
 
-def check_local_confluence(pres_or_system) -> ConfluenceReport:
+def check_local_confluence(calculus) -> ConfluenceReport:
     """Diamond-lemma check: reduce both branches of every overlap.
 
     Overlaps with the implicit cancellation rules g g^-1 -> 1 of
     invertible generators are included.  Completion is out of scope: a
     failing pair is reported, not repaired.
     """
-    system = getattr(pres_or_system, "system", pres_or_system)
+    system = calculus.system
     rules = list(system.rules) + _cancellation_rules(system)
     report = ConfluenceReport()
 
-    def reduce_terms(terms):
-        return system.normalize_terms(terms)
-
     def record(word, ra, rb, terms_a, terms_b):
-        na, nb = reduce_terms(terms_a), reduce_terms(terms_b)
+        na, nb = system.normalize_terms(terms_a), system.normalize_terms(terms_b)
         report.pairs.append(CriticalPair(word, ra, rb, na, nb, na == nb))
 
     def apply_at(word, i, rule):

@@ -215,26 +215,6 @@ def _map_scalars(t: TensorForm, fn) -> TensorForm:
                       {k: fn(v) for k, v in t.terms.items()}, t.one)
 
 
-def _junction_insert(t: TensorForm, p_matrix) -> list:
-    """Contract junction j of every term with the matrix P inserted,
-    for j = 1..degree; returns the list indexed by j-1."""
-    n = t.n
-    outs = []
-    for j in range(1, t.degree + 1):
-        out = {}
-        for key, c in t.terms.items():
-            ai, aj = divmod(key[j - 1], n)
-            bi, bj = divmod(key[j], n)
-            val = p_matrix[aj][bi]
-            if not val:
-                continue
-            nk = key[:j - 1] + (ai * n + bj,) + key[j + 1:]
-            acc = out.get(nk)
-            out[nk] = c * val if acc is None else acc + c * val
-        outs.append(TensorForm(n, t.degree - 1, out, t.one))
-    return outs
-
-
 class MixedDerivation:
     """(theta_x, theta_y, theta_S) acting as
     theta(f) = theta_x df/dx + theta_y df/dy + [theta_S, f]."""
@@ -365,7 +345,7 @@ class MixedDerivation:
                     continue
                 sign, nc = w
                 acc = None
-                for j, ins in enumerate(_junction_insert(t, dS)):
+                for j, ins in enumerate(t.contract_junctions(dS)):
                     term = ins if j % 2 == 0 else -ins
                     acc = term if acc is None else acc + term
                 if sign < 0:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -87,10 +88,14 @@ def make_parser():
 
 
 def _emit(args, payload, text):
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True), flush=True)
+        else:
+            print(text, flush=True)
+    except BrokenPipeError:
+        # reader gone: keep the verdict, and write the rest to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 class UsageError(Exception):
@@ -124,10 +129,9 @@ def _refuse_unsound_file(args, model):
     diamond lemma), and an inconsistent derivation is no derivation of
     the presented algebra, so its ansatz answers nothing.
     """
-    system = model.calculus.system
-    rep = check_local_confluence(system)
+    rep = check_local_confluence(model.calculus)
     if not rep.all_joinable:
-        payload = _confluence_payload(rep, system)
+        payload = _confluence_payload(rep, model.calculus.system)
         _emit(args, payload, "\n".join(
             ["NOT_CONFLUENT", rep.summary().splitlines()[0]]
             + ["  " + f for f in payload["failures"]]))
@@ -148,6 +152,9 @@ def run(args) -> int:
         raise UsageError("--ansatz applies to built-in models only")
     if args.command == "check":
         check_bound("check count", args.count, 1, MAX_CHECK_COUNT)
+    if args.command == "flow":
+        check_bound("flow order", args.order, 0,
+                    HamiltonianSolver.MAX_FLOW_ORDER)
     desc = args.model
     if desc and args.ansatz:
         key, _, val = args.ansatz.partition("=")

@@ -92,8 +92,6 @@ class ExactLinearSystem:
         Free columns get coefficient zero; the solution is unique exactly
         when the kernel is trivial.
         """
-        if any(v and k not in self.key_index for k, v in rhs.items()):
-            return None
         coeffs, residual = self.project(rhs)
         return None if residual else coeffs
 

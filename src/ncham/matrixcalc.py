@@ -180,25 +180,30 @@ class TensorForm:
                     out[nk] = sign if acc is None else acc + sign
         return TensorForm(n, self.degree + 1, out, self.one)
 
-    def junction_contractions(self):
-        """Products of adjacent legs; all must vanish on honest forms."""
+    def contract_junctions(self, p_matrix) -> list:
+        """Contract junction j of every term with the matrix P inserted,
+        for j = 1..degree; returns the list indexed by j-1."""
         n = self.n
         outs = []
-        for j in range(self.degree):
+        for j in range(1, self.degree + 1):
             out = {}
             for key, c in self.terms.items():
-                ai, aj = divmod(key[j], n)
-                bi, bj = divmod(key[j + 1], n)
-                if aj != bi:
+                ai, aj = divmod(key[j - 1], n)
+                bi, bj = divmod(key[j], n)
+                val = p_matrix[aj][bi]
+                if not val:
                     continue
-                nk = key[:j] + (ai * n + bj,) + key[j + 2:]
+                nk = key[:j - 1] + (ai * n + bj,) + key[j + 1:]
                 acc = out.get(nk)
-                out[nk] = c if acc is None else acc + c
+                out[nk] = c * val if acc is None else acc + c * val
             outs.append(TensorForm(n, self.degree - 1, out, self.one))
         return outs
 
     def in_kernel(self):
-        return all(t.is_zero() for t in self.junction_contractions())
+        """All products of adjacent legs vanish, as on honest forms."""
+        eye = [[self.one if i == j else 0 for j in range(self.n)]
+               for i in range(self.n)]
+        return all(t.is_zero() for t in self.contract_junctions(eye))
 
     def __str__(self):
         from .printing import tensor_str

@@ -75,8 +75,8 @@ class ModelDescriptor:
         self.omega = None if omega is None else SymplecticForm(backend, omega)
         self.space = DerivationSpace(basis, backend, check=False)
         self.v_family = list(v_family) if v_family is not None else list(basis)
-        self._random_form = random_form
-        self._random_derivation = random_derivation
+        self.random_form = random_form              # (rng, max_degree=2)
+        self.random_derivation = random_derivation  # (rng)
         self._namespace = namespace
         self._solver = None
 
@@ -94,12 +94,6 @@ class ModelDescriptor:
         if self._solver is None:
             self._solver = HamiltonianSolver(self.omega, self.space)
         return self._solver
-
-    def random_form(self, rng, max_degree=2):
-        return self._random_form(rng, max_degree)
-
-    def random_derivation(self, rng):
-        return self._random_derivation(rng)
 
     def namespace(self):
         return dict(self._namespace)

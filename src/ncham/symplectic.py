@@ -82,21 +82,6 @@ class NotHamiltonian:
         return False
 
 
-def omega_tilde(theta, form: SymplecticForm):
-    return theta.iprod(form.omega)
-
-
-def in_v_omega(theta, form: SymplecticForm) -> bool:
-    """d(theta _| omega) = 0, cross-checked against L_theta(omega) = 0."""
-    backend = form.backend
-    via_d = backend.is_zero(backend.d(theta.iprod(form.omega)))
-    via_lie = backend.is_zero(theta.lie(form.omega))
-    if via_d != via_lie:
-        raise AssertionError("closedness of omega broken: the two membership "
-                             "tests disagree")
-    return via_d
-
-
 class HamiltonianSolver:
     """Factorizes omega_tilde on an ansatz once; solves many right sides.
 

@@ -1,11 +1,14 @@
 """Words, rewriting, and normal forms on the built-in presentations."""
 
 import random
+from pathlib import Path
 
 import pytest
+from randomized_reducer import reduce_word_randomized
 
 from ncham.algebra import (GeneratorSymbol, ReductionBudgetExceeded, RuleSpec,
-                           UnknownGeneratorError)
+                           UnknownGeneratorError, check_local_confluence)
+from ncham.exprparse import load_presentation
 from ncham.forms import CalculusPresentation
 from ncham.models import cuntz_calculus, torus_calculus
 from ncham.scalars import q_power
@@ -138,31 +141,87 @@ def test_cuntz_normal_form_shape():
                 assert pair != ("s3", "s3*")
 
 
+def _assert_strategy_independent(calc, rng, count):
+    """On `count` seeded words: reduce_word is idempotent and agrees with
+    the randomized reducer over three seeds."""
+    system = calc.system
+    names = [g.name for g in calc.generators]
+    names = names + ["d" + n for n in names]   # include form letters
+    for _ in range(count):
+        factors = [(rng.choice(names), rng.choice([1, 1, -1]))
+                   for _ in range(rng.randint(2, 6))]
+        invertible = {g.name: g.invertible for g in calc.generators}
+        factors = [(n, e) for n, e in factors
+                   if e > 0 or invertible.get(n, False)]
+        try:
+            word = system.encode_word(factors)
+        except ValueError:
+            continue
+        nf = system.reduce_word(word)
+        renf = {}
+        for w, c in nf.items():
+            for w2, c2 in system.reduce_word(w).items():
+                renf[w2] = renf.get(w2, system.zero()) + c * c2
+        assert {w: c for w, c in renf.items() if c} == nf
+        for trial in range(3):
+            assert reduce_word_randomized(
+                system, word, random.Random(trial)) == nf
+
+
 def test_normalize_idempotent_and_strategy_independent():
     rng = random.Random(11)
     for calc in (torus_calculus(3), cuntz_calculus(2)):
-        system = calc.system
-        names = [g.name for g in calc.generators]
-        names = names + ["d" + n for n in names]   # include form letters
-        for _ in range(60):
-            factors = [(rng.choice(names), rng.choice([1, 1, -1]))
-                       for _ in range(rng.randint(2, 6))]
-            invertible = {g.name: g.invertible for g in calc.generators}
-            factors = [(n, e) for n, e in factors
-                       if e > 0 or invertible.get(n, False)]
-            try:
-                word = system.encode_word(factors)
-            except ValueError:
-                continue
-            nf = system.reduce_word(word)
-            renf = {}
-            for w, c in nf.items():
-                for w2, c2 in system.reduce_word(w).items():
-                    renf[w2] = renf.get(w2, system.zero()) + c * c2
-            assert {w: c for w, c in renf.items() if c} == nf
-            for trial in range(3):
-                assert system.reduce_word_randomized(
-                    word, random.Random(trial)) == nf
+        _assert_strategy_independent(calc, rng, 60)
+
+
+def _readme_presentation(tmp_path):
+    """The presentation file shown in the README."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Presentation files", 1)[1]
+    text = section.split("```text\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.pres"
+    path.write_text(text)
+    return load_presentation(str(path)).calculus
+
+
+# The torus relations under an order that interleaves differentials with
+# generators, each rule oriented to decrease in it.
+INTERLEAVED = """\
+cyclotomic 3
+generator u invertible
+generator v invertible
+order du < u < dv < v
+rule v u -> q^-1 u v
+frule dv u -> q^-1 u dv
+frule v du -> q^-1 du v
+frule u du -> du u
+frule v dv -> dv v
+frule dv du -> -q^-1 du dv
+frule du du -> 0
+frule dv dv -> 0
+"""
+
+
+def _interleaved_presentation(tmp_path):
+    path = tmp_path / "interleaved.pres"
+    path.write_text(INTERLEAVED)
+    return load_presentation(str(path)).calculus
+
+
+@pytest.mark.parametrize("build", [
+    lambda tmp_path: torus_calculus(1),
+    lambda tmp_path: torus_calculus(2),
+    lambda tmp_path: torus_calculus(5),
+    lambda tmp_path: cuntz_calculus(3),
+    _readme_presentation,
+    _interleaved_presentation,
+], ids=["torus-p1", "torus-p2", "torus-p5", "cuntz-n3", "readme-file",
+        "interleaved-order-file"])
+def test_randomized_reducer_agrees_with_reduce_word(build, tmp_path):
+    calc = build(tmp_path)
+    # the diamond lemma promises one normal form on confluent rules only
+    assert check_local_confluence(calc).all_joinable
+    _assert_strategy_independent(calc, random.Random(5), 60)
 
 
 def test_unknown_generator():

@@ -1,6 +1,10 @@
 """Expression parsing, presentation files, and the command line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -503,6 +507,52 @@ def test_cli_check_count_and_flow_order_bounds(capsys):
     code, out, _ = run_cli(capsys, "--model", "torus:p=2", "flow", "u^2 v^2",
                            "u", "--order", "16")
     assert code == 0 and out.endswith("t^16 (2/638512875 u^33 v^32)")
+
+
+def test_cli_flow_order_bound_comes_before_the_model(capsys, monkeypatch):
+    """An out-of-bounds order is a usage error before any model is built
+    (on torus:p=13,B=8 the solver's factorization alone takes seconds)."""
+    import ncham.cli
+
+    built = []
+    monkeypatch.setattr(ncham.cli, "build_model",
+                        lambda desc: built.append(desc))
+    code, out, err = run_cli(capsys, "--model", "torus:p=13,B=8", "flow",
+                             "u", "u", "--order", "17")
+    assert (code, out, err) == (
+        2, "", "error: flow order 17 is outside the bounds 0..16")
+    assert built == []
+
+
+def _run_into_closed_pipe(*argv):
+    """Run the CLI in a subprocess whose stdout pipe has no reader left;
+    -X dev also reports a file left unclosed at exit."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-X", "dev", "-m",
+                               "ncham.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr.decode()
+
+
+def test_cli_closed_stdout_keeps_the_verdict(tmp_path):
+    """A reader that has gone away (`ncham ... | head -c 0`) is no usage
+    error: the exit code is the command's own verdict, stderr is empty."""
+    assert _run_into_closed_pipe("--model", "cuntz:n=2",
+                                 "confluence") == (0, "")
+    path = tmp_path / "two-orientations.pres"
+    path.write_text("cyclotomic 3\ngenerator v\ngenerator u\norder v < u\n"
+                    "rule u v -> q v u\nrule u v -> v u\n")
+    assert _run_into_closed_pipe("--presentation", str(path),
+                                 "confluence") == (1, "")
 
 
 def test_cli_power_bound_exit_2(capsys):

@@ -67,6 +67,16 @@ def test_kernel_invariants():
             assert x.d().in_kernel()
 
 
+def test_contract_junctions_inserts_the_matrix():
+    e11_e22 = TensorForm(2, 1, {(0, 3): Fraction(1)})
+    p = [[Fraction(0), Fraction(2)], [Fraction(0), Fraction(0)]]
+    # E11 P E22 = 2 E12
+    assert e11_e22.contract_junctions(p) == [
+        TensorForm(2, 0, {(1,): Fraction(2)})]
+    assert e11_e22.in_kernel()                       # E11 E22 = 0
+    assert not TensorForm(2, 1, {(1, 2): Fraction(1)}).in_kernel()  # E12 E21
+
+
 def test_mul_against_leibniz_expansion_oracle():
     """a db c dd = a d(bc) dd - ab dc dd over all unit quadruples, n=2."""
     for a, b, c, d in itertools.product(units(2), repeat=4):
