@@ -147,10 +147,11 @@ class RewriteRule:
 class RewriteSystem:
     """Letter table plus oriented rules plus a memoizing normalizer."""
 
-    def __init__(self, table, p, step_budget=10 ** 6):
+    step_budget = 10 ** 6       # rewrite steps allowed per normalize call
+
+    def __init__(self, table, p):
         self.table = table
         self.p = p
-        self.step_budget = step_budget
         self.rules = []
         self._rules_by_first = {}
         self._nf_cache = {}
@@ -547,12 +548,6 @@ class Element:
         if len(ds) > 1:
             raise ValueError("element is not homogeneous: degrees %s" % ds)
         return ds[0]
-
-    def homogeneous_part(self, n):
-        deg = self.system.table.word_degree
-        return Element(self.system,
-                       {w: c for w, c in self.terms.items() if deg(w) == n},
-                       normal=True)
 
     def __str__(self):
         from .printing import element_str

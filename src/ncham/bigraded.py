@@ -16,7 +16,7 @@ coefficients for d/dx and d/dy plus an antisymmetric matrix-valued
 polynomial acting by commutator.  Interior product evaluates against
 dx, dy and the matrix legs; the Lie derivative is the unsigned
 derivation with L(da) = d(theta(a)).  For a non-constant theta_S the
-Lie derivative leaks between bidegrees: on a matrix 1-form A d_mat(B)
+Lie derivative does not keep the bidegree: on a matrix 1-form A d_mat(B)
 it contributes A dx [dS/dx, B] + A dy [dS/dy, B] on top of the
 leg-wise commutator action, extended to higher matrix degree with
 alternating junction insertions.
@@ -95,9 +95,6 @@ class BigradedForm:
 
     def component(self, csym):
         return self.parts.get(tuple(csym), TensorForm.zero(2, 0, P_ONE))
-
-    def bidegrees(self):
-        return sorted((len(c), t.degree) for c, t in self.parts.items())
 
     def degree(self):
         degs = {len(c) + t.degree for c, t in self.parts.items()}

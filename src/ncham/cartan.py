@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from .algebra import DegreeError, Element
 from .forms import CalculusPresentation
-from .linalg import ExactLinearSystem
 
 
 class InconsistentDerivationError(ValueError):
@@ -41,7 +40,10 @@ class PresentedDerivation:
                 raise KeyError("unknown generator %r" % name)
             if not isinstance(img, Element):
                 raise TypeError("image of %s must be an Element" % name)
-            self.images[name] = calculus.normalize(img)
+            img = self.images[name] = calculus.normalize(img)
+            if any(map(calculus.system.table.word_degree, img.terms)):
+                raise ValueError("image of %s must be a 0-form, not %s"
+                                 % (name, img))
         for g in calculus.generators:
             self.images.setdefault(g.name, calculus.zero())
         self.label = label
@@ -245,11 +247,6 @@ class DerivationSpace:
     """A finite basis of derivations, consistency-checked unless built
     with check=False (a presentation file's ansatz, which `certify` and
     the CLI report on instead).
-
-    Commutator closure is verified span-wise: a commutator lying outside
-    the stored span is accepted when it still passes the consistency
-    check (the ambient space is infinite dimensional and the basis is a
-    truncation), and reported as such.
     """
 
     def __init__(self, basis, backend=None, check=True):
@@ -267,31 +264,6 @@ class DerivationSpace:
             rep = consistency_of(theta)
             if rep is not None and not rep.ok:
                 out.append((theta, rep))
-        return out
-
-    def _system(self):
-        cols = [theta.coordinates() for theta in self.basis]
-        ones = [c for col in cols for c in col.values()]
-        if not ones:
-            raise ValueError("cannot build coordinates of an all-zero basis")
-        one = ones[0] / ones[0]
-        return ExactLinearSystem(cols, one)
-
-    def verify_closure(self):
-        """Status of [theta_i, theta_j] for all i < j."""
-        system = self._system()
-        out = []
-        for i in range(len(self.basis)):
-            for j in range(i + 1, len(self.basis)):
-                com = self.basis[i].commutator(self.basis[j])
-                if com.is_zero() or system.solve(com.coordinates()) is not None:
-                    out.append((i, j, "in-span"))
-                else:
-                    rep = consistency_of(com)
-                    if rep is None or rep.ok:
-                        out.append((i, j, "consistent-beyond-truncation"))
-                    else:
-                        out.append((i, j, "INCONSISTENT"))
         return out
 
 

@@ -263,34 +263,14 @@ def _run_check(args, model) -> int:
         report("%s %s" % (name, detail) if detail else name, ok)
 
     if model.omega is not None or model.space.basis:
-        from .cartan import iprod_or_zero as ip
-
-        d = model.backend.d
-        is_zero = model.backend.is_zero
-        props = {"magic formula": 0, "d L = L d": 0, "L/iprod commutation": 0,
-                 "iprod antisymmetry": 0, "Lie commutator": 0}
+        failed = {}
         try:
             for _ in range(args.count):
-                th = model.random_derivation(rng)
-                ph = model.random_derivation(rng)
-                x = model.random_form(rng, 2)
-                if not is_zero(d(ip(th, x)) + ip(th, d(x)) - th.lie(x)):
-                    props["magic formula"] += 1
-                if not is_zero(d(th.lie(x)) - th.lie(d(x))):
-                    props["d L = L d"] += 1
-                if not is_zero(ph.lie(ip(th, x)) - ip(th, ph.lie(x))
-                               - ip(ph.commutator(th), x)):
-                    props["L/iprod commutation"] += 1
-                x2 = _force_degree2(model, rng)
-                if x2 is not None and not is_zero(
-                        ph.iprod(th.iprod(x2)) + th.iprod(ph.iprod(x2))):
-                    props["iprod antisymmetry"] += 1
-                if not is_zero(th.lie(ph.lie(x)) - ph.lie(th.lie(x))
-                               - th.commutator(ph).lie(x)):
-                    props["Lie commutator"] += 1
-            for name, failures in props.items():
+                for name, res in model.cartan_residuals(rng).items():
+                    failed[name] = not res.is_zero() or failed.get(name, False)
+            for name, bad in failed.items():
                 report("%s (%d trials, seed %d)" % (name, args.count, args.seed),
-                       failures == 0)
+                       not bad)
         except ValueError as exc:
             report("property suite (%s)" % exc, False)
 
@@ -300,20 +280,6 @@ def _run_check(args, model) -> int:
     text = "\n".join("%s %s" % ln for ln in lines)
     _emit(args, payload, text)
     return 0 if ok_all else 1
-
-
-def _force_degree2(model, rng):
-    """A degree-2 form if the backend admits one in bounded tries."""
-    for _ in range(20):
-        x = model.random_form(rng, 2)
-        deg = getattr(x, "degree", None)
-        try:
-            d = deg() if callable(deg) else x.degree
-        except ValueError:
-            continue
-        if d == 2:
-            return x
-    return None
 
 
 def _parse_args(parser, argv):

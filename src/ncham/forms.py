@@ -31,7 +31,7 @@ class CalculusPresentation:
     """Generators, their differentials and one rewrite system for both."""
 
     def __init__(self, generators, algebra_rules, form_rules, p=1,
-                 letter_order=None, step_budget=10 ** 6):
+                 letter_order=None):
         self.generators = tuple(generators)
         self.p = p
         names = [g.name for g in self.generators]
@@ -43,8 +43,7 @@ class CalculusPresentation:
             missing = ["d" + n for n in reversed(names)
                        if "d" + n not in letter_order]
             letter_order = missing + list(letter_order)
-        self.system = RewriteSystem(_build_table(self.generators, letter_order),
-                                    p, step_budget)
+        self.system = RewriteSystem(_build_table(self.generators, letter_order), p)
         for spec in algebra_rules:
             self.add_algebra_rule(spec)
         for spec in form_rules:
@@ -112,9 +111,6 @@ class CalculusPresentation:
     def d(self, x: Element) -> Element:
         """Signed Leibniz derivation with d^2 = 0."""
         return self.system.leibniz(x, self._d_of_letter.__getitem__, signed=True)
-
-    def is_closed(self, x: Element) -> bool:
-        return self.d(x).is_zero()
 
     def normalize(self, x: Element) -> Element:
         if x.system is not self.system:

@@ -2,13 +2,14 @@
 
 Each builder returns a ModelDescriptor bundling the calculus, its
 `backends.Backend`, the closed 2-form, the default derivation ansatz as
-a `DerivationSpace`, seeded random generators for the property suite,
-and a `certify` method running the structural checks (local confluence,
-d omega = 0, consistency of the ansatz, trivial omega_tilde kernel).  A
-presentation file loads to the same type, with omega None when the file
-declares no 2-form; its ansatz is loaded unchecked, so that `certify`
-and the CLI can report an inconsistent member instead of raising.  The
-model parameters are bounded by the MAX_* constants below.
+a `DerivationSpace` and seeded random generators.  Its `cartan_residuals`
+is the Cartan identity suite on one random triple, and its `certify`
+runs the structural checks (local confluence, d omega = 0, consistency
+of the ansatz, trivial omega_tilde kernel).  A presentation file loads
+to the same type, with omega None when the file declares no 2-form; its
+ansatz is loaded unchecked, so that `certify` and the CLI can report an
+inconsistent member instead of raising.  The model parameters are
+bounded by the MAX_* constants below.
 
 Rule orientations.  Torus: differentials first, dv < du < u < v, so the
 single algebra rule reads v u -> q^-1 u v and normal form words are
@@ -32,7 +33,7 @@ from .backends import Backend
 from .bigraded import (BigradedForm, MixedDerivation,
                        poly_matrix_symplectic_form)
 from .cartan import (DerivationSpace, PresentedDerivation,
-                     classify_torus_derivations)
+                     classify_torus_derivations, iprod_or_zero)
 from .forms import CalculusPresentation
 from .matrixcalc import (MatrixDerivation, TensorForm, antisymmetric_basis,
                          matrix_symplectic_form)
@@ -116,9 +117,28 @@ class ModelDescriptor:
         out.append(("omega_tilde injective", ker.nonsingular, ker.summary()))
         return out
 
-    def derivation_space(self) -> DerivationSpace:
-        """The commutator-closed family V (may be larger than the ansatz)."""
-        return DerivationSpace(self.v_family, backend=self.backend)
+    def cartan_residuals(self, rng):
+        """The residuals of Props 2.5-2.9 on one random triple; each is
+        exactly zero when its identity holds.
+
+        rng draws derivations th and ph, a form x of degree <= 2 and a
+        form y of degree <= 1, in that order; x2 = d(y).  _| of a 0-form
+        is zero (`iprod_or_zero`).
+        """
+        d, ip = self.backend.d, iprod_or_zero
+        th = self.random_derivation(rng)
+        ph = self.random_derivation(rng)
+        x = self.random_form(rng, 2)
+        x2 = d(self.random_form(rng, 1))
+        return {
+            "magic formula": d(ip(th, x)) + ip(th, d(x)) - th.lie(x),
+            "d L = L d": d(th.lie(x)) - th.lie(d(x)),
+            "L/iprod commutation": ph.lie(ip(th, x)) - ip(th, ph.lie(x))
+            - ip(ph.commutator(th), x),
+            "iprod antisymmetry": ip(ph, ip(th, x2)) + ip(th, ip(ph, x2)),
+            "Lie commutator": th.lie(ph.lie(x)) - ph.lie(th.lie(x))
+            - th.commutator(ph).lie(x),
+        }
 
     def __repr__(self):
         return "<model %s>" % self.name

@@ -118,6 +118,13 @@ class HamiltonianSolver:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
+        # The form types of the three backends share no degree test, but
+        # every zero derivation's apply raises ValueError on anything but
+        # a 0-form, so it serves as one: a Lie derivative per uncached solve.
+        try:
+            self.backend.zero_derivation.apply(a)
+        except ValueError:
+            raise ValueError("a Hamiltonian must be a 0-form") from None
         da = self.backend.d(a)
         rhs = da.coordinates()
         coeffs, unreached = self._system.project(rhs)

@@ -233,10 +233,12 @@ def test_unknown_generator():
 def test_step_budget_guards_runaway_reductions():
     gens = [GeneratorSymbol("a"), GeneratorSymbol("b")]
     rules = [RuleSpec.make([("b", 1), ("a", 1)], [(1, [("a", 1), ("b", 1)])])]
-    pres = CalculusPresentation(gens, rules, [], p=1, step_budget=10)
+    pres = CalculusPresentation(gens, rules, [], p=1)
+    pres.system.step_budget = 10
     with pytest.raises(ReductionBudgetExceeded):
         pres.element([("b", 6), ("a", 6)])     # needs 36 swaps > 10
-    roomy = CalculusPresentation(gens, rules, [], p=1, step_budget=10 ** 6)
+    roomy = CalculusPresentation(gens, rules, [], p=1)
+    assert roomy.system.step_budget == 10 ** 6
     assert roomy.element([("b", 6), ("a", 6)]) == roomy.element(
         [("a", 6), ("b", 6)])
 

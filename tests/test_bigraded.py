@@ -68,7 +68,8 @@ def test_classical_anticommutation():
 def test_omega_structure():
     om = poly_matrix_symplectic_form()
     assert om.degree() == 2
-    assert sorted(om.bidegrees()) == [(0, 2), (1, 1), (2, 0)]
+    assert sorted((len(c), t.degree) for c, t in om.parts.items()) == [
+        (0, 2), (1, 1), (2, 0)]
     assert om.d().is_zero()
 
 

@@ -352,12 +352,9 @@ def test_cli_division_by_zero_and_deep_nesting_exit_2(capsys):
 def test_cli_maps_reduction_budget_to_exit_2(capsys, tmp_path, monkeypatch):
     # decreasing rules always terminate, but b^k a^k needs k^2 swaps: with a
     # budget of 50 steps, k = 8 runs away
-    import functools
+    from ncham.algebra import RewriteSystem
 
-    from ncham import exprparse, forms
-
-    monkeypatch.setattr(exprparse, "CalculusPresentation", functools.partial(
-        forms.CalculusPresentation, step_budget=50))
+    monkeypatch.setattr(RewriteSystem, "step_budget", 50)
     path = tmp_path / "swap.pres"
     path.write_text("generator a\ngenerator b\nrule b a -> a b\n")
     code, out, _ = run_cli(capsys, "--presentation", str(path), "normalize",
@@ -482,6 +479,49 @@ def test_cli_bad_derivation_spec_names_the_chunk(capsys, model, cmd, spec,
                                                  message):
     code, out, err = run_cli(capsys, "--model", model, cmd, spec, "du")
     assert (code, out, err) == (2, "", "error: " + message)
+
+
+@pytest.mark.parametrize("source, argv", [
+    ("torus:p=2", ["is-hamiltonian", "du"]),
+    ("torus:p=2", ["is-hamiltonian", "u^2 v^2 + du"]),
+    ("torus:p=2", ["bracket", "du", "u^2 v^2"]),
+    ("torus:p=2", ["bracket", "u^2 v^2", "du"]),
+    ("torus:p=2", ["flow", "du", "u^2 v^2"]),
+    ("matrix:n=2", ["bracket", "dE12", "E11"]),
+    ("cuntz:n=2", ["hamvec", "ds1 s1*"]),
+    ("polymat:D=3", ["is-hamiltonian", "dx"]),
+    ("file", ["is-hamiltonian", "du"]),
+], ids=["torus", "torus-mixed-degree", "torus-bracket", "torus-bracket-2nd",
+        "torus-flow", "matrix", "cuntz", "polymat", "file"])
+def test_cli_hamiltonian_must_be_a_0_form(capsys, tmp_path, source, argv):
+    if source == "file":
+        path = tmp_path / "torus.pres"
+        path.write_text(TORUS2_RELATIONS + TORUS2_OMEGA + TORUS2_DERIVATION)
+        model = ["--presentation", str(path)]
+    else:
+        model = ["--model", source]
+    code, out, err = run_cli(capsys, *model, *argv)
+    assert (code, out, err) == (2, "", "error: a Hamiltonian must be a 0-form")
+
+
+def test_cli_derivation_images_must_be_0_forms(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "--model", "torus:p=2", "lie", "u -> du",
+                             "u v")
+    assert (code, out, err) == (
+        2, "", "error: image of u must be a 0-form, not du")
+    code, out, err = run_cli(capsys, "--model", "cuntz:n=2", "lie", "h: ds1",
+                             "s1")
+    assert (code, out, err) == (
+        2, "", "error: image of s1 must be a 0-form, not ds1 s1")
+    # with a free calculus and omega du dv, such a member used to pass the
+    # ansatz consistency check and answer is-hamiltonian
+    path = tmp_path / "free.pres"
+    path.write_text("generator u\ngenerator v\nomega du dv\n"
+                    "derivation x: u -> du\n")
+    for argv in (["is-hamiltonian", "u"], ["check"]):
+        code, out, err = run_cli(capsys, "--presentation", str(path), *argv)
+        assert (code, out, err) == (
+            2, "", "error: line 4: image of u must be a 0-form, not du")
 
 
 def test_cli_check_count_and_flow_order_bounds(capsys):

@@ -1,6 +1,7 @@
 """Built-in model descriptors: certificates, families, CLI strings."""
 
 import pytest
+from closure import commutator_closure
 
 from ncham.matrixcalc import MatrixDerivation
 from ncham.models import build_matrix, build_model, build_torus, theta_h
@@ -110,9 +111,9 @@ def test_cuntz_ansatz_commutator_closed(cuntz2, cuntz3):
     from ncham.cartan import DerivationSpace
 
     for model in (cuntz2, cuntz3):
-        space = DerivationSpace(model.space.basis)
-        assert all(status == "in-span"
-                   for _, _, status in space.verify_closure())
+        DerivationSpace(model.space.basis)
+        assert all(status == "in-span" for _, _, status
+                   in commutator_closure(model.space.basis))
 
 
 def test_torus_p1_classical_brackets(torus1):
@@ -130,3 +131,56 @@ def test_build_model_rejects_stray_arguments():
 
     with pytest.raises(ValueError):
         build_model("matrix:n=2,B=4")
+
+
+CARTAN_IDENTITIES = ["magic formula", "d L = L d", "L/iprod commutation",
+                     "iprod antisymmetry", "Lie commutator"]
+
+
+def test_cartan_residuals_draw_like_criterion_1(all_models):
+    # the four draws of tests/test_acceptance.py criterion 1, in its order
+    import random
+
+    for model in all_models:
+        suite, manual = random.Random(2026), random.Random(2026)
+        for _ in range(3):
+            res = model.cartan_residuals(suite)
+            model.random_derivation(manual)
+            model.random_derivation(manual)
+            model.random_form(manual, 2)
+            model.backend.d(model.random_form(manual, 1))
+            assert suite.getstate() == manual.getstate(), model.name
+            assert list(res) == CARTAN_IDENTITIES
+            assert all(r.is_zero() for r in res.values()), model.name
+
+
+@pytest.mark.parametrize("desc", ["torus:p=2", "matrix:n=2", "cuntz:n=2",
+                                  "polymat:D=2"])
+def test_check_evaluates_every_identity_count_times(capsys, monkeypatch,
+                                                    desc):
+    from collections import Counter
+
+    from ncham.cli import main
+    from ncham.models import ModelDescriptor
+
+    evaluated = Counter()
+    suite = ModelDescriptor.cartan_residuals
+
+    class Residual:
+        def __init__(self, name, value):
+            self.name, self.value = name, value
+
+        def is_zero(self):
+            evaluated[self.name] += 1
+            return self.value.is_zero()
+
+    def counted(model, rng):
+        return {name: Residual(name, value)
+                for name, value in suite(model, rng).items()}
+
+    monkeypatch.setattr(ModelDescriptor, "cartan_residuals", counted)
+    assert main(["--model", desc, "check", "--count", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert evaluated == Counter({name: 7 for name in CARTAN_IDENTITIES})
+    assert lines[-5:] == ["PASS %s (7 trials, seed 2026)" % name
+                          for name in CARTAN_IDENTITIES]
