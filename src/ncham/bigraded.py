@@ -96,13 +96,16 @@ class BigradedForm:
     def component(self, csym):
         return self.parts.get(tuple(csym), TensorForm.zero(2, 0, P_ONE))
 
+    def degrees(self):
+        return sorted({len(c) + t.degree for c, t in self.parts.items()})
+
     def degree(self):
-        degs = {len(c) + t.degree for c, t in self.parts.items()}
+        degs = self.degrees()
         if not degs:
             return 0
         if len(degs) > 1:
-            raise ValueError("form is not homogeneous: total degrees %s" % sorted(degs))
-        return degs.pop()
+            raise ValueError("form is not homogeneous: total degrees %s" % degs)
+        return degs[0]
 
     def is_zero(self):
         return not self.parts

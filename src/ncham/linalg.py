@@ -1,90 +1,82 @@
 """Exact sparse linear algebra over a field (Fraction or CycScalar).
 
 Vectors are dicts mapping coordinate keys to scalars; a system is a list
-of column vectors.  Elimination is plain Gauss-Jordan with deterministic
-pivoting (first nonzero entry in key order), which is exact over a field;
-no fraction-free tricks are needed because the scalars divide exactly.
+of column vectors.  Factoring reduces the columns in order against a
+reduced echelon basis of the span of the ones before: a column that
+reduces to zero is free and gives a kernel vector, any other adds its
+remainder, scaled to 1 at its first key in key order (its pivot key) and
+eliminated from the basis vectors already there.  So every basis vector
+is 1 at its own pivot key and 0 at the others, and carries its
+expression in the pivot columns.  Projecting a right-hand side is one
+pass of the same reduction over its pivot keys.  Every step divides
+exactly; there is no tolerance.
 """
 
 from __future__ import annotations
 
 
+def _axpy(target, a, vec):
+    """target += a * vec in place, dropping exact zeros."""
+    for k, v in vec.items():
+        acc = target[k] + a * v if k in target else a * v
+        if acc:
+            target[k] = acc
+        else:
+            target.pop(k, None)
+
+
 class ExactLinearSystem:
-    """RREF factorization of a sparse column family, reusable across rhs."""
+    """Reduced echelon basis of a sparse column family, reusable across rhs."""
 
     def __init__(self, columns, one):
         self.columns = [dict(c) for c in columns]
         self.one = one
         self.zero = one - one
-        keys = set()
-        for c in self.columns:
-            keys.update(c)
-        self.keys = sorted(keys)
-        self.key_index = {k: i for i, k in enumerate(self.keys)}
-        self._factor()
-
-    def _factor(self):
-        ncols = len(self.columns)
-        rows = []
-        for ki, key in enumerate(self.keys):
-            row = {}
-            for j, col in enumerate(self.columns):
-                v = col.get(key)
-                if v:
-                    row[j] = v
-            rows.append((row, {ki: self.one}))
-        # forward + backward elimination; trans carries the row operations
-        self.pivots = []            # (row_storage_index, pivot_col)
-        self.echelon = []           # list of (row dict, trans dict)
-        used_cols = set()
-        for col in range(ncols):
-            pivot = None
-            for idx, (row, trans) in enumerate(rows):
-                if row.get(col):
-                    pivot = idx
-                    break
-            if pivot is None:
+        self.keys = sorted({k for c in self.columns for k in c})
+        self.pivots = []            # pivot column of each basis vector
+        self.echelon = []           # (basis vector, its pivot-column expr)
+        self.free_cols = []
+        self._kernel = []
+        self._basis_at = {}         # pivot key -> index into echelon
+        for j, col in enumerate(self.columns):
+            coeffs, rest = self._reduce(col)
+            expr = {i: -c for i, c in coeffs.items()}
+            expr[j] = self.one      # rest = col - sum coeffs_i col_i
+            if not rest:
+                self.free_cols.append(j)
+                self._kernel.append(self._dense(expr))
                 continue
-            row, trans = rows.pop(pivot)
-            inv = self.one / row[col]
-            row = {c: v * inv for c, v in row.items()}
-            trans = {k: v * inv for k, v in trans.items()}
-            for other_row, other_trans in rows + [e for e in self.echelon]:
-                f = other_row.get(col)
-                if not f:
-                    continue
-                for c, v in row.items():
-                    acc = other_row.get(c, self.zero) - f * v
-                    if acc:
-                        other_row[c] = acc
-                    elif c in other_row:
-                        del other_row[c]
-                for k, v in trans.items():
-                    acc = other_trans.get(k, self.zero) - f * v
-                    if acc:
-                        other_trans[k] = acc
-                    elif k in other_trans:
-                        del other_trans[k]
-            self.echelon.append((row, trans))
-            self.pivots.append(col)
-            used_cols.add(col)
-        self.free_cols = [c for c in range(ncols) if c not in used_cols]
-        # every remaining row is zero: each column either had a pivot that
-        # eliminated it everywhere else, or was zero in all remaining rows
-        assert all(not row for row, _ in rows)
+            key = min(rest)
+            inv = self.one / rest[key]
+            vec = {k: v * inv for k, v in rest.items()}
+            expr = {i: c * inv for i, c in expr.items()}
+            for other, other_expr in self.echelon:
+                f = other.get(key)
+                if f:
+                    _axpy(other, -f, vec)
+                    _axpy(other_expr, -f, expr)
+            self._basis_at[key] = len(self.echelon)
+            self.echelon.append((vec, expr))
+            self.pivots.append(j)
+
+    def _reduce(self, vec):
+        """(coeffs, rest) with vec = sum coeffs_i columns_i + rest and rest
+        zero on every pivot key; coeffs is keyed by pivot column."""
+        rest = {k: v for k, v in vec.items() if v}
+        coeffs = {}
+        # a basis vector is 0 at the other pivot keys, so the value of vec
+        # at a pivot key is the coefficient of its basis vector
+        for key, f in [(k, v) for k, v in rest.items() if k in self._basis_at]:
+            basis, expr = self.echelon[self._basis_at[key]]
+            _axpy(rest, -f, basis)
+            _axpy(coeffs, f, expr)
+        return coeffs, rest
 
     def nullspace(self):
-        """Basis of the kernel of the column family, as coefficient lists."""
-        basis = []
-        for fc in self.free_cols:
-            vec = [self.zero] * len(self.columns)
-            vec[fc] = self.one
-            for (row, _), pc in zip(self.echelon, self.pivots):
-                v = row.get(fc)
-                if v:
-                    vec[pc] = -v
-            basis.append(vec)
-        return basis
+        """Basis of the kernel of the column family, as coefficient lists:
+        for each free column j, e_j minus its expression in the pivot
+        columns before it."""
+        return [list(vec) for vec in self._kernel]
 
     def solve(self, rhs):
         """Coefficients c with sum c_j columns_j = rhs, or None.
@@ -100,39 +92,11 @@ class ExactLinearSystem:
         return self.project(rhs)[1]
 
     def project(self, rhs):
-        """(coeffs, residual) in one back-substitution: rhs is in the
-        column span exactly when the residual is empty, and then coeffs
-        solve it."""
-        rhs = {k: v for k, v in rhs.items() if v}
-        coeffs = self._back_substitute(rhs)
-        # exact residual check covers the inconsistent rows
-        return coeffs, self._subtract_span(rhs, coeffs)
+        """(coeffs, residual) in one reduction: rhs is in the column span
+        exactly when the residual is empty, and then coeffs solve it.
+        The residual is rhs - sum c_j columns_j, zero on every pivot key."""
+        coeffs, rest = self._reduce(rhs)
+        return self._dense(coeffs), rest
 
-    def _back_substitute(self, rhs):
-        """Pivot coefficients from the recorded row operations; free
-        columns get zero and keys outside the columns are ignored."""
-        y = {self.key_index[k]: v for k, v in rhs.items()
-             if k in self.key_index}
-        coeffs = [self.zero] * len(self.columns)
-        for (row, trans), pc in zip(self.echelon, self.pivots):
-            acc = self.zero
-            for ki, t in trans.items():
-                v = y.get(ki)
-                if v:
-                    acc = acc + t * v
-            coeffs[pc] = acc
-        return coeffs
-
-    def _subtract_span(self, rhs, coeffs):
-        """rhs - sum c_j columns_j, dropping exact zeros."""
-        residual = dict(rhs)
-        for j, c in enumerate(coeffs):
-            if not c:
-                continue
-            for k, v in self.columns[j].items():
-                acc = residual.get(k, self.zero) - c * v
-                if acc:
-                    residual[k] = acc
-                elif k in residual:
-                    del residual[k]
-        return residual
+    def _dense(self, coeffs):
+        return [coeffs.get(i, self.zero) for i in range(len(self.columns))]

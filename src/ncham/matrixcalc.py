@@ -57,6 +57,10 @@ class TensorForm:
     def zero(cls, n, degree=0, one=Fraction(1)):
         return cls(n, degree, {}, one)
 
+    def degrees(self):
+        """The degrees of the form's terms; a zero form keeps its degree."""
+        return [self.degree]
+
     @classmethod
     def unit(cls, n, i, j, one=Fraction(1)):
         return cls(n, 0, {(i * n + j,): one}, one)

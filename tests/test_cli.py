@@ -481,19 +481,32 @@ def test_cli_bad_derivation_spec_names_the_chunk(capsys, model, cmd, spec,
     assert (code, out, err) == (2, "", "error: " + message)
 
 
-@pytest.mark.parametrize("source, argv", [
-    ("torus:p=2", ["is-hamiltonian", "du"]),
-    ("torus:p=2", ["is-hamiltonian", "u^2 v^2 + du"]),
-    ("torus:p=2", ["bracket", "du", "u^2 v^2"]),
-    ("torus:p=2", ["bracket", "u^2 v^2", "du"]),
-    ("torus:p=2", ["flow", "du", "u^2 v^2"]),
-    ("matrix:n=2", ["bracket", "dE12", "E11"]),
-    ("cuntz:n=2", ["hamvec", "ds1 s1*"]),
-    ("polymat:D=3", ["is-hamiltonian", "dx"]),
-    ("file", ["is-hamiltonian", "du"]),
+TRANSPORTED = "the transported element"
+
+
+@pytest.mark.parametrize("source, argv, what", [
+    ("torus:p=2", ["is-hamiltonian", "du"], "a Hamiltonian"),
+    ("torus:p=2", ["is-hamiltonian", "u^2 v^2 + du"], "a Hamiltonian"),
+    ("torus:p=2", ["bracket", "du", "u^2 v^2"], "a Hamiltonian"),
+    ("torus:p=2", ["bracket", "u^2 v^2", "du"], "a Hamiltonian"),
+    ("torus:p=2", ["flow", "du", "u^2 v^2"], "a Hamiltonian"),
+    ("matrix:n=2", ["bracket", "dE12", "E11"], "a Hamiltonian"),
+    ("cuntz:n=2", ["hamvec", "ds1 s1*"], "a Hamiltonian"),
+    ("polymat:D=3", ["is-hamiltonian", "dx"], "a Hamiltonian"),
+    ("file", ["is-hamiltonian", "du"], "a Hamiltonian"),
+    # the transported element is refused before the Hamiltonian is solved
+    ("torus:p=2", ["flow", "u^2 v^2", "du", "--order", "0"], TRANSPORTED),
+    ("torus:p=2", ["flow", "u^2 v^2", "u + du"], TRANSPORTED),
+    ("matrix:n=2", ["flow", "E12 - E21", "dE11", "--order", "0"], TRANSPORTED),
+    ("cuntz:n=2", ["flow", "s1 s2*", "ds1 s1*"], TRANSPORTED),
+    ("polymat:D=3", ["flow", "E12 - E21", "dx", "--order", "0"], TRANSPORTED),
+    ("file", ["flow", "u^2 v^2", "du"], TRANSPORTED),
 ], ids=["torus", "torus-mixed-degree", "torus-bracket", "torus-bracket-2nd",
-        "torus-flow", "matrix", "cuntz", "polymat", "file"])
-def test_cli_hamiltonian_must_be_a_0_form(capsys, tmp_path, source, argv):
+        "torus-flow", "matrix", "cuntz", "polymat", "file",
+        "flow-torus-order-0", "flow-torus-mixed-degree", "flow-matrix",
+        "flow-cuntz", "flow-polymat", "flow-file"])
+def test_cli_hamiltonian_must_be_a_0_form(capsys, tmp_path, source, argv,
+                                          what):
     if source == "file":
         path = tmp_path / "torus.pres"
         path.write_text(TORUS2_RELATIONS + TORUS2_OMEGA + TORUS2_DERIVATION)
@@ -501,7 +514,7 @@ def test_cli_hamiltonian_must_be_a_0_form(capsys, tmp_path, source, argv):
     else:
         model = ["--model", source]
     code, out, err = run_cli(capsys, *model, *argv)
-    assert (code, out, err) == (2, "", "error: a Hamiltonian must be a 0-form")
+    assert (code, out, err) == (2, "", "error: %s must be a 0-form" % what)
 
 
 def test_cli_derivation_images_must_be_0_forms(capsys, tmp_path):

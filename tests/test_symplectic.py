@@ -90,19 +90,19 @@ def test_torus_solver_paper_fields(torus2):
         assert verdict.residual          # carries the unreachable part of da
 
 
-def test_verdict_back_substitutes_once(matrix2, monkeypatch):
-    """One back-substitution per right-hand side, whatever the verdict:
-    da of E12 lies on the columns' keys but outside their span, da of
-    E11 has a key no column has."""
+def test_verdict_reduces_once(matrix2, monkeypatch):
+    """One reduction per right-hand side, whatever the verdict: da of E12
+    lies on the columns' keys but outside their span, da of E11 has a key
+    no column has."""
     from ncham.exprparse import parse_expression
     from ncham.linalg import ExactLinearSystem
 
     solver = HamiltonianSolver(matrix2.omega, matrix2.space)
     calls = []
-    back_substitute = ExactLinearSystem._back_substitute
-    monkeypatch.setattr(ExactLinearSystem, "_back_substitute",
-                        lambda self, rhs: calls.append(1)
-                        or back_substitute(self, rhs))
+    reduce = ExactLinearSystem._reduce
+    monkeypatch.setattr(ExactLinearSystem, "_reduce",
+                        lambda self, vec: calls.append(1)
+                        or reduce(self, vec))
     for expr, hamiltonian in (("E12", False), ("E11", False),
                               ("E12 - E21", True)):
         del calls[:]
@@ -113,6 +113,28 @@ def test_verdict_back_substitutes_once(matrix2, monkeypatch):
             rhs = matrix2.backend.d(a).coordinates()
             assert verdict.residual == solver._system.residual(rhs) != {}
             assert solver._system.solve(rhs) is None
+
+
+def test_solve_reads_the_degree(torus2, matrix2, polymat, monkeypatch):
+    """The 0-form test reads the degree and runs no derivation.  A zero
+    TensorForm keeps its degree and is refused, even after the zero 0-form,
+    whose freeze is the same, was solved; a zero Element or BigradedForm
+    has no degree and is accepted."""
+    from ncham.bigraded import BigradedForm
+
+    def no_apply(self, x):
+        raise AssertionError("apply ran")
+    monkeypatch.setattr(MatrixDerivation, "apply", no_apply)
+    solver = HamiltonianSolver(matrix2.omega, matrix2.space)
+    assert solver.solve(TensorForm.zero(2, 0)).hamiltonian
+    with pytest.raises(ValueError, match="a Hamiltonian must be a 0-form"):
+        solver.solve(TensorForm.zero(2, 1))
+    with pytest.raises(ValueError, match="a Hamiltonian must be a 0-form"):
+        solver.flow(TensorForm.zero(2, 1), TensorForm.zero(2, 0), 1)
+    with pytest.raises(ValueError, match="transported element"):
+        solver.flow(TensorForm.zero(2, 0), TensorForm.zero(2, 1), 0)
+    assert torus2.solver.solve(torus2.calculus.zero()).hamiltonian
+    assert polymat.solver.solve(BigradedForm.zero()).hamiltonian
 
 
 def test_poisson_examples(torus2, cuntz2, matrix3, polymat):
