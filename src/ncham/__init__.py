@@ -25,9 +25,9 @@ from .backends import Backend
 from .symplectic import (FlowSeries, HamiltonianSolution, HamiltonianSolver,
                          KernelReport, NotHamiltonian, NotHamiltonianError,
                          SingularFormError, SymplecticForm)
-from .models import (ModelDescriptor, build_cuntz, build_matrix, build_model,
-                     build_poly_matrix, build_torus, cuntz_calculus, theta_h,
-                     torus_calculus)
+from .models import (ModelDescriptor, UnsoundPresentationError, build_cuntz,
+                     build_matrix, build_model, build_poly_matrix, build_torus,
+                     cuntz_calculus, theta_h, torus_calculus)
 from .exprparse import (ParseError, load_presentation, parse_derivation,
                         parse_expression)
 
@@ -46,8 +46,8 @@ __all__ = [
     "Backend", "FlowSeries", "HamiltonianSolution", "HamiltonianSolver",
     "KernelReport", "NotHamiltonian", "NotHamiltonianError",
     "SingularFormError", "SymplecticForm",
-    "ModelDescriptor", "build_cuntz", "build_matrix", "build_model",
-    "build_poly_matrix", "build_torus", "cuntz_calculus", "theta_h",
-    "torus_calculus",
+    "ModelDescriptor", "UnsoundPresentationError", "build_cuntz",
+    "build_matrix", "build_model", "build_poly_matrix", "build_torus",
+    "cuntz_calculus", "theta_h", "torus_calculus",
     "ParseError", "load_presentation", "parse_derivation", "parse_expression",
 ]

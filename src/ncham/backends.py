@@ -5,8 +5,8 @@ zero tests, a hashable freeze of a form (for caching), and linear
 combinations of derivations.  On every backend, forms answer `is_zero()`
 and `coordinates()` (exact coordinates in a canonical basis, for the
 linear solver) and derivations `describe()` themselves, so callers ask
-them directly; a backend differs only in constructor data: its kind, its
-differential, its zero derivation and the one of its coefficient field.
+them directly; a backend differs only in constructor data: its differential,
+its zero derivation and the one of its coefficient field.
 The presented backend covers every presentation, algebra-only ones (a
 `CalculusPresentation` with no form rules) included.
 """
@@ -19,15 +19,14 @@ from .cartan import PresentedDerivation
 
 
 class Backend:
-    def __init__(self, kind, d, zero_derivation, field_one=Fraction(1)):
-        self.kind = kind
+    def __init__(self, d, zero_derivation, field_one=Fraction(1)):
         self.d = d
         self.zero_derivation = zero_derivation
         self.field_one = field_one
 
     @classmethod
     def presented(cls, calculus):
-        return cls("presented", calculus.d, PresentedDerivation(calculus, {}),
+        return cls(calculus.d, PresentedDerivation(calculus, {}),
                    calculus.system.one())
 
     @staticmethod

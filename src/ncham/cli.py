@@ -10,8 +10,8 @@ check, non-confluent presentation, a derivation for iprod or lie that
 fails its consistency check), 2 usage or parse error.  The Hamiltonian
 commands (bracket, hamvec, is-hamiltonian, flow) on a presentation file
 exit 1 unless its rules are locally confluent and each of its
-derivations passes the consistency check.  The --format json flag
-switches to machine-readable reports.
+derivations passes the consistency check, as `ModelDescriptor.require_sound`
+decides.  The --format json flag switches to machine-readable reports.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ import os
 import random
 import sys
 
-from .algebra import ReductionBudgetExceeded, check_local_confluence
+from .algebra import ReductionBudgetExceeded
 from .cartan import consistency_of
 from .exprparse import ParseError, load_presentation, parse_derivation, \
     parse_expression
-from .models import build_model, check_bound
+from .models import UnsoundPresentationError, build_model, check_bound
 from .symplectic import HamiltonianSolver, NotHamiltonian, \
     NotHamiltonianError
 
@@ -121,28 +121,21 @@ def _not_consistent(args, lines):
     return 1
 
 
-def _refuse_unsound_file(args, model):
-    """True, after printing why, when a presentation file cannot carry
-    Hamiltonian answers.
-
-    Normal forms are unique only on locally confluent rules (Bergman's
-    diamond lemma), and an inconsistent derivation is no derivation of
-    the presented algebra, so its ansatz answers nothing.
-    """
-    rep = check_local_confluence(model.calculus)
+def _refuse_unsound(args, model, exc):
+    """Print why a presentation file gives no Hamiltonian answers, and
+    return exit code 1."""
+    rep = exc.confluence
     if not rep.all_joinable:
         payload = _confluence_payload(rep, model.calculus.system)
         _emit(args, payload, "\n".join(
             ["NOT_CONFLUENT", rep.summary().splitlines()[0]]
             + ["  " + f for f in payload["failures"]]))
-        return True
+        return 1
     lines = []
-    for theta, rep in model.space.inconsistent():
+    for theta, rep in exc.inconsistent:
         lines.append("derivation %s" % theta.label)
         lines.extend(rep.summary().splitlines())
-    if lines:
-        _not_consistent(args, lines)
-    return bool(lines)
+    return _not_consistent(args, lines)
 
 
 def run(args) -> int:
@@ -165,8 +158,10 @@ def run(args) -> int:
     cmd = args.command
     if cmd in ("bracket", "hamvec", "is-hamiltonian", "flow"):
         _require_symplectic(model)
-        if args.presentation and _refuse_unsound_file(args, model):
-            return 1
+        try:
+            model.require_sound()
+        except UnsoundPresentationError as exc:
+            return _refuse_unsound(args, model, exc)
 
     if cmd == "normalize":
         el = parse_expression(args.expr, model)
@@ -234,15 +229,14 @@ def run(args) -> int:
         _emit(args, payload, str(series))
         return 0
     if cmd == "confluence":
-        target = model.calculus
-        if target is None:
+        rep = model.confluence()
+        if rep is None:
             _emit(args, {"status": "ok",
                          "detail": "tensor backends have no presentation"},
                   "no presentation to check (tensor backend)")
             return 0
-        rep = check_local_confluence(target)
-        _emit(args, _confluence_payload(rep, target.system),
-              rep.summary(target.system))
+        system = model.calculus.system
+        _emit(args, _confluence_payload(rep, system), rep.summary(system))
         return 0 if rep.all_joinable else 1
     if cmd == "check":
         return _run_check(args, model)

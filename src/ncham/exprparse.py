@@ -313,10 +313,9 @@ def _image_derivation(text, parser, label=None):
 def parse_derivation(text, model):
     """theta specs: 'u -> expr, v -> expr' | 'h: expr' | 'S: expr' |
     'x: expr, y: expr, S: expr'."""
-    kind = model.backend.kind
     parser = ExpressionParser(model.namespace(), model.calculus)
     if "->" in text:
-        if kind != "presented":
+        if model.calculus is None:
             raise ParseError("generator-image derivations need a presented model")
         return _image_derivation(text, parser)
     fields = {key: value.strip() for _, key, value in _spec_chunks(text, ":")}
@@ -327,14 +326,14 @@ def parse_derivation(text, model):
             raise ParseError("theta_h derivations are specific to the Cuntz model")
         h = parser.parse(fields["h"])
         return theta_h(model.calculus, h, model.params["n"])
-    if kind == "matrix":
+    if model.kind == "matrix":
         if set(fields) != {"S"}:
             raise ParseError("matrix derivations take a single S: <matrix>")
         from .matrixcalc import MatrixDerivation
 
         s = parser.parse(fields["S"])
         return MatrixDerivation.ad(s.to_matrix())
-    if kind == "bigraded":
+    if model.kind == "polymat":
         from .bigraded import MixedDerivation
         from .polynomials import Poly
 
@@ -382,9 +381,10 @@ def load_presentation(path):
     """Parse a presentation file; returns a ModelDescriptor.
 
     A line that cannot be read, or that names an unknown letter, is a
-    ParseError naming that line; so is a `rule` line that names a
-    differential, an `omega` line whose 2-form is not closed, and a rule
-    whose derived inverse variant does not decrease.
+    ParseError naming that line; so is an `order` line that leaves out a
+    generator, a `rule` line that names a differential, an `omega` line
+    whose 2-form is not closed, and a rule whose derived inverse variant
+    does not decrease.
     """
     from .backends import Backend
     from .models import MAX_CYCLOTOMIC_ORDER, ModelDescriptor, check_bound

@@ -44,6 +44,9 @@ class CalculusPresentation:
                        if "d" + n not in letter_order]
             letter_order = missing + list(letter_order)
         self.system = RewriteSystem(_build_table(self.generators, letter_order), p)
+        for n in names:
+            if n not in letter_order:
+                raise ValueError("letter order omits generator %r" % n)
         for spec in algebra_rules:
             self.add_algebra_rule(spec)
         for spec in form_rules:

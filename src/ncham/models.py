@@ -7,9 +7,9 @@ is the Cartan identity suite on one random triple, and its `certify`
 runs the structural checks (local confluence, d omega = 0, consistency
 of the ansatz, trivial omega_tilde kernel).  A presentation file loads
 to the same type, with omega None when the file declares no 2-form; its
-ansatz is loaded unchecked, so that `certify` and the CLI can report an
-inconsistent member instead of raising.  The model parameters are
-bounded by the MAX_* constants below.
+ansatz is loaded unchecked, so that `certify` can report an inconsistent
+member, and its `solver` refuses an unsound file (`require_sound`).  The
+model parameters are bounded by the MAX_* constants below.
 
 Rule orientations.  Torus: differentials first, dv < du < u < v, so the
 single algebra rule reads v u -> q^-1 u v and normal form words are
@@ -27,6 +27,7 @@ as d(h).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import GeneratorSymbol, RuleSpec, check_local_confluence
 from .backends import Backend
@@ -59,6 +60,18 @@ def check_bound(name, value, low, high):
     return value
 
 
+class UnsoundPresentationError(ValueError):
+    """A presentation file that can carry no Hamiltonian answers: normal
+    forms are unique only on locally confluent rules (Bergman's diamond
+    lemma), and an inconsistent derivation is no derivation of the
+    presented algebra.  Carries the ConfluenceReport as `confluence` and
+    the failing (derivation, report) pairs as `inconsistent`."""
+
+    def __init__(self, message, confluence, inconsistent):
+        super().__init__(message)
+        self.confluence, self.inconsistent = confluence, inconsistent
+
+
 class ModelDescriptor:
     """A built model: calculus + omega + ansatz + random generators.
 
@@ -79,7 +92,6 @@ class ModelDescriptor:
         self.random_form = random_form              # (rng, max_degree=2)
         self.random_derivation = random_derivation  # (rng)
         self._namespace = namespace
-        self._solver = None
 
     @property
     def name(self):
@@ -92,9 +104,35 @@ class ModelDescriptor:
             # an AttributeError, so hasattr(model, "solver") is False
             raise AttributeError("model %s declares no symplectic form, so "
                                  "it has no solver" % self.name)
-        if self._solver is None:
-            self._solver = HamiltonianSolver(self.omega, self.space)
-        return self._solver
+        self.require_sound()
+        return self._factored
+
+    @cached_property
+    def _factored(self):
+        return HamiltonianSolver(self.omega, self.space)
+
+    def require_sound(self):
+        """Raise UnsoundPresentationError unless a presentation file's rules
+        are locally confluent and then its derivations consistent; checked
+        once.  Built-in models pass unchecked."""
+        if self.kind == "file" and self._unsound:
+            raise UnsoundPresentationError(*self._unsound)
+
+    @cached_property
+    def _unsound(self):
+        """The error's (message, confluence, inconsistent), or nothing."""
+        rep = self.confluence()
+        if not rep.all_joinable:
+            return ("rules are not locally confluent: "
+                    + rep.failures()[0].describe(self.calculus.system), rep, [])
+        bad = self.space.inconsistent()
+        return bad and ("derivation %s fails its consistency check"
+                        % bad[0][0].label, rep, bad)
+
+    def confluence(self):
+        """The calculus's ConfluenceReport; None on the tensor backends."""
+        if self.calculus is not None:
+            return check_local_confluence(self.calculus)
 
     def namespace(self):
         return dict(self._namespace)
@@ -102,8 +140,8 @@ class ModelDescriptor:
     def certify(self):
         """Structural certificates; list of (check, ok, detail)."""
         out = []
-        if self.calculus is not None:
-            rep = check_local_confluence(self.calculus)
+        rep = self.confluence()
+        if rep is not None:
             out.append(("local confluence", rep.all_joinable,
                         "%d critical pairs" % len(rep.pairs)))
         consistent = (not self.space.inconsistent(),
@@ -113,7 +151,7 @@ class ModelDescriptor:
         out.append(("d omega = 0",
                     self.backend.is_zero(self.backend.d(self.omega.omega)), ""))
         out.append(("ansatz consistency",) + consistent)
-        ker = self.solver.kernel_report()
+        ker = self._factored.kernel_report()
         out.append(("omega_tilde injective", ker.nonsingular, ker.summary()))
         return out
 
@@ -225,7 +263,7 @@ def build_matrix(n: int) -> ModelDescriptor:
     omega = matrix_symplectic_form(n)
     anti = antisymmetric_basis(n)
     basis = [MatrixDerivation.ad(a.to_matrix(), label="ad(%s)" % a) for a in anti]
-    backend = Backend("matrix", TensorForm.d, MatrixDerivation.zero(n))
+    backend = Backend(TensorForm.d, MatrixDerivation.zero(n))
 
     def rand_matrix(rng, entries=2):
         # sparse: the identities are multilinear, dense input only costs time
@@ -389,7 +427,7 @@ def build_poly_matrix(degree_bound: int = 3) -> ModelDescriptor:
         basis.append(MixedDerivation(
             0, 0, [[Poly(), m], [-m, Poly()]],
             label="rotation x^%d y^%d" % (i, j)))
-    backend = Backend("bigraded", BigradedForm.d, MixedDerivation())
+    backend = Backend(BigradedForm.d, MixedDerivation())
 
     def rand_poly(rng, d=2, terms=2):
         out = {}

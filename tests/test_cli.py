@@ -11,7 +11,8 @@ import pytest
 from ncham.cli import main
 from ncham.exprparse import (ParseError, load_presentation, parse_derivation,
                              parse_expression)
-from ncham.models import ModelDescriptor, build_matrix, build_torus
+from ncham.models import (ModelDescriptor, UnsoundPresentationError,
+                          build_matrix, build_torus)
 from ncham.scalars import q_power
 
 
@@ -224,11 +225,13 @@ def test_presentation_file_errors(tmp_path):
     ("generator u invertible\ngenerator v invertible\n"
      "derivation t: u -> u, w -> v\n",
      "line 3: derivation chunk 'w -> v': 'w' is no generator"),
+    ("generator u\ngenerator v\norder du < u\n",
+     "line 3: letter order omits generator 'v'"),
 ], ids=["order", "rule-lhs", "bare-generator", "cyclotomic", "rule-power",
         "omega-not-closed", "derived-variant", "derived-form-variant",
         "rule-names-differential", "generator-is-a-differential",
         "differential-is-a-generator", "derivation-repeats-a-generator",
-        "derivation-names-no-generator"])
+        "derivation-names-no-generator", "order-omits-a-generator"])
 def test_cli_presentation_error_names_the_line(capsys, tmp_path, text,
                                                message):
     path = tmp_path / "bad.pres"
@@ -770,6 +773,93 @@ def test_cli_presentation_refuses_non_confluent_rules(capsys, tmp_path):
     assert code == 1
     assert json.loads(out) == {"status": "NOT_CONFLUENT", "critical_pairs": 50,
                                "failures": failures}
+
+
+UNSOUND_FILES = {
+    "inconsistent": TORUS2_RELATIONS + TORUS2_OMEGA + TORUS2_DERIVATION
+    + BAD_DERIVATION,
+    "non-confluent": TORUS2_RELATIONS.replace(
+        "rule v u -> q^-1 u v\n", "rule v u -> q^-1 u v\nrule v u -> u v\n")
+    + TORUS2_OMEGA + TORUS2_DERIVATION + BAD_DERIVATION,
+}
+
+
+@pytest.mark.parametrize("name, why, confluent", [
+    ("inconsistent", "derivation bad fails its consistency check", True),
+    ("non-confluent", "rules are not locally confluent: NOT JOINABLE: v u  "
+                      "(v u -> ... <- v u)", False),
+])
+def test_solver_refuses_an_unsound_file(capsys, tmp_path, name, why,
+                                        confluent):
+    path = tmp_path / "torus.pres"
+    path.write_text(UNSOUND_FILES[name])
+    model = load_presentation(str(path))
+    with pytest.raises(UnsoundPresentationError) as info:
+        model.solver
+    assert str(info.value) == why
+    assert info.value.confluence.all_joinable == confluent
+    assert [t.label for t, _ in info.value.inconsistent] == (
+        ["bad"] if confluent else [])
+    with pytest.raises(UnsoundPresentationError):
+        hasattr(model, "solver")
+    # certify and check still report, as they did before the gate
+    confluence = ("local confluence", confluent,
+                  "44 critical pairs" if confluent else "50 critical pairs")
+    assert model.certify() == [
+        confluence, ("d omega = 0", True, ""),
+        ("ansatz consistency", False, "2 derivations"),
+        ("omega_tilde injective", True,
+         "omega_tilde kernel: 0 (nonsingular on the ansatz)")]
+    lines = [
+        "%s local confluence %s" % ("PASS" if confluent else "FAIL",
+                                    confluence[2]),
+        "PASS d omega = 0",
+        "FAIL ansatz consistency 2 derivations",
+        "PASS omega_tilde injective omega_tilde kernel: 0 (nonsingular on "
+        "the ansatz)",
+        "PASS magic formula (3 trials, seed 2026)",
+        "PASS d L = L d (3 trials, seed 2026)",
+        "FAIL L/iprod commutation (3 trials, seed 2026)",
+        "PASS iprod antisymmetry (3 trials, seed 2026)",
+        "FAIL Lie commutator (3 trials, seed 2026)"]
+    assert run_cli(capsys, "--presentation", str(path), "check", "--count",
+                   "3") == (1, "\n".join(lines), "")
+    # normal forms and the confluence report still answer
+    assert run_cli(capsys, "--presentation", str(path), "normalize",
+                   "v u")[:2] == (0, "-u v")
+    code, out, _ = run_cli(capsys, "--presentation", str(path), "confluence")
+    assert code == (0 if confluent else 1)
+    assert out.split("\n")[0] == model.confluence().summary().split("\n")[0]
+
+
+def test_builtin_models_skip_the_soundness_gate(monkeypatch):
+    def refuse(calculus):
+        raise AssertionError("a built-in model ran the soundness gate")
+
+    monkeypatch.setattr("ncham.models.check_local_confluence", refuse)
+    model = build_torus(2)
+    model.require_sound()
+    a = parse_expression("u^2 v^2", model)
+    assert model.solver.solve(a).hamiltonian
+
+
+@pytest.mark.parametrize("extra, code, verdict", [
+    ("", 0, "HAMILTONIAN"), (BAD_DERIVATION, 1, "NOT_CONSISTENT")],
+    ids=["sound", "inconsistent"])
+def test_cli_checks_a_presentation_file_once(capsys, tmp_path, monkeypatch,
+                                             extra, code, verdict):
+    import ncham.models
+
+    calls = []
+    check = ncham.models.check_local_confluence
+    monkeypatch.setattr("ncham.models.check_local_confluence",
+                        lambda calculus: calls.append(1) or check(calculus))
+    path = tmp_path / "torus.pres"
+    path.write_text(TORUS2_RELATIONS + TORUS2_OMEGA + TORUS2_DERIVATION
+                    + extra)
+    got, out, _ = run_cli(capsys, "--presentation", str(path),
+                          "is-hamiltonian", "u^2 v^2")
+    assert (got, out.split()[0], len(calls)) == (code, verdict, 1)
 
 
 @pytest.mark.parametrize("model, argv, code, payload", [

@@ -1,5 +1,5 @@
 """Exit-code contract of `ncham normalize` and `ncham d` under generated
-input.
+input, and of `ncham is-hamiltonian` on generated presentation files.
 
 Inputs come from a small grammar over the names of torus:p=2,
 matrix:n=2 and cuntz:n=2 (so most names are foreign to the chosen
@@ -8,16 +8,27 @@ tensor sign, parentheses nested up to three deep and stray characters.
 A power is either small or above ExpressionParser.MAX_POWER.  Every
 input must give exit code 0 or 2 and never raise, and must give the same
 result whether or not "--" precedes it.
+
+A presentation file is the README's torus file after one to three
+edits, each of which drops a line, swaps it for a valid or malformed
+line of its directive, or inserts a line of any directive.
+`is-hamiltonian` on it must give exit code 0, 1 or 2 and never raise,
+and must refuse the file (exit 1, NOT_CONFLUENT or NOT_CONSISTENT)
+exactly when the library's `model.solver` raises
+UnsoundPresentationError.
 """
 
 import contextlib
 import io
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ncham.algebra import ReductionBudgetExceeded
 from ncham.cli import main
-from ncham.exprparse import ExpressionParser
+from ncham.exprparse import ExpressionParser, load_presentation
+from ncham.models import UnsoundPresentationError
 
 MODELS = ("torus:p=2", "matrix:n=2", "cuntz:n=2")
 NAMES = ("u", "v", "du", "dv", "E11", "E12", "E21", "E22", "dE12", "dE21",
@@ -98,3 +109,86 @@ def test_normalize_exits_0_or_2(model, text):
 @example(model="cuntz:n=2", text="-s1*")
 def test_d_exits_0_or_2(model, text):
     check_contract(model, "d", text)
+
+
+TORUS_FILE = (
+    "cyclotomic 2", "generator u invertible", "generator v invertible",
+    "order dv < du < u < v", "rule v u -> q^-1 u v", "frule u dv -> q dv u",
+    "frule v du -> q^-1 du v", "frule u du -> du u", "frule v dv -> dv v",
+    "frule du dv -> -q dv du", "frule du du -> 0", "frule dv dv -> 0",
+    "omega u^-1 du dv v^-1",
+    "derivation xa: u -> 2 u^3 v^2, v -> -2 u^2 v^3")
+# valid and malformed lines of each directive
+LINES = {
+    "cyclotomic": ("cyclotomic 1", "cyclotomic 3", "cyclotomic 0",
+                   "cyclotomic 33", "cyclotomic two"),
+    "generator": ("generator v", "generator w", "generator w invertible",
+                  "generator du", "generator u invertible", "generator"),
+    "order": ("order u < v", "order v < u < du < dv", "order dv < du < u < w",
+              "order u <"),
+    "rule": ("rule v u -> u v", "rule v u -> -u v", "rule u v -> q v u",
+             "rule u u -> 0", "rule v v -> 1", "rule v u", "rule du u -> u du",
+             "rule v u -> w"),
+    "frule": ("frule du du -> du", "frule dv du -> -q^-1 du dv",
+              "frule u du -> -du u", "frule v du -> du v", "frule u du ->",
+              "frule du -> u"),
+    "omega": ("omega du dv", "omega u du dv", "omega du", "omega",
+              "omega u^-1 du dv v^-1 + du dv", "omega (du"),
+    "derivation": ("derivation bad: u -> u v, v -> 0",
+                   "derivation id: u -> u, v -> v",
+                   "derivation zero: u -> 0, v -> 0",
+                   "derivation xb: u -> u^2 v, v -> -u v^2",
+                   "derivation d: u -> du", "derivation w: w -> u",
+                   "derivation e: u", "derivation xa: u -> 2 u^3 v^2"),
+}
+ALL_LINES = sorted(line for lines in LINES.values() for line in lines)
+
+
+@st.composite
+def presentation_files(draw):
+    """The torus file after one to three edits: a line dropped, swapped
+    for a line of its directive, or a line of any directive inserted."""
+    lines = list(TORUS_FILE)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("drop", "swap", "insert")))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "swap":
+            lines[i] = draw(st.sampled_from(LINES[lines[i].split()[0]]))
+        else:
+            lines.insert(i, draw(st.sampled_from(ALL_LINES)))
+    return "\n".join(lines) + "\n"
+
+
+def solver_raises_the_gate_error(path):
+    try:
+        load_presentation(path).solver
+    except UnsoundPresentationError:
+        return True
+    except (ValueError, AttributeError, ReductionBudgetExceeded):
+        pass            # the file does not load, or has no omega: exit 2
+    return False
+
+
+@pytest.fixture(scope="module")
+def pres_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.pres"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=presentation_files())
+@example(text="\n".join(TORUS_FILE) + "\n")
+@example(text="\n".join(TORUS_FILE) + "\nderivation bad: u -> u v, v -> 0\n")
+@example(text="\n".join(TORUS_FILE).replace(
+    "rule v u -> q^-1 u v", "rule v u -> q^-1 u v\nrule v u -> u v") + "\n")
+@example(text="generator w\n" + "\n".join(TORUS_FILE) + "\n")
+def test_is_hamiltonian_on_presentation_files(pres_path, text):
+    pres_path.write_text(text)
+    code, out, err = run(["--presentation", str(pres_path), "is-hamiltonian",
+                          "u^2 v^2"])
+    assert code in (0, 1, 2), (text, code, out, err)
+    refused = code == 1 and out.split("\n")[0] in ("NOT_CONFLUENT",
+                                                    "NOT_CONSISTENT")
+    assert refused == solver_raises_the_gate_error(str(pres_path)), (text,
+                                                                     out)
