@@ -11,11 +11,29 @@ routine: d, apply, iprod and lie are per-letter substitutions over it.
 
 Rewrite rules replace a subword (the lhs) by an element (the rhs); every
 rhs word must be strictly smaller than the lhs in the term order, which
-makes rewriting terminate.  `reduce_word` always rewrites the leftmost
+makes rewriting terminate.  `rewrite_word` always rewrites the leftmost
 redex, and resumes the scan of each new word at the rewrite junction: no
 redex of concat(pre, rhs word, suf) starts before i - c - (L - 1), where i
 is the redex just rewritten, c the inverse pairs the concatenation
-cancelled and L the longest lhs.  `check_local_confluence` enumerates all
+cancelled and L the longest lhs.
+
+A q-commutation system (the torus calculus at every p, and files like
+the README's) normalizes by sorting instead, through a `SortTable`
+compiled when its rules are finished.  In such a system every rule is a
+swap a b -> c b a (c != 0) or a square-zero rule a a -> 0 on a
+non-invertible letter, every pair of distinct non-inverse letters has a
+swap, and each invertible g sits next to g^-1 in the precedence.  Its
+overlaps x y z of three swaps and those with a square-zero rule always
+join; those of g g^-1 y and y g g^-1 join exactly when the swap scalars
+of g and g^-1 past y multiply to 1, which the table also requires.  So
+the rules are locally confluent, and by Bergman's diamond lemma the
+normal form is unique: the letters sorted by precedence, g against g^-1
+cancelled, times c^n for each pair type swapped n times, and zero if a
+square-zero letter is left twice.  `reduce_word` takes that path when the
+table exists and the rewriting path otherwise; both fill the one
+normal-form cache.
+
+`check_local_confluence` enumerates all
 overlap and inclusion ambiguities between rule left-hand sides (including
 the implicit cancellation rules of invertible generators) and reports
 whether both branches reduce to the same normal form.
@@ -29,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import CycScalar, cyc_one, cyc_zero
+from .scalars import CycScalar, cyc_one, cyc_zero, q_power
 
 
 class ReductionBudgetExceeded(RuntimeError):
@@ -156,6 +174,7 @@ class RewriteSystem:
         self._rules_by_first = {}
         self._nf_cache = {}
         self._max_lhs = 0
+        self._sort_table = None
 
     # -- scalars -------------------------------------------------------
 
@@ -225,6 +244,7 @@ class RewriteSystem:
         self._rules_by_first.setdefault(lhs[0], []).append(rule)
         self._max_lhs = max(self._max_lhs, len(lhs))
         self._nf_cache.clear()
+        self._sort_table = None     # compiled for the previous rule set
         return rule
 
     def install_inverse_variants(self):
@@ -233,7 +253,8 @@ class RewriteSystem:
         Conjugating the relation by inverses of its letters yields the
         rules a b^-1 -> c^-1 b^-1 a, a^-1 b -> c^-1 b a^-1 and
         a^-1 b^-1 -> c b^-1 a^-1, installed when the inverse letters
-        exist and no rule with that lhs was declared.
+        exist and no rule with that lhs was declared.  The rules are then
+        complete, so the sort table is compiled if they allow one.
         """
         existing = {r.lhs for r in self.rules}
         inv = self.table.inverse_of
@@ -264,6 +285,7 @@ class RewriteSystem:
                 self._rules_by_first.setdefault(lhs[0], []).append(var)
                 existing.add(lhs)
         self._nf_cache.clear()
+        self._sort_table = SortTable.compile(self)
 
     # -- rewriting -----------------------------------------------------
 
@@ -281,7 +303,24 @@ class RewriteSystem:
         return None
 
     def reduce_word(self, word):
-        """Normal form of a single word, as a dict word -> scalar.
+        """Normal form of a single word, as a dict word -> scalar, cached.
+
+        On a q-commutation system (see `SortTable`) the word is sorted and
+        no rule is applied: its rules are locally confluent, so by the
+        diamond lemma the sorted word is the one normal form every
+        reduction reaches.  Any other system goes through `rewrite_word`.
+        """
+        hit = self._nf_cache.get(word)
+        if hit is not None:
+            return hit
+        if self._sort_table is None:
+            return self.rewrite_word(word)
+        out = self._nf_cache[word] = self._sort_table.reduce(word)
+        return out
+
+    def rewrite_word(self, word):
+        """Normal form of a single word by rewriting, caching every word
+        met on the way.
 
         Always rewrites the leftmost redex with the first matching rule,
         so the rewrite sequence is canonical.  Each stacked word carries
@@ -294,9 +333,6 @@ class RewriteSystem:
         scans O(L) letters instead of the whole word.
         """
         cache = self._nf_cache
-        hit = cache.get(word)
-        if hit is not None:
-            return hit
         budget = self.step_budget
         steps = 0
         concat = self.table.concat
@@ -420,6 +456,102 @@ class RewriteSystem:
                 parts.append(lt.base if e == 1 else "%s^%d" % (lt.base, e))
             i = j
         return " ".join(parts)
+
+
+class SortTable:
+    """Normal forms of a q-commutation system by a weighted sort.
+
+    `compile` returns None unless the system is one (see the module
+    docstring).  The normal form of a word is its letters in precedence
+    order, with g and g^-1 cancelled; its coefficient is the product of
+    c(x, y)^n over the swap rules x y -> c(x, y) y x, n counting the
+    letters x that stand before a y.  g and g^-1 swap for free.  A swap
+    scalar +-q^k is kept as a sign and an exponent, so on the torus a
+    coefficient costs no scalar product.
+    """
+
+    def __init__(self, powers, above, weights, emit):
+        self.powers = powers    # q^k for k = 0 .. p-1
+        self.above = above      # letter y -> ((x, pair), ...) over x > y
+        self.weights = weights  # pair -> (sign, exponent, None) or (0, 0, c)
+        self.emit = emit        # (letter, its inverse or None, square-zero)
+
+    @classmethod
+    def compile(cls, system):
+        """The table of a finished q-commutation system, else None."""
+        table, p = system.table, system.p
+        inv = table.inverse_of
+        n = len(table.letters)
+        swaps, square_zero, seen = {}, set(), set()
+        for rule in system.rules:
+            lhs, rhs = rule.lhs, rule.rhs
+            if len(lhs) != 2 or lhs in seen:
+                return None
+            seen.add(lhs)
+            a, b = lhs
+            if a == b and not rhs and a not in inv:
+                square_zero.add(a)
+            elif a > b and list(rhs) == [(b, a)]:
+                swaps[lhs] = rhs[b, a]
+            else:
+                return None
+        if any(abs(g - h) != 1 for g, h in inv.items()):
+            return None
+        pairs = [(x, y) for x in range(n) for y in range(x) if inv.get(x) != y]
+        if any(pair not in swaps for pair in pairs):
+            return None
+        for g, h in inv.items():
+            for y in range(n):
+                if y != g and y != h and (swaps[max(g, y), min(g, y)]
+                                          * swaps[max(h, y), min(h, y)] != 1):
+                    return None
+        powers = tuple(q_power(p, k) for k in range(p))
+        signed = {}
+        for k, qk in enumerate(powers):
+            signed[-qk], signed[qk] = (1, k, None), (0, k, None)
+        weights = tuple(signed.get(swaps[pair], (0, 0, swaps[pair]))
+                        for pair in pairs)
+        index = {pair: i for i, pair in enumerate(pairs)}
+        above = tuple(tuple((x, index[x, y]) for x in range(y + 1, n)
+                            if (x, y) in index) for y in range(n))
+        emit = tuple((li, inv.get(li), li in square_zero) for li in range(n)
+                     if inv.get(li, n) > li)
+        return cls(powers, above, weights, emit)
+
+    def reduce(self, word):
+        """The normal form of `word` as a dict word -> scalar."""
+        above = self.above
+        counts = [0] * len(above)
+        swapped = [0] * len(self.weights)
+        for y in word:
+            for x, pair in above[y]:
+                swapped[pair] += counts[x]
+            counts[y] += 1
+        out = []
+        for li, h, square_zero in self.emit:
+            k = counts[li]
+            if h is not None:
+                k -= counts[h]
+                if k < 0:
+                    li, k = h, -k
+            elif square_zero and k > 1:
+                return {}
+            out += [li] * k
+        sign = exponent = 0
+        coeff = None
+        for (s, e, c), m in zip(self.weights, swapped):
+            if m:
+                if c is None:
+                    sign += s * m
+                    exponent += e * m
+                else:
+                    coeff = c ** m if coeff is None else coeff * c ** m
+        scalar = self.powers[exponent % len(self.powers)]
+        if sign & 1:
+            scalar = -scalar
+        if coeff is not None:
+            scalar = scalar * coeff
+        return {tuple(out): scalar}
 
 
 class Element:

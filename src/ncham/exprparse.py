@@ -271,6 +271,8 @@ class ExpressionParser:
             if not (kind2 == "op" and tok2 == ")"):
                 raise ParseError("expected ')'", pos2)
             return value
+        if kind == "end":
+            raise ParseError("unexpected end of expression", pos)
         raise ParseError("unexpected token %r" % tok, pos)
 
 

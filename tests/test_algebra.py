@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 from randomized_reducer import reduce_word_randomized
 
-from ncham.algebra import (GeneratorSymbol, ReductionBudgetExceeded, RuleSpec,
+from ncham.algebra import (GeneratorSymbol, ReductionBudgetExceeded,
+                           RewriteRule, RuleSpec, SortTable,
                            UnknownGeneratorError, check_local_confluence)
 from ncham.exprparse import load_presentation
 from ncham.forms import CalculusPresentation
@@ -143,7 +144,8 @@ def test_cuntz_normal_form_shape():
 
 def _assert_strategy_independent(calc, rng, count):
     """On `count` seeded words: reduce_word is idempotent and agrees with
-    the randomized reducer over three seeds."""
+    the randomized reducer over three seeds, and with the sort path and
+    the rewriting path whenever the system sorts."""
     system = calc.system
     names = [g.name for g in calc.generators]
     names = names + ["d" + n for n in names]   # include form letters
@@ -166,6 +168,12 @@ def _assert_strategy_independent(calc, rng, count):
         for trial in range(3):
             assert reduce_word_randomized(
                 system, word, random.Random(trial)) == nf
+        if system._sort_table is not None:
+            assert system._sort_table.reduce(word) == nf
+            cached = system._nf_cache
+            system._nf_cache = {}
+            assert system.rewrite_word(word) == nf
+            system._nf_cache = cached
 
 
 def test_normalize_idempotent_and_strategy_independent():
@@ -174,14 +182,21 @@ def test_normalize_idempotent_and_strategy_independent():
         _assert_strategy_independent(calc, rng, 60)
 
 
-def _readme_presentation(tmp_path):
+def _readme_text():
     """The presentation file shown in the README."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## Presentation files", 1)[1]
-    text = section.split("```text\n", 1)[1].split("```", 1)[0]
-    path = tmp_path / "readme.pres"
+    return section.split("```text\n", 1)[1].split("```", 1)[0]
+
+
+def _file_calculus(tmp_path, text):
+    path = tmp_path / "rules.pres"
     path.write_text(text)
     return load_presentation(str(path)).calculus
+
+
+def _readme_presentation(tmp_path):
+    return _file_calculus(tmp_path, _readme_text())
 
 
 # The torus relations under an order that interleaves differentials with
@@ -202,26 +217,128 @@ frule dv dv -> 0
 """
 
 
+# q-commutation rules whose swap scalars are no signed powers of q
+GENERAL_SCALARS = """\
+cyclotomic 3
+generator u invertible
+generator v invertible
+rule v u -> 2 u v
+frule u dv -> 1/3 dv u
+frule v du -> -3/2 q du v
+frule u du -> du u
+frule v dv -> 5 dv v
+frule du dv -> 2 q dv du
+frule du du -> 0
+frule dv dv -> 0
+"""
+
+
 def _interleaved_presentation(tmp_path):
     path = tmp_path / "interleaved.pres"
     path.write_text(INTERLEAVED)
     return load_presentation(str(path)).calculus
 
 
-@pytest.mark.parametrize("build", [
-    lambda tmp_path: torus_calculus(1),
-    lambda tmp_path: torus_calculus(2),
-    lambda tmp_path: torus_calculus(5),
-    lambda tmp_path: cuntz_calculus(3),
-    _readme_presentation,
-    _interleaved_presentation,
+@pytest.mark.parametrize("build, sorts", [
+    (lambda tmp_path: torus_calculus(1), True),
+    (lambda tmp_path: torus_calculus(2), True),
+    (lambda tmp_path: torus_calculus(5), True),
+    (lambda tmp_path: cuntz_calculus(3), False),
+    (_readme_presentation, True),
+    (_interleaved_presentation, True),
 ], ids=["torus-p1", "torus-p2", "torus-p5", "cuntz-n3", "readme-file",
         "interleaved-order-file"])
-def test_randomized_reducer_agrees_with_reduce_word(build, tmp_path):
+def test_randomized_reducer_agrees_with_reduce_word(build, sorts, tmp_path):
     calc = build(tmp_path)
     # the diamond lemma promises one normal form on confluent rules only
     assert check_local_confluence(calc).all_joinable
+    assert (calc.system._sort_table is not None) == sorts
     _assert_strategy_independent(calc, random.Random(5), 60)
+
+
+# -- normal forms by sorting ---------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda tmp_path: torus_calculus(1),
+    lambda tmp_path: torus_calculus(2),
+    lambda tmp_path: torus_calculus(3),
+    lambda tmp_path: torus_calculus(5),
+    lambda tmp_path: torus_calculus(32),
+    _readme_presentation,
+    lambda tmp_path: _file_calculus(tmp_path, GENERAL_SCALARS),
+], ids=["torus-p1", "torus-p2", "torus-p3", "torus-p5", "torus-p32",
+        "readme-file", "general-scalar-file"])
+def test_sort_path_agrees_with_rewriting(build, tmp_path):
+    """3,000 seeded words over every letter, inverses and differentials
+    included: the sorted normal form is the rewritten one.  The cache holds
+    only rewritten words, so neither path sees the other's results."""
+    system = build(tmp_path).system
+    table = system._sort_table
+    assert table is not None
+    letters = range(len(system.table.letters))
+    rng = random.Random(len(letters) * 1000 + system.p)
+    kinds = set()
+    for _ in range(3000):
+        word = system.table.concat(*[(rng.choice(letters),)
+                                     for _ in range(rng.randint(0, 16))])
+        kinds.update(system.table.letters[li] for li in word)
+        assert table.reduce(word) == system.rewrite_word(word), \
+            system.word_str(word)
+    assert kinds == set(system.table.letters)
+
+
+def test_no_sort_table_off_q_commutation_rules(tmp_path):
+    assert cuntz_calculus(3).system._sort_table is None
+    # b a -> a b alone leaves the differentials without swap rules
+    assert _file_calculus(tmp_path, "generator a\ngenerator b\n"
+                          "rule b a -> a b\n").system._sort_table is None
+    # u^-1 apart from u: no swap may involve the letter between them
+    assert _file_calculus(tmp_path, "generator u invertible\ngenerator v\n"
+                          "order du < dv < u < v < u^-1\n"
+                          ).system._sort_table is None
+
+
+def test_no_sort_table_when_inverse_letters_are_apart():
+    """The swaps of all letter pairs with consistent scalars, once with u^-1
+    next to u and once with v between them: only the first sorts."""
+    gens = [GeneratorSymbol("u", invertible=True), GeneratorSymbol("v")]
+    for order, sorts in ((["dv", "du", "u", "u^-1", "v"], True),
+                         (["dv", "du", "u", "v", "u^-1"], False)):
+        system = CalculusPresentation(gens, [], [], letter_order=order).system
+        idx = system.table.by_display
+        for x in order:
+            for y in order[:order.index(x)]:
+                if {x, y} != {"u", "u^-1"}:
+                    system.rules.append(RewriteRule(
+                        (idx[x], idx[y]), {(idx[y], idx[x]): system.one()}))
+        assert (SortTable.compile(system) is not None) == sorts
+
+
+def test_no_sort_table_on_a_wrong_declared_variant(tmp_path):
+    """The README file declaring v u^-1 -> u^-1 v, which should carry q as
+    v u -> q^-1 u v implies: the rules are not confluent and keep the
+    rewriting path.  With q they sort."""
+    calc = _file_calculus(tmp_path, _readme_text() + "rule v u^-1 -> u^-1 v\n")
+    assert not check_local_confluence(calc).all_joinable
+    assert calc.system._sort_table is None
+    calc = _file_calculus(tmp_path, _readme_text()
+                          + "rule v u^-1 -> q u^-1 v\n")
+    assert calc.system._sort_table is not None
+
+
+def test_add_rule_drops_the_sort_table():
+    calc = torus_calculus(3)
+    system = calc.system
+    word = system.encode_word([("v", 1), ("u", 1)])
+    assert system._sort_table is not None
+    assert system.reduce_word(word) == {word[::-1]: q_power(3, -1)}
+    system.add_rule(RuleSpec.make([("u", 2)], [(1, [])]))
+    assert system._sort_table is None and not system._nf_cache
+    # u u -> 1 is no q-commutation: the new rule set rewrites
+    calc.finish_rules()
+    assert system._sort_table is None
+    assert system.reduce_word(system.encode_word([("u", 3)])) \
+        == {system.encode_word([("u", 1)]): system.one()}
 
 
 def test_unknown_generator():

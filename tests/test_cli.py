@@ -227,11 +227,14 @@ def test_presentation_file_errors(tmp_path):
      "line 3: derivation chunk 'w -> v': 'w' is no generator"),
     ("generator u\ngenerator v\norder du < u\n",
      "line 3: letter order omits generator 'v'"),
+    ("generator u\nrule u u ->\n",
+     "line 2: unexpected end of expression (at position 0)"),
 ], ids=["order", "rule-lhs", "bare-generator", "cyclotomic", "rule-power",
         "omega-not-closed", "derived-variant", "derived-form-variant",
         "rule-names-differential", "generator-is-a-differential",
         "differential-is-a-generator", "derivation-repeats-a-generator",
-        "derivation-names-no-generator", "order-omits-a-generator"])
+        "derivation-names-no-generator", "order-omits-a-generator",
+        "rule-without-rhs"])
 def test_cli_presentation_error_names_the_line(capsys, tmp_path, text,
                                                message):
     path = tmp_path / "bad.pres"
@@ -334,6 +337,51 @@ def test_cli_large_generator_power(capsys, tmp_path):
         code, out, _ = run_cli(capsys, "--presentation", str(path),
                                "normalize", expr)
         assert code == 0 and out == want
+
+
+def test_cli_power_of_a_product_sorts(capsys):
+    """(u v)^k normalizes by sorting, without a rewrite step per swap."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "--model", "torus:p=2", "normalize",
+                               "(u v)^2000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "u^2000 v^2000")
+    assert peak < 30 * 2 ** 20
+
+
+def test_cli_largest_torus_ansatz(capsys):
+    code, out, _ = run_cli(capsys, "--model", "torus:p=32,B=8",
+                           "is-hamiltonian", "1")
+    assert (code, out) == (0, "HAMILTONIAN (relative to ansatz of 578 "
+                              "derivations)")
+
+
+def test_cli_end_of_expression(capsys):
+    for expr, code, message in (
+            ("u +", 2, "error: unexpected end of expression (at position 3)"),
+            ("", 2, "error: unexpected end of expression (at position 0)"),
+            ("u +* v", 2, "error: unexpected token '*' (at position 3)")):
+        assert run_cli(capsys, "--model", "torus:p=2", "normalize", expr) \
+            == (code, "", message)
+
+
+def test_cli_normalize_on_a_wrong_declared_variant(capsys, tmp_path):
+    """v u^-1 -> u^-1 v should carry q: such rules are not confluent and
+    rewrite as they always have, so the answers depend on the rewrite
+    order (u v u^-1 gives v, u^-1 v u gives -v)."""
+    path = tmp_path / "torus.pres"
+    path.write_text(TORUS2_RELATIONS + "rule v u^-1 -> u^-1 v\n")
+    for expr, want in (("v u^-1", "u^-1 v"), ("u v u^-1", "v"),
+                       ("u^-1 v u", "-v"), ("v^2 u^-1 v u", "-v^3"),
+                       ("u v^-1 u^-1 v", "-1"), ("du v u^-1", "du u^-1 v"),
+                       ("(u + v)^3 u^-1", "u^-1 v^3 + v^2 + u v + u^2")):
+        assert run_cli(capsys, "--presentation", str(path), "normalize",
+                       expr) == (0, want, ""), expr
 
 
 def test_cli_division_by_zero_and_deep_nesting_exit_2(capsys):
