@@ -5,6 +5,11 @@
     ncham --model matrix:n=2 check --seed 7
     ncham --presentation my.pres confluence
 
+The model string is the one way to set a model's parameters, the ansatz
+bound included (torus:p=2,B=4).  Each option may come before or after
+the command; a value given after it wins.  `run` takes one path: check
+the bounds, build the model, gate it, parse, compute, print.
+
 Exit codes: 0 success, 1 mathematical negative (not Hamiltonian, failed
 check, non-confluent presentation, a derivation for iprod or lie that
 fails its consistency check), 2 usage or parse error.  The Hamiltonian
@@ -24,7 +29,7 @@ import sys
 
 from .algebra import ReductionBudgetExceeded
 from .cartan import consistency_of
-from .exprparse import ParseError, load_presentation, parse_derivation, \
+from .exprparse import load_presentation, parse_derivation, \
     parse_expression
 from .models import UnsoundPresentationError, build_model, check_bound
 from .symplectic import HamiltonianSolver, NotHamiltonian, \
@@ -35,35 +40,30 @@ from .symplectic import HamiltonianSolver, NotHamiltonian, \
 MAX_CHECK_COUNT = 1000
 
 
-def _add_common(parser, suppress):
-    default = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--model", default=default(None),
-                        help="torus:p=2[,B=3] | matrix:n=2 | cuntz:n=2 | "
-                             "polymat:D=3")
-    parser.add_argument("--presentation", default=default(None),
-                        help="presentation file path")
-    parser.add_argument("--ansatz", default=default(None),
-                        help="override the ansatz bound, e.g. B=4 (torus) "
-                             "or D=2 (polymat)")
-    parser.add_argument("--order", type=int, default=default(2),
-                        help="flow truncation order, 0..%d (default 2)"
-                        % HamiltonianSolver.MAX_FLOW_ORDER)
-    parser.add_argument("--seed", type=int, default=default(2026),
-                        help="PRNG seed for check")
-    parser.add_argument("--count", type=int, default=default(25),
-                        help="random trials per property in check, "
-                             "1..%d" % MAX_CHECK_COUNT)
-    parser.add_argument("--format", choices=("text", "json"),
-                        default=default("text"))
+DEFAULTS = {"model": None, "presentation": None, "order": 2, "seed": 2026,
+            "count": 25, "format": "text"}
 
 
 def make_parser():
+    # no option has a default of its own: `_parse_args` passes DEFAULTS as
+    # the namespace, so a value given after the command overrides one
+    # given before it, and one given before it is not reset
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--model", help="torus:p=2[,B=3] | matrix:n=2 | "
+                                        "cuntz:n=2 | polymat:D=3")
+    common.add_argument("--presentation", help="presentation file path")
+    common.add_argument("--order", type=int, help=(
+        "flow truncation order, 0..%d (default %d)"
+        % (HamiltonianSolver.MAX_FLOW_ORDER, DEFAULTS["order"])))
+    common.add_argument("--seed", type=int, help="PRNG seed for check")
+    common.add_argument("--count", type=int,
+                        help="random trials per property in check, 1..%d"
+                        % MAX_CHECK_COUNT)
+    common.add_argument("--format", choices=("text", "json"))
     ap = argparse.ArgumentParser(
-        prog="ncham",
+        prog="ncham", parents=[common],
         description="Hamiltonian dynamics on noncommutative algebras")
-    _add_common(ap, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common, suppress=True)
     sub = ap.add_subparsers(dest="command", required=True, parser_class=(
         lambda **kw: argparse.ArgumentParser(parents=[common], **kw)))
 
@@ -141,21 +141,14 @@ def _refuse_unsound(args, model, exc):
 def run(args) -> int:
     if bool(args.model) == bool(args.presentation):
         raise UsageError("exactly one of --model/--presentation is required")
-    if args.presentation and args.ansatz:
-        raise UsageError("--ansatz applies to built-in models only")
-    if args.command == "check":
+    cmd = args.command
+    if cmd == "check":
         check_bound("check count", args.count, 1, MAX_CHECK_COUNT)
-    if args.command == "flow":
+    if cmd == "flow":
         check_bound("flow order", args.order, 0,
                     HamiltonianSolver.MAX_FLOW_ORDER)
-    desc = args.model
-    if desc and args.ansatz:
-        key, _, val = args.ansatz.partition("=")
-        if not val or key not in ("B", "D"):
-            raise UsageError("--ansatz expects B=<int> or D=<int>")
-        desc = "%s,%s=%s" % (desc, key, val)
-    model = build_model(desc) if desc else load_presentation(args.presentation)
-    cmd = args.command
+    model = (build_model(args.model) if args.model
+             else load_presentation(args.presentation))
     if cmd in ("bracket", "hamvec", "is-hamiltonian", "flow"):
         _require_symplectic(model)
         try:
@@ -163,71 +156,8 @@ def run(args) -> int:
         except UnsoundPresentationError as exc:
             return _refuse_unsound(args, model, exc)
 
-    if cmd == "normalize":
-        el = parse_expression(args.expr, model)
-        _emit(args, {"status": "ok", "result": str(el)}, str(el))
-        return 0
-    if cmd == "d":
-        el = parse_expression(args.expr, model)
-        out = model.backend.d(el)
-        _emit(args, {"status": "ok", "result": str(out)}, str(out))
-        return 0
-    if cmd in ("iprod", "lie"):
-        theta = parse_derivation(args.theta, model)
-        el = parse_expression(args.expr, model)
-        rep = consistency_of(theta)
-        if rep is not None and not rep.ok:
-            return _not_consistent(args, rep.summary().splitlines())
-        out = theta.iprod(el) if cmd == "iprod" else theta.lie(el)
-        _emit(args, {"status": "ok", "result": str(out)}, str(out))
-        return 0
-    if cmd == "bracket":
-        a = parse_expression(args.a, model)
-        b = parse_expression(args.b, model)
-        try:
-            out = model.solver.poisson(a, b)
-        except NotHamiltonianError as exc:
-            _emit(args, {"status": "NOT_HAMILTONIAN",
-                         "detail": str(exc)}, "NOT_HAMILTONIAN: %s" % exc)
-            return 1
-        _emit(args, {"status": "ok", "result": str(out)}, str(out))
-        return 0
-    if cmd in ("hamvec", "is-hamiltonian"):
-        a = parse_expression(args.a, model)
-        sol = model.solver.solve(a)
-        ker = model.solver.kernel_report()
-        if isinstance(sol, NotHamiltonian):
-            residual = {str(k): str(v) for k, v in sol.residual.items()}
-            payload = {"status": "NOT_HAMILTONIAN", "residual": residual,
-                       "kernel_dimension": ker.dimension,
-                       "ansatz_size": len(model.space.basis)}
-            _emit(args, payload,
-                  "NOT_HAMILTONIAN (relative to ansatz of %d derivations)"
-                  % len(model.space.basis))
-            return 1
-        desc = sol.vector_field.describe()
-        payload = {"status": "HAMILTONIAN", "field": desc, "residual": "0",
-                   "kernel_dimension": ker.dimension}
-        if cmd == "hamvec":
-            text = "\n".join("X(%s) = %s" % kv for kv in sorted(desc.items()))
-        else:
-            text = "HAMILTONIAN (relative to ansatz of %d derivations)" \
-                % len(model.space.basis)
-        _emit(args, payload, text)
-        return 0
-    if cmd == "flow":
-        b = parse_expression(args.b, model)
-        a = parse_expression(args.a, model)
-        try:
-            series = model.solver.flow(b, a, args.order)
-        except NotHamiltonianError as exc:
-            _emit(args, {"status": "NOT_HAMILTONIAN", "detail": str(exc)},
-                  "NOT_HAMILTONIAN: %s" % exc)
-            return 1
-        payload = {"status": "ok",
-                   "coefficients": [str(c) for c in series.coefficients]}
-        _emit(args, payload, str(series))
-        return 0
+    if cmd == "check":
+        return _run_check(args, model)
     if cmd == "confluence":
         rep = model.confluence()
         if rep is None:
@@ -238,9 +168,61 @@ def run(args) -> int:
         system = model.calculus.system
         _emit(args, _confluence_payload(rep, system), rep.summary(system))
         return 0 if rep.all_joinable else 1
-    if cmd == "check":
-        return _run_check(args, model)
-    raise UsageError("unknown command %r" % cmd)
+    if cmd in ("hamvec", "is-hamiltonian"):
+        a = parse_expression(args.a, model)
+        sol = model.solver.solve(a)
+        ker = model.solver.kernel_report()
+        size = len(model.space.basis)
+        if isinstance(sol, NotHamiltonian):
+            residual = {str(k): str(v) for k, v in sol.residual.items()}
+            payload = {"status": "NOT_HAMILTONIAN", "residual": residual,
+                       "kernel_dimension": ker.dimension,
+                       "ansatz_size": size}
+            _emit(args, payload, "NOT_HAMILTONIAN (relative to ansatz of %d "
+                                 "derivations)" % size)
+            return 1
+        desc = sol.vector_field.describe()
+        payload = {"status": "HAMILTONIAN", "field": desc, "residual": "0",
+                   "kernel_dimension": ker.dimension}
+        if cmd == "hamvec":
+            # a matrix field lists only its nonzero images
+            text = "\n".join("X(%s) = %s" % kv
+                             for kv in sorted(desc.items())) or "X = 0"
+        else:
+            text = "HAMILTONIAN (relative to ansatz of %d derivations)" % size
+        _emit(args, payload, text)
+        return 0
+
+    # every expression is parsed before model.solver is touched
+    payload = None
+    try:
+        if cmd == "normalize":
+            out = parse_expression(args.expr, model)
+        elif cmd == "d":
+            out = model.backend.d(parse_expression(args.expr, model))
+        elif cmd in ("iprod", "lie"):
+            theta = parse_derivation(args.theta, model)
+            el = parse_expression(args.expr, model)
+            rep = consistency_of(theta)
+            if rep is not None and not rep.ok:
+                return _not_consistent(args, rep.summary().splitlines())
+            out = theta.iprod(el) if cmd == "iprod" else theta.lie(el)
+        elif cmd == "bracket":
+            a = parse_expression(args.a, model)
+            b = parse_expression(args.b, model)
+            out = model.solver.poisson(a, b)
+        else:   # flow
+            b = parse_expression(args.b, model)
+            a = parse_expression(args.a, model)
+            out = model.solver.flow(b, a, args.order)
+            payload = {"status": "ok",
+                       "coefficients": [str(c) for c in out.coefficients]}
+    except NotHamiltonianError as exc:
+        _emit(args, {"status": "NOT_HAMILTONIAN", "detail": str(exc)},
+              "NOT_HAMILTONIAN: %s" % exc)
+        return 1
+    _emit(args, payload or {"status": "ok", "result": str(out)}, str(out))
+    return 0
 
 
 def _run_check(args, model) -> int:
@@ -307,7 +289,7 @@ def _parse_args(parser, argv):
         elif arg.startswith("-"):
             argv[i] = "\0%d" % i
             hidden[argv[i]] = arg
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, argparse.Namespace(**DEFAULTS))
     for key, value in vars(args).items():
         if value in hidden:
             setattr(args, key, hidden[value])
@@ -318,8 +300,7 @@ def main(argv=None) -> int:
     args = _parse_args(make_parser(), argv)
     try:
         return run(args)
-    except (ParseError, UsageError, ValueError, OSError,
-            ReductionBudgetExceeded) as exc:
+    except (UsageError, ValueError, OSError, ReductionBudgetExceeded) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -489,9 +489,16 @@ def build_model(descriptor: str) -> ModelDescriptor:
     if argtxt:
         for chunk in argtxt.split(","):
             key, _, val = chunk.partition("=")
-            if not val:
+            key = key.strip()
+            try:
+                value = int(val)
+            except ValueError:
+                value = None
+            if not key or value is None:
                 raise ValueError("malformed model argument %r" % chunk)
-            args[key.strip()] = int(val)
+            if key in args:
+                raise ValueError("model argument %r is given twice" % key)
+            args[key] = value
     builders = {
         "torus": lambda: build_torus(args.pop("p", 2), args.pop("B", 3),
                                      args.pop("root", 1)),

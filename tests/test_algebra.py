@@ -1,6 +1,8 @@
 """Words, rewriting, and normal forms on the built-in presentations."""
 
 import random
+from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -70,6 +72,26 @@ def test_torus_power_law_against_oracle():
             k, ue, ve = torus_oracle(letters, p)
             expected = torus_monomial(calc, ue, ve, q_power(p, k))
             assert prod == expected
+
+
+def test_torus_sort_table_against_the_twisted_group_algebra():
+    """The closed form of the twisted group algebra of Z^2 (Rieffel 1981):
+    u^a v^b u^c v^d = q^(-r b c) u^(a+c) v^(b+d) with q = e^(2 pi i r/p),
+    exactly, for every exponent in [-3, 3] and each root r coprime to p."""
+    span = range(-3, 4)
+    for p in (1, 2, 3, 5, 32):
+        for r in (1, 2):
+            if gcd(p, r) != 1:
+                continue
+            calc = torus_calculus(p, r)
+            system = calc.system
+            assert system._sort_table is not None
+            for a, b, c, d in product(span, repeat=4):
+                prod = (torus_monomial(calc, a, b)
+                        * torus_monomial(calc, c, d))
+                word = system.encode_word([("u", a + c), ("v", b + d)])
+                assert prod.terms == {word: q_power(p, -r * b * c)}, (
+                    p, r, a, b, c, d)
 
 
 def test_torus_monomial_commutation_exact():

@@ -288,6 +288,47 @@ def test_cli_normalize_and_usage_errors(capsys):
     code, _, err = run_cli(capsys, "normalize", "u")
     assert code == 2   # neither --model nor --presentation
 
+    # each chunk of a model string sets one parameter, once, to an integer
+    for model, message in (
+            ("torus:p=2,p=3", "model argument 'p' is given twice"),
+            ("torus:p=x", "malformed model argument 'p=x'"),
+            ("torus:=2", "malformed model argument '=2'"),
+            ("torus:p=2,", "malformed model argument ''"),
+            ("torus:B", "malformed model argument 'B'"),
+            ("torus:q=2", "model torus does not take q")):
+        code, out, err = run_cli(capsys, "--model", model, "normalize", "u")
+        assert (code, out, err) == (2, "", "error: " + message), model
+
+    # the model string is the one way to set the ansatz bound
+    code, out, _ = run_cli(capsys, "--model", "torus:p=2,B=4",
+                           "is-hamiltonian", "u^2 v^2")
+    assert (code, out) == (
+        0, "HAMILTONIAN (relative to ansatz of 162 derivations)")
+    with pytest.raises(SystemExit) as exc:
+        main(["--model", "torus:p=2", "--ansatz", "B=4", "is-hamiltonian",
+              "u^2 v^2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_cli_options_before_or_after_the_command(capsys):
+    """An option may come before or after the command; a value given after
+    it wins, and one given only before it is kept."""
+    flow = ["flow", "u^2 v^2", "u"]
+    for argv, want in (
+            (["--order", "5"] + flow + ["--order", "1"], "u + t (2 u^3 v^2)"),
+            (["--order", "1"] + flow, "u + t (2 u^3 v^2)"),
+            (["--order", "0"] + flow, "u"),
+            (["--format", "json", "normalize", "v u", "--format", "text"],
+             "-u v"),
+            (["--format", "json", "normalize", "v u"],
+             '{\n  "result": "-u v",\n  "status": "ok"\n}')):
+        code, out, err = run_cli(capsys, "--model", "torus:p=2", *argv)
+        assert (code, out, err) == (0, want, ""), argv
+    code, out, _ = run_cli(capsys, "--seed", "3", "--model", "torus:p=2",
+                           "check", "--count", "1")
+    assert code == 0 and "(1 trials, seed 3)" in out
+
 
 def test_cli_json_and_flow(capsys):
     code, out, _ = run_cli(capsys, "--model", "torus:p=2", "--format", "json",
@@ -935,6 +976,18 @@ def test_cli_json_hamvec_golden_per_backend(capsys, model, argv, code,
                             *argv)
     assert (got, err) == (code, "")
     assert out == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("expr", ["0", "I", "2 - 2 I"])
+def test_cli_hamvec_prints_a_zero_matrix_field(capsys, expr):
+    """A matrix field lists only its nonzero images; the zero field, of an
+    element with da = 0, still prints a line in text mode."""
+    code, out, err = run_cli(capsys, "--model", "matrix:n=2", "hamvec", expr)
+    assert (code, out, err) == (0, "X = 0", "")
+    code, out, err = run_cli(capsys, "--model", "matrix:n=2", "--format",
+                             "json", "hamvec", expr)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["field"] == {}
 
 
 def test_cli_hamvec_on_an_empty_ansatz(capsys, tmp_path):

@@ -9,6 +9,14 @@ A power is either small or above ExpressionParser.MAX_POWER.  Every
 input must give exit code 0 or 2 and never raise, and must give the same
 result whether or not "--" precedes it.
 
+`bracket`, `hamvec`, `flow`, `iprod` and `lie` take these inputs or sums
+of products over the chosen model's own names, most of which parse.
+`iprod` and `lie` also take a derivation spec from a second grammar: one
+to four chunks, each a generator image `u -> ...` or a field `h: ...`,
+`S: ...`, `x: ...` or `y: ...` under the heads of all three models, or a
+malformed chunk; a chunk may repeat.  Every input must give exit code 0,
+1 or 2 and never raise, again the same with or without "--".
+
 A presentation file is the README's torus file after one to three
 edits, each of which drops a line, swaps it for a valid or malformed
 line of its directive, or inserts a line of any directive.
@@ -84,13 +92,13 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def check_contract(model, command, text):
+def check_contract(model, command, *texts, codes=(0, 2)):
     # "--" keeps argparse from reading a leading "-" as an option; without
     # it, an expression that names no option must read the same
-    got = run(["--model", model, command, "--", text])
-    assert got[0] in (0, 2), (model, command, text, got)
-    assert run(["--model", model, command, text]) == got, (model, command,
-                                                          text)
+    got = run(["--model", model, command, "--", *texts])
+    assert got[0] in codes, (model, command, texts, got)
+    assert run(["--model", model, command, *texts]) == got, (model, command,
+                                                            texts)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -109,6 +117,112 @@ def test_normalize_exits_0_or_2(model, text):
 @example(model="cuntz:n=2", text="-s1*")
 def test_d_exits_0_or_2(model, text):
     check_contract(model, "d", text)
+
+
+# each model's own names and derivation chunks, in sums of products with
+# small powers: most of these parse, so the commands get past the parser
+OWN_NAMES = {"torus:p=2": ("u", "v", "(u^-1)", "(v^-1)", "du", "q"),
+             "matrix:n=2": ("E11", "E12", "E21", "E22", "I", "dE12"),
+             "cuntz:n=2": ("s1", "s2", "s1*", "s2*", "ds1")}
+OWN_HEADS = {"torus:p=2": ("u ->", "v ->"), "matrix:n=2": ("S:",),
+             "cuntz:n=2": ("h:",)}
+OWN_DIFFERENTIALS = {"torus:p=2": ("du", "dv"), "matrix:n=2": ("dE12", "dE21"),
+                     "cuntz:n=2": ("ds1", "ds2*")}
+
+
+def own_expressions(names):
+    factor = st.builds(str.__add__, st.sampled_from(names + ("2", "1/3")),
+                       st.sampled_from(("", "", "^2")))
+    term = st.lists(factor, min_size=1, max_size=3).map(" ".join)
+    return st.builds(str.__add__, st.sampled_from(("", "-")),
+                     st.lists(term, min_size=1, max_size=3).map(" + ".join))
+
+
+OWN_EXPRESSIONS = {m: own_expressions(n) for m, n in OWN_NAMES.items()}
+
+
+def operands(model):
+    """A sum over the model's names, or an input of the shared grammar."""
+    return st.one_of(OWN_EXPRESSIONS[model], inputs())
+
+
+def one_forms(model):
+    """Mostly 1-forms, for iprod and lie."""
+    return st.one_of(st.builds("({}) {}".format, OWN_EXPRESSIONS[model],
+                               st.sampled_from(OWN_DIFFERENTIALS[model])),
+                     operands(model))
+
+
+# derivation specs: chunks with the heads of all three models (images,
+# fields, names of no generator), malformed chunks, and repeated chunks
+HEADS = ("u ->", "v ->", "du ->", "w ->", "E12 ->", "s1 ->", "h:", "S:",
+         "x:", "y:", "u:", "E12:")
+MALFORMED_CHUNKS = ("", "u", "-> u", "u ->", "h:", ": s1", "u -> v -> u",
+                    "S: E12 : E21", "u => v", "x: 1: 2")
+IMAGES = expressions(1)
+
+
+@st.composite
+def derivation_specs(draw, model):
+    chunk = st.one_of(
+        st.builds("{} {}".format,
+                  st.sampled_from(OWN_HEADS[model]) | st.sampled_from(HEADS),
+                  OWN_EXPRESSIONS[model] | IMAGES),
+        st.sampled_from(MALFORMED_CHUNKS))
+    parts = draw(st.lists(chunk, min_size=1, max_size=3))
+    if draw(st.integers(0, 3)) == 3:
+        parts.append(draw(st.sampled_from(parts)))      # a repeated chunk
+    return draw(st.sampled_from((", ", ",", " , "))).join(parts)
+
+
+@st.composite
+def calls(draw, command):
+    """(model, arguments) of one call of `command`."""
+    model = draw(st.sampled_from(MODELS))
+    if command in ("iprod", "lie"):
+        return model, [draw(derivation_specs(model)), draw(one_forms(model))]
+    count = 1 if command == "hamvec" else 2
+    return model, [draw(operands(model)) for _ in range(count)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(call=calls("bracket"))
+@example(call=("torus:p=2", ["-u^2 v^2", "-u^2 v^4"]))
+@example(call=("matrix:n=2", ["E12", "du"]))
+def test_bracket_exits_0_1_or_2(call):
+    check_contract(call[0], "bracket", *call[1], codes=(0, 1, 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(call=calls("hamvec"))
+@example(call=("matrix:n=2", ["0"]))
+@example(call=("torus:p=2", ["-u"]))
+def test_hamvec_exits_0_1_or_2(call):
+    check_contract(call[0], "hamvec", *call[1], codes=(0, 1, 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(call=calls("flow"))
+@example(call=("cuntz:n=2", ["s1 s2*", "-s2 s1*"]))
+@example(call=("torus:p=2", ["u", "v"]))
+def test_flow_exits_0_1_or_2(call):
+    check_contract(call[0], "flow", *call[1], codes=(0, 1, 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(call=calls("iprod"))
+@example(call=("torus:p=2", ["u -> 2 u^3 v^2, v -> -2 u^2 v^3", "du"]))
+@example(call=("matrix:n=2", ["-> u", "dE12"]))
+def test_iprod_exits_0_1_or_2(call):
+    check_contract(call[0], "iprod", *call[1], codes=(0, 1, 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(call=calls("lie"))
+@example(call=("torus:p=2", ["u -> u v, v -> 0", "-u"]))
+@example(call=("cuntz:n=2", ["h: s1 s2*, h: s1", "s1"]))
+def test_lie_exits_0_1_or_2(call):
+    check_contract(call[0], "lie", *call[1], codes=(0, 1, 2))
 
 
 TORUS_FILE = (
