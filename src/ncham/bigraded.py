@@ -81,20 +81,20 @@ class BigradedForm:
 
     @classmethod
     def scalar(cls, value):
-        return cls({(): TensorForm.identity(2, P_ONE).scale(_poly(value))})
+        return cls({(): TensorForm.identity(2).scale(_poly(value))})
 
     @classmethod
     def classical(cls, csym, value=1):
         """value * (csym tensor identity-matrix)."""
-        return cls({tuple(csym): TensorForm.identity(2, P_ONE).scale(_poly(value))})
+        return cls({tuple(csym): TensorForm.identity(2).scale(_poly(value))})
 
     @classmethod
     def from_matrix(cls, mat):
         return cls({(): TensorForm.from_matrix(
-            [[_poly(v) for v in row] for row in mat], P_ONE)})
+            [[_poly(v) for v in row] for row in mat])})
 
     def component(self, csym):
-        return self.parts.get(tuple(csym), TensorForm.zero(2, 0, P_ONE))
+        return self.parts.get(tuple(csym), TensorForm.zero(2, 0))
 
     def degrees(self):
         return sorted({len(c) + t.degree for c, t in self.parts.items()})
@@ -211,8 +211,7 @@ def _put(parts, csym, t):
 
 
 def _map_scalars(t: TensorForm, fn) -> TensorForm:
-    return TensorForm(t.n, t.degree,
-                      {k: fn(v) for k, v in t.terms.items()}, t.one)
+    return TensorForm(t.n, t.degree, {k: fn(v) for k, v in t.terms.items()})
 
 
 class MixedDerivation:
@@ -261,7 +260,7 @@ class MixedDerivation:
 
     def _ad(self):
         if self._ad_s is None:
-            self._ad_s = MatrixDerivation.ad(self.theta_s, P_ONE)
+            self._ad_s = MatrixDerivation.ad(self.theta_s)
         return self._ad_s
 
     def _scalar_transport(self, t: TensorForm) -> TensorForm:
@@ -393,7 +392,9 @@ def poly_matrix_symplectic_form() -> BigradedForm:
     from .matrixcalc import matrix_symplectic_form
 
     om = BigradedForm.classical(("x", "y"))
-    om = om + BigradedForm.from_matrix_form(matrix_symplectic_form(2, P_ONE))
-    j_mat = TensorForm(2, 0, {(0 * 2 + 1,): P_ONE, (1 * 2 + 0,): -P_ONE}, P_ONE)
+    # its 1/2 is a Fraction; every part keeps Poly coefficients for d and L
+    om = om + BigradedForm.from_matrix_form(
+        _map_scalars(matrix_symplectic_form(2), _poly))
+    j_mat = TensorForm(2, 0, {(0 * 2 + 1,): P_ONE, (1 * 2 + 0,): -P_ONE})
     om = om + BigradedForm({("x",): j_mat.d()})
     return om

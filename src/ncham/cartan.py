@@ -13,8 +13,8 @@ kept on the derivation, whose images must not change after construction.
 These operations are only well defined when they annihilate every
 relation of the calculus, so `check_consistency` reduces theta(R),
 theta _| R and L_theta(R) to normal form for each installed rule R and
-reports the residuals.  Derivations enter a `DerivationSpace` only after
-passing that check.
+reports the residuals; `DerivationSpace.inconsistent` lists the members
+of an ansatz that fail it.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from dataclasses import dataclass, field
 
 from .algebra import DegreeError, Element
 from .forms import CalculusPresentation
-
-
-class InconsistentDerivationError(ValueError):
-    pass
 
 
 class PresentedDerivation:
@@ -244,18 +240,14 @@ def classify_torus_derivations(calculus: CalculusPresentation, bound: int):
 
 
 class DerivationSpace:
-    """A finite basis of derivations, consistency-checked unless built
-    with check=False (a presentation file's ansatz, which `certify` and
-    the CLI report on instead).
+    """A finite basis of derivations.  It is not checked on construction:
+    `inconsistent()` lists the members that fail their consistency check,
+    which `certify`, the CLI and `ModelDescriptor.require_sound` report on.
     """
 
-    def __init__(self, basis, backend=None, check=True):
+    def __init__(self, basis, backend=None):
         self.basis = list(basis)
         self.backend = backend
-        failing = self.inconsistent() if check else []
-        if failing:
-            raise InconsistentDerivationError(
-                "basis member fails consistency:\n" + failing[0][1].summary())
 
     def inconsistent(self):
         """(theta, report) for each member failing its consistency check."""

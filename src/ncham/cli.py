@@ -265,9 +265,11 @@ def _parse_args(parser, argv):
 
     argparse reads such an argument as an unknown option.  Each one is
     swapped for a placeholder that cannot start an option, and swapped
-    back after parsing.  An option is named exactly, as --opt=value, or by
-    a prefix of its long name, as argparse allows; the argument after an
-    option that takes a value is that option's.
+    back after parsing, in the values and in the error on left-over
+    arguments.  An option is named exactly, as --opt=value, or by a prefix
+    of its long name, as argparse allows; the argument after an option that
+    takes a value is that option's.  An unknown option before the command
+    is an error at once, or argparse would take its value for the command.
     """
     options = {s: a.nargs != 0 for a in parser._actions
                for s in a.option_strings}
@@ -285,11 +287,16 @@ def _parse_args(parser, argv):
             value_due = (not value_due and len(named) == 1 and name == arg
                          and options[named[0]])
         elif not command:
+            if arg.startswith("-"):
+                parser.error("unrecognized arguments: %s" % arg)
             command = arg in commands
         elif arg.startswith("-"):
             argv[i] = "\0%d" % i
             hidden[argv[i]] = arg
-    args = parser.parse_args(argv, argparse.Namespace(**DEFAULTS))
+    args, extra = parser.parse_known_args(argv, argparse.Namespace(**DEFAULTS))
+    if extra:
+        parser.error("unrecognized arguments: %s"
+                     % " ".join(hidden.get(a, a) for a in extra))
     for key, value in vars(args).items():
         if value in hidden:
             setattr(args, key, hidden[value])

@@ -3,9 +3,11 @@
 A degree-k form is an element of the (k+1)-fold tensor power of M_n whose
 contraction at every junction (multiplying two adjacent legs) vanishes;
 degree 0 is M_n itself.  Forms are stored sparsely as maps from tuples of
-matrix-unit indices to scalars; the scalar ring is anything with exact
-+, -, * (Fraction here, bivariate polynomials in the tensor-product
-model).
+matrix-unit indices to scalars.  The coefficients are the exact scalars
+the caller gives (ints and Fractions on M_n; `Poly`, bivariate
+polynomials, in the tensor-product model `polymat`, which keeps them
+`Poly`).  No unit of the scalar ring is carried: the constants here are
+ints, such as the 1 of a matrix unit, which every scalar type coerces.
 
 The differential inserts the identity into each slot with alternating
 signs, d(a0 x ... x am) = sum_i (-1)^i a0 x ... x 1_(i) x ... x am, which
@@ -36,51 +38,42 @@ class TensorForm:
     is given, so operations hand it their raw sums.
     """
 
-    __slots__ = ("n", "degree", "terms", "one")
+    __slots__ = ("n", "degree", "terms")
 
-    def __init__(self, n, degree, terms=None, one=Fraction(1)):
+    def __init__(self, n, degree, terms=None):
         self.n = n
         self.degree = degree
-        self.one = one
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if len(key) != degree + 1:
-                    raise ValueError("key %r has wrong length for degree %d"
-                                     % (key, degree))
-                if c:
-                    self.terms[key] = c
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, n, degree=0, one=Fraction(1)):
-        return cls(n, degree, {}, one)
+    def zero(cls, n, degree=0):
+        return cls(n, degree)
 
     def degrees(self):
         """The degrees of the form's terms; a zero form keeps its degree."""
         return [self.degree]
 
     @classmethod
-    def unit(cls, n, i, j, one=Fraction(1)):
-        return cls(n, 0, {(i * n + j,): one}, one)
+    def unit(cls, n, i, j):
+        return cls(n, 0, {(i * n + j,): 1})
 
     @classmethod
-    def identity(cls, n, one=Fraction(1)):
-        return cls(n, 0, {(i * n + i,): one for i in range(n)}, one)
+    def identity(cls, n):
+        return cls(n, 0, {(i * n + i,): 1 for i in range(n)})
 
     @classmethod
-    def from_matrix(cls, mat, one=Fraction(1)):
+    def from_matrix(cls, mat):
         """mat: n x n nested sequence of scalars."""
         n = len(mat)
         return cls(n, 0, {(i * n + j,): mat[i][j]
-                          for i in range(n) for j in range(n)}, one)
+                          for i in range(n) for j in range(n)})
 
     def to_matrix(self):
         if self.degree != 0:
             raise ValueError("only 0-forms convert to matrices")
-        zero = self.one - self.one
-        mat = [[zero for _ in range(self.n)] for _ in range(self.n)]
+        mat = [[0] * self.n for _ in range(self.n)]
         for (f,), c in self.terms.items():
             mat[f // self.n][f % self.n] = c
         return mat
@@ -98,25 +91,25 @@ class TensorForm:
             return NotImplemented
         self._check(other)
         if not self.terms:
-            return TensorForm(other.n, other.degree, dict(other.terms), other.one)
+            return TensorForm(other.n, other.degree, dict(other.terms))
         out = dict(self.terms)
         for k, c in other.terms.items():
             acc = out.get(k)
             out[k] = c if acc is None else acc + c
-        return TensorForm(self.n, self.degree, out, self.one)
+        return TensorForm(self.n, self.degree, out)
 
     def __neg__(self):
         return TensorForm(self.n, self.degree,
-                          {k: -c for k, c in self.terms.items()}, self.one)
+                          {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         if not c:
-            return TensorForm.zero(self.n, self.degree, self.one)
+            return TensorForm.zero(self.n, self.degree)
         return TensorForm(self.n, self.degree,
-                          {k: v * c for k, v in self.terms.items()}, self.one)
+                          {k: v * c for k, v in self.terms.items()})
 
     def __rmul__(self, c):
         if _is_scalar(c):
@@ -143,7 +136,7 @@ class TensorForm:
                 key = k1[:-1] + (ai * n + bj,) + k2[1:]
                 acc = out.get(key)
                 out[key] = c1 * c2 if acc is None else acc + c1 * c2
-        return TensorForm(n, self.degree + other.degree, out, self.one)
+        return TensorForm(n, self.degree + other.degree, out)
 
     def tensor(self, other: "TensorForm") -> "TensorForm":
         """Raw leg concatenation (no junction merge); used to rebuild
@@ -154,7 +147,7 @@ class TensorForm:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 out[k1 + k2] = c1 * c2
-        return TensorForm(self.n, self.degree + other.degree + 1, out, self.one)
+        return TensorForm(self.n, self.degree + other.degree + 1, out)
 
     def __eq__(self, other):
         if not isinstance(other, TensorForm):
@@ -182,7 +175,7 @@ class TensorForm:
                     nk = key[:pos] + (i * n + i,) + key[pos:]
                     acc = out.get(nk)
                     out[nk] = sign if acc is None else acc + sign
-        return TensorForm(n, self.degree + 1, out, self.one)
+        return TensorForm(n, self.degree + 1, out)
 
     def contract_junctions(self, p_matrix) -> list:
         """Contract junction j of every term with the matrix P inserted,
@@ -200,12 +193,12 @@ class TensorForm:
                 nk = key[:j - 1] + (ai * n + bj,) + key[j + 1:]
                 acc = out.get(nk)
                 out[nk] = c * val if acc is None else acc + c * val
-            outs.append(TensorForm(n, self.degree - 1, out, self.one))
+            outs.append(TensorForm(n, self.degree - 1, out))
         return outs
 
     def in_kernel(self):
         """All products of adjacent legs vanish, as on honest forms."""
-        eye = [[self.one if i == j else 0 for j in range(self.n)]
+        eye = [[1 if i == j else 0 for j in range(self.n)]
                for i in range(self.n)]
         return all(t.is_zero() for t in self.contract_junctions(eye))
 
@@ -225,22 +218,21 @@ class MatrixDerivation:
     it is given, so operations hand it their raw sums.
     """
 
-    __slots__ = ("n", "theta", "one", "label")
+    __slots__ = ("n", "theta", "label")
 
-    def __init__(self, n, theta, one=Fraction(1), check=True, label=None):
+    def __init__(self, n, theta, check=True, label=None):
         self.n = n
-        self.one = one
         self.theta = {k: v for k, v in theta.items() if v}  # (out, in) -> scalar
         self.label = label
         if check:
             self._check_leibniz()
 
     @classmethod
-    def zero(cls, n, one=Fraction(1)):
-        return cls(n, {}, one, check=False)
+    def zero(cls, n):
+        return cls(n, {}, check=False)
 
     @classmethod
-    def ad(cls, s_matrix, one=Fraction(1), label=None):
+    def ad(cls, s_matrix, label=None):
         """ad_S(C) = [S, C] = SC - CS for an n x n matrix of scalars."""
         n = len(s_matrix)
         theta = {}
@@ -256,7 +248,7 @@ class MatrixDerivation:
                 for k in range(n):
                     put(k * n + j, inp, s_matrix[k][i])
                     put(i * n + k, inp, -s_matrix[j][k])
-        return cls(n, theta, one, check=False, label=label)
+        return cls(n, theta, check=False, label=label)
 
     def apply_unit(self, flat):
         out = {}
@@ -268,9 +260,9 @@ class MatrixDerivation:
     def _check_leibniz(self):
         n = self.n
         for a in range(n * n):
-            Ea = TensorForm.unit(n, a // n, a % n, self.one)
+            Ea = TensorForm.unit(n, a // n, a % n)
             for b in range(n * n):
-                Eb = TensorForm.unit(n, b // n, b % n, self.one)
+                Eb = TensorForm.unit(n, b // n, b % n)
                 lhs = self.apply(Ea * Eb)
                 rhs = self.apply(Ea) * Eb + Ea * self.apply(Eb)
                 if lhs != rhs:
@@ -287,16 +279,16 @@ class MatrixDerivation:
         for k, v in other.theta.items():
             acc = theta.get(k)
             theta[k] = v if acc is None else acc + v
-        return MatrixDerivation(self.n, theta, self.one, check=False)
+        return MatrixDerivation(self.n, theta, check=False)
 
     def __rmul__(self, c):
         if _is_scalar(c):
             return MatrixDerivation(self.n, {k: v * c for k, v in self.theta.items()},
-                                    self.one, check=False)
+                                    check=False)
         return NotImplemented
 
     def __neg__(self):
-        return (-self.one) * self
+        return (-1) * self
 
     def __sub__(self, other):
         return self + (-other)
@@ -331,7 +323,7 @@ class MatrixDerivation:
                     nk = key[:j - 1] + (li * n + oj,) + key[j + 1:]
                     acc = out.get(nk)
                     out[nk] = sign * v if acc is None else acc + sign * v
-        return TensorForm(n, x.degree - 1, out, x.one)
+        return TensorForm(n, x.degree - 1, out)
 
     def lie(self, x: TensorForm) -> TensorForm:
         out = {}
@@ -341,7 +333,7 @@ class MatrixDerivation:
                     nk = key[:j] + (o,) + key[j + 1:]
                     acc = out.get(nk)
                     out[nk] = c * v if acc is None else acc + c * v
-        return TensorForm(x.n, x.degree, out, x.one)
+        return TensorForm(x.n, x.degree, out)
 
     def commutator(self, other: "MatrixDerivation") -> "MatrixDerivation":
         if other.n != self.n:
@@ -357,7 +349,7 @@ class MatrixDerivation:
                     img[o2] = img.get(o2, 0) - v * v2
             for o, v in img.items():
                 theta[(o, b)] = v
-        return MatrixDerivation(self.n, theta, self.one, check=False)
+        return MatrixDerivation(self.n, theta, check=False)
 
     def coordinates(self):
         return dict(self.theta)
@@ -378,21 +370,21 @@ class MatrixDerivation:
         return "MatrixDerivation(n=%d, %d entries)" % (self.n, len(self.theta))
 
 
-def antisymmetric_basis(n, one=Fraction(1)):
+def antisymmetric_basis(n):
     """E_ij - E_ji for i < j, as 0-forms; spans the antisymmetric matrices."""
     out = []
     for i in range(n):
         for j in range(i + 1, n):
-            out.append(TensorForm(n, 0, {(i * n + j,): one, (j * n + i,): -one}, one))
+            out.append(TensorForm(n, 0, {(i * n + j,): 1, (j * n + i,): -1}))
     return out
 
 
-def matrix_symplectic_form(n, one=Fraction(1)) -> TensorForm:
+def matrix_symplectic_form(n) -> TensorForm:
     """omega = 1/2 sum_ij dE_ij dE_ij."""
-    half = one / 2
-    om = TensorForm.zero(n, 2, one)
+    half = Fraction(1, 2)
+    om = TensorForm.zero(n, 2)
     for i in range(n):
         for j in range(n):
-            de = TensorForm.unit(n, i, j, one).d()
+            de = TensorForm.unit(n, i, j).d()
             om = om + (de * de).scale(half)
     return om

@@ -87,7 +87,7 @@ class ModelDescriptor:
         self.backend = backend
         self.calculus = calculus
         self.omega = None if omega is None else SymplecticForm(backend, omega)
-        self.space = DerivationSpace(basis, backend, check=False)
+        self.space = DerivationSpace(basis, backend)
         self.v_family = list(v_family) if v_family is not None else list(basis)
         self.random_form = random_form              # (rng, max_degree=2)
         self.random_derivation = random_derivation  # (rng)

@@ -8,12 +8,18 @@ FLINT's fmpq_poly and nf_elem: `nums` is a tuple of phi(p) ints and `den`
 a positive int.  The form is canonical: gcd(den, *nums) == 1, and zero is
 (0, ..., 0)/1, so equal elements have equal fields and equal hashes.
 
-Phi_p is monic with integer coefficients, so a product is an integer
-convolution reduced by an integer table of the powers of q, then one gcd;
-at phi(p) = 1 it is a single integer multiply.  q**p == 1 holds on the
-nose, every nonzero element is invertible, and all arithmetic is exact.
-p = 1 gives plain rationals (q = 1), p = 2 gives q = -1 concretely.
-`.coeffs` gives the coordinates as a tuple of Fractions.
+All arithmetic is in integers.  Phi_p is monic with integer
+coefficients, built by exact integer long division, so a product is an
+integer convolution reduced by an integer table of the powers of q, then
+one gcd; at phi(p) = 1 it is a single integer multiply.  The inverse of a
+nonzero a is prod_k sigma_k(a) / N(a) over the Galois automorphisms
+sigma_k: q -> q^k, k a unit mod p other than 1, where the norm
+N(a) = a * prod_k sigma_k(a) is rational (Washington, Introduction to
+Cyclotomic Fields, ch. 2).  q**p == 1 holds on the nose and all arithmetic
+is exact.  p = 1 gives plain rationals (q = 1), p = 2 gives q = -1
+concretely.  Fractions appear only at the edges: the constructor and
+`from_rational` accept them, and `.coeffs` (the coordinates as a tuple of
+Fractions) and `monomial_form` return them.
 """
 
 from __future__ import annotations
@@ -24,42 +30,25 @@ from math import gcd, lcm
 
 Rational = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _poly_trim(c):
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of Fraction coefficient lists (ascending)."""
-    a = list(a)
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return _poly_trim(q), _poly_trim(a)
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(p: int) -> tuple:
-    """Coefficients of Phi_p, ascending, via x^p - 1 = prod_{d|p} Phi_d."""
+    """Integer coefficients of Phi_p, ascending: x^p - 1 divided by Phi_d
+    for each proper divisor d of p.  Every Phi_d is monic, so each long
+    division is exact in the integers."""
     if p < 1:
         raise ValueError("p must be a positive integer")
-    if p == 1:
-        return (Fraction(-1), Fraction(1))
-    num = [Fraction(-1)] + [_ZERO] * (p - 1) + [Fraction(1)]
+    num = [-1] + [0] * (p - 1) + [1]
     for d in range(1, p):
         if p % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not rem
+            div = cyclotomic_polynomial(d)
+            quo = [0] * (len(num) - len(div) + 1)
+            for i in range(len(quo) - 1, -1, -1):
+                c = quo[i] = num[i + len(div) - 1]
+                if c:
+                    for j, b in enumerate(div):
+                        num[i + j] -= c * b
+            num = quo
     return tuple(num)
 
 
@@ -71,7 +60,7 @@ def _power_table(p: int) -> tuple:
     That covers every degree of an unreduced product and every q^k with
     0 <= k < p.
     """
-    phi_p = [int(c) for c in cyclotomic_polynomial(p)]
+    phi_p = cyclotomic_polynomial(p)
     phi = len(phi_p) - 1
     rows = []
     cur = [1] + [0] * (phi - 1)
@@ -188,28 +177,26 @@ class CycScalar:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Extended Euclid in Q[x] against Phi_p; exact field inverse."""
+        """The product b of the Galois conjugates sigma_k (q -> q^k, k a
+        unit mod p other than 1) over the rational norm N = self * b."""
         if not self:
             raise ZeroDivisionError("division by zero in Q(q)")
-        r0, r1 = list(cyclotomic_polynomial(self.p)), _poly_trim(list(self.coeffs))
-        s0, s1 = [], [_ONE]
-        while len(r1) > 1:
-            quo, rem = _poly_divmod(r0, r1)
-            s_new = list(s0)
-            s_new += [_ZERO] * (len(quo) + len(s1) - 1 - len(s_new))
-            for i, qi in enumerate(quo):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        s_new[i + j] -= qi * sj
-            r0, r1, s0, s1 = r1, rem, s1, _poly_trim(s_new)
-        inv = 1 / r1[0]
-        phi = euler_phi(self.p)
-        out = [c * inv for c in s1] + [_ZERO] * (phi - len(s1))
-        # s1 may exceed the basis length before reduction mod Phi_p
-        if len(out) > phi:
-            _, out = _poly_divmod(out, list(cyclotomic_polynomial(self.p)))
-            out = list(out) + [_ZERO] * (phi - len(out))
-        return CycScalar(self.p, out[:phi])
+        p, nums = self.p, self.nums
+        table = _power_table(p)
+        conj = cyc_one(p)
+        for k in range(2, p):
+            if gcd(k, p) == 1:
+                img = [0] * len(nums)
+                for m, a in enumerate(nums):
+                    if a:
+                        for j, t in table[k * m % p]:
+                            img[j] += a * t
+                conj = conj * _trusted(p, tuple(img), 1)
+        # with self = nums/den: N = norm/den^phi and b = conj/den^(phi-1)
+        norm = (_trusted(p, nums, 1) * conj).nums[0]
+        sign = 1 if norm > 0 else -1
+        return _canonical(p, [sign * self.den * c for c in conj.nums],
+                          sign * norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -253,7 +240,7 @@ class CycScalar:
         if len(nz) == 1:
             return nz[0], Fraction(self.nums[nz[0]], self.den)
         if not nz:
-            return 0, _ZERO
+            return 0, Fraction(0)
         return None
 
     def __repr__(self):

@@ -71,6 +71,9 @@ def test_omega_structure():
     assert sorted((len(c), t.degree) for c, t in om.parts.items()) == [
         (0, 2), (1, 1), (2, 0)]
     assert om.d().is_zero()
+    # d and L differentiate every coefficient, so each one is a Poly
+    assert all(isinstance(v, Poly)
+               for t in om.parts.values() for v in t.terms.values())
 
 
 def test_paper_interior_product_display():
@@ -85,7 +88,7 @@ def test_paper_interior_product_display():
         inner[1][0] = inner[1][0] - th.theta_x
         expected = (BigradedForm.classical(("y",), th.theta_x)
                     - BigradedForm.classical(("x",), th.theta_y)
-                    + BigradedForm({(): TensorForm.from_matrix(inner, P_ONE).d()}))
+                    + BigradedForm({(): TensorForm.from_matrix(inner).d()}))
         assert th.iprod(om) == expected
 
 
@@ -96,7 +99,7 @@ def test_interaction_term_vanishing():
     for _ in range(10):
         g = rand_poly(rng, 2)
         th = MixedDerivation(0, 0, [[Poly(), g], [-g, Poly()]])
-        bracket = th._ad().apply(TensorForm.from_matrix(j_mat, P_ONE))
+        bracket = th._ad().apply(TensorForm.from_matrix(j_mat))
         assert bracket.is_zero()
 
 

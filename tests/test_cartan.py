@@ -6,9 +6,9 @@ import pytest
 from closure import commutator_closure
 
 from ncham.algebra import DegreeError
-from ncham.cartan import (DerivationSpace, InconsistentDerivationError,
-                          PresentedDerivation, check_consistency,
-                          classify_torus_derivations, iprod_or_zero)
+from ncham.cartan import (DerivationSpace, PresentedDerivation,
+                          check_consistency, classify_torus_derivations,
+                          iprod_or_zero)
 from ncham.models import cuntz_calculus, theta_h, torus_calculus
 
 
@@ -159,19 +159,20 @@ def test_classification_matches_brute_force_scan():
 def test_derivation_space_checks_and_closure():
     calc = torus_calculus(2)
     basis = classify_torus_derivations(calc, 1)
-    DerivationSpace(basis)
+    assert DerivationSpace(basis).inconsistent() == []
     statuses = {s for _, _, s in commutator_closure(basis)}
     assert "INCONSISTENT" not in statuses
     # offsets add, so some commutators land beyond the stored bound
     assert statuses <= {"in-span", "consistent-beyond-truncation"}
 
     bad = torus_derivation(calc, img_u=calc.gen("u") * calc.gen("u"))
-    with pytest.raises(InconsistentDerivationError):
-        DerivationSpace(basis + [bad])
+    (theta, rep), = DerivationSpace(basis + [bad]).inconsistent()
+    assert theta is bad and not rep.ok
 
 
 def test_cuntz_family_commutator_closed(cuntz2):
-    DerivationSpace(cuntz2.v_family, cuntz2.backend)
+    space = DerivationSpace(cuntz2.v_family, cuntz2.backend)
+    assert space.inconsistent() == []
     assert all(status == "in-span"
                for _, _, status in commutator_closure(cuntz2.v_family))
 

@@ -308,7 +308,8 @@ def test_cli_normalize_and_usage_errors(capsys):
         main(["--model", "torus:p=2", "--ansatz", "B=4", "is-hamiltonian",
               "u^2 v^2"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.endswith(
+        "ncham: error: unrecognized arguments: --ansatz\n")
 
 
 def test_cli_options_before_or_after_the_command(capsys):
@@ -743,7 +744,10 @@ def test_cli_expression_with_leading_minus(capsys):
             (["--model", "torus:p=2", "--seed", "-x", "check"],
              "argument --seed: expected one argument"),
             (["-u", "--model", "torus:p=2", "normalize", "u"],
-             "unrecognized arguments: -u")):
+             "unrecognized arguments: -u"),
+            # one left over after the command is named as typed
+            (["--model", "torus:p=2", "normalize", "u", "--bogus"],
+             "ncham: error: unrecognized arguments: --bogus\n")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -111,7 +111,7 @@ def test_cuntz_ansatz_commutator_closed(cuntz2, cuntz3):
     from ncham.cartan import DerivationSpace
 
     for model in (cuntz2, cuntz3):
-        DerivationSpace(model.space.basis)
+        assert DerivationSpace(model.space.basis).inconsistent() == []
         assert all(status == "in-span" for _, _, status
                    in commutator_closure(model.space.basis))
 

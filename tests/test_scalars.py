@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ncham.scalars import (CycScalar, cyclotomic_polynomial, cyc_one,
-                           euler_phi, q_power)
+                           cyc_zero, euler_phi, q_power)
 
 
 # -- independent oracle: polynomial arithmetic over Q, from scratch ---------
@@ -73,6 +73,8 @@ def rand_scalar(rng, p):
 
 def test_cyclotomic_polynomials():
     as_ints = lambda p: [int(c) for c in cyclotomic_polynomial(p)]
+    assert all(type(c) is int
+               for p in range(1, 33) for c in cyclotomic_polynomial(p))
     assert as_ints(1) == [-1, 1]
     assert as_ints(2) == [1, 1]
     assert as_ints(3) == [1, 1, 1]
@@ -147,6 +149,11 @@ def test_rational_embedding_commutes():
 def test_errors():
     with pytest.raises(ZeroDivisionError):
         cyc_one(3) / CycScalar.from_rational(3, 0)
+    for p in (1, 2, 3, 12, 32):
+        assert cyc_zero(p).monomial_form() == (0, Fraction(0))
+        with pytest.raises(ZeroDivisionError,
+                           match=r"^division by zero in Q\(q\)$"):
+            cyc_zero(p).inverse()
     with pytest.raises(ValueError):
         cyc_one(3) + cyc_one(2)
     with pytest.raises(ValueError):
