@@ -5,29 +5,25 @@ zero tests, a hashable freeze of a form (for caching), and linear
 combinations of derivations.  On every backend, forms answer `is_zero()`
 and `coordinates()` (exact coordinates in a canonical basis, for the
 linear solver) and derivations `describe()` themselves, so callers ask
-them directly; a backend differs only in constructor data: its differential,
-its zero derivation and the one of its coefficient field.
+them directly; a backend differs only in constructor data: its differential
+and its zero derivation.
 The presented backend covers every presentation, algebra-only ones (a
 `CalculusPresentation` with no form rules) included.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cartan import PresentedDerivation
 
 
 class Backend:
-    def __init__(self, d, zero_derivation, field_one=Fraction(1)):
+    def __init__(self, d, zero_derivation):
         self.d = d
         self.zero_derivation = zero_derivation
-        self.field_one = field_one
 
     @classmethod
     def presented(cls, calculus):
-        return cls(calculus.d, PresentedDerivation(calculus, {}),
-                   calculus.system.one())
+        return cls(calculus.d, PresentedDerivation(calculus, {}))
 
     @staticmethod
     def is_zero(x):

@@ -9,10 +9,16 @@ eliminated from the basis vectors already there.  So every basis vector
 is 1 at its own pivot key and 0 at the others, and carries its
 expression in the pivot columns.  Projecting a right-hand side is one
 pass of the same reduction over its pivot keys.  Every step divides
-exactly; there is no tolerance.
+exactly; there is no tolerance.  A Fraction 1 serves as the unit of
+either field: Q is a subfield of Q(q), and 1 / c is a CycScalar for a
+CycScalar c.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+_ONE, _ZERO = Fraction(1), Fraction(0)
 
 
 def _axpy(target, a, vec):
@@ -28,10 +34,8 @@ def _axpy(target, a, vec):
 class ExactLinearSystem:
     """Reduced echelon basis of a sparse column family, reusable across rhs."""
 
-    def __init__(self, columns, one):
+    def __init__(self, columns):
         self.columns = [dict(c) for c in columns]
-        self.one = one
-        self.zero = one - one
         self.keys = sorted({k for c in self.columns for k in c})
         self.pivots = []            # pivot column of each basis vector
         self.echelon = []           # (basis vector, its pivot-column expr)
@@ -41,13 +45,13 @@ class ExactLinearSystem:
         for j, col in enumerate(self.columns):
             coeffs, rest = self._reduce(col)
             expr = {i: -c for i, c in coeffs.items()}
-            expr[j] = self.one      # rest = col - sum coeffs_i col_i
+            expr[j] = _ONE          # rest = col - sum coeffs_i col_i
             if not rest:
                 self.free_cols.append(j)
                 self._kernel.append(self._dense(expr))
                 continue
             key = min(rest)
-            inv = self.one / rest[key]
+            inv = _ONE / rest[key]
             vec = {k: v * inv for k, v in rest.items()}
             expr = {i: c * inv for i, c in expr.items()}
             for other, other_expr in self.echelon:
@@ -99,4 +103,4 @@ class ExactLinearSystem:
         return self._dense(coeffs), rest
 
     def _dense(self, coeffs):
-        return [coeffs.get(i, self.zero) for i in range(len(self.columns))]
+        return [coeffs.get(i, _ZERO) for i in range(len(self.columns))]

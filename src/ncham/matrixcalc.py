@@ -12,11 +12,10 @@ ints, such as the 1 of a matrix unit, which every scalar type coerces.
 The differential inserts the identity into each slot with alternating
 signs, d(a0 x ... x am) = sum_i (-1)^i a0 x ... x 1_(i) x ... x am, which
 restricts to 1 x a - a x 1 in degree 0; multiplication merges the two
-adjacent legs at the junction.  A derivation is a coefficient array
-Theta with theta(E_ij) = sum Theta[kl,ij] E_kl, checked against the
-Leibniz rule on matrix units at construction; the interior product
-contracts theta into one leg at a time with alternating signs and the Lie
-derivative applies theta leg-wise.
+adjacent legs at the junction.  Every derivation of M_n is inner,
+ad_S(C) = [S, C], and is kept as its traceless matrix S; the interior
+product contracts ad_S into one leg at a time with alternating signs and
+the Lie derivative applies it leg-wise.
 """
 
 from __future__ import annotations
@@ -211,80 +210,64 @@ class TensorForm:
 
 
 class MatrixDerivation:
-    """Derivation on M_n given by its coefficient array on matrix units.
+    """The inner derivation ad_S(C) = [S, C] = SC - CS of M_n, kept as S.
 
-    No stored entry of `theta` is zero, so `is_zero` is an empty-dict test.
-    The constructor owns that invariant: it drops the zeros of the array
-    it is given, so operations hand it their raw sums.
+    S is a degree-0 `TensorForm` made traceless at construction: ad_S =
+    ad_T exactly when S - T is a multiple of I, so the traceless S is
+    canonical, and the linear structure and commutator are those of S.
     """
 
-    __slots__ = ("n", "theta", "label")
+    __slots__ = ("n", "s", "label", "_images")
 
-    def __init__(self, n, theta, check=True, label=None):
+    def __init__(self, s, label=None):
+        n = s.n
+        trace = sum(s.terms.get((i * n + i,), 0) for i in range(n))
+        if trace:
+            s = s - TensorForm.identity(n).scale(trace * Fraction(1, n))
         self.n = n
-        self.theta = {k: v for k, v in theta.items() if v}  # (out, in) -> scalar
+        self.s = s
         self.label = label
-        if check:
-            self._check_leibniz()
+        self._images = [None] * (n * n)     # [S, E_unit], built on first use
 
     @classmethod
     def zero(cls, n):
-        return cls(n, {}, check=False)
+        return cls(TensorForm.zero(n))
 
     @classmethod
     def ad(cls, s_matrix, label=None):
-        """ad_S(C) = [S, C] = SC - CS for an n x n matrix of scalars."""
-        n = len(s_matrix)
-        theta = {}
-
-        def put(out, inp, val):
-            key = (out, inp)
-            acc = theta.get(key)
-            theta[key] = val if acc is None else acc + val
-
-        for i in range(n):
-            for j in range(n):
-                inp = i * n + j
-                for k in range(n):
-                    put(k * n + j, inp, s_matrix[k][i])
-                    put(i * n + k, inp, -s_matrix[j][k])
-        return cls(n, theta, check=False, label=label)
+        """ad_S for an n x n nested list S of scalars."""
+        return cls(TensorForm.from_matrix(s_matrix), label)
 
     def apply_unit(self, flat):
-        out = {}
-        for (o, i), v in self.theta.items():
-            if i == flat:
-                out[o] = v
+        """[S, E_ij] for the unit of flat index i n + j, as a dict from flat
+        index to nonzero coefficient: S E_ij = sum_k S_ki E_kj and
+        E_ij S = sum_k S_jk E_ik."""
+        out = self._images[flat]
+        if out is None:
+            n = self.n
+            i, j = divmod(flat, n)
+            out = {}
+            for (f,), v in self.s.terms.items():
+                a, b = divmod(f, n)
+                if b == i:
+                    o = a * n + j
+                    out[o] = out[o] + v if o in out else v
+                if a == j:
+                    o = i * n + b
+                    out[o] = out[o] - v if o in out else -v
+            out = self._images[flat] = {o: v for o, v in out.items() if v}
         return out
-
-    def _check_leibniz(self):
-        n = self.n
-        for a in range(n * n):
-            Ea = TensorForm.unit(n, a // n, a % n)
-            for b in range(n * n):
-                Eb = TensorForm.unit(n, b // n, b % n)
-                lhs = self.apply(Ea * Eb)
-                rhs = self.apply(Ea) * Eb + Ea * self.apply(Eb)
-                if lhs != rhs:
-                    raise ValueError("coefficient array is not a derivation")
 
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, MatrixDerivation):
             return NotImplemented
-        if other.n != self.n:
-            raise ValueError("matrix sizes differ")
-        theta = dict(self.theta)
-        for k, v in other.theta.items():
-            acc = theta.get(k)
-            theta[k] = v if acc is None else acc + v
-        return MatrixDerivation(self.n, theta, check=False)
+        return MatrixDerivation(self.s + other.s)
 
     def __rmul__(self, c):
         if _is_scalar(c):
-            return MatrixDerivation(self.n, {k: v * c for k, v in self.theta.items()},
-                                    check=False)
+            return MatrixDerivation(self.s.scale(c))
         return NotImplemented
 
     def __neg__(self):
@@ -294,7 +277,7 @@ class MatrixDerivation:
         return self + (-other)
 
     def is_zero(self):
-        return not self.theta
+        return self.s.is_zero()
 
     # -- action -------------------------------------------------------------
 
@@ -307,7 +290,7 @@ class MatrixDerivation:
         return self.apply(x)
 
     def iprod(self, x: TensorForm) -> TensorForm:
-        """Contract theta into leg j and merge left, signs alternating."""
+        """Contract ad_S into leg j and merge left, signs alternating."""
         if x.degree < 1:
             raise DegreeError("interior product needs degree >= 1")
         n = x.n
@@ -336,23 +319,12 @@ class MatrixDerivation:
         return TensorForm(x.n, x.degree, out)
 
     def commutator(self, other: "MatrixDerivation") -> "MatrixDerivation":
-        if other.n != self.n:
-            raise ValueError("matrix sizes differ")
-        theta = {}
-        for b in range(self.n * self.n):
-            img = {}
-            for o, v in other.apply_unit(b).items():
-                for o2, v2 in self.apply_unit(o).items():
-                    img[o2] = img.get(o2, 0) + v * v2
-            for o, v in self.apply_unit(b).items():
-                for o2, v2 in other.apply_unit(o).items():
-                    img[o2] = img.get(o2, 0) - v * v2
-            for o, v in img.items():
-                theta[(o, b)] = v
-        return MatrixDerivation(self.n, theta, check=False)
+        """[ad_S, ad_T] = ad_(ST - TS)."""
+        return MatrixDerivation(self.s * other.s - other.s * self.s)
 
     def coordinates(self):
-        return dict(self.theta)
+        """The traceless S's flat key -> coefficient; the live dict."""
+        return self.s.coordinates()
 
     def describe(self):
         """matrix unit -> its nonzero image, printed."""
@@ -367,7 +339,7 @@ class MatrixDerivation:
         return out
 
     def __repr__(self):
-        return "MatrixDerivation(n=%d, %d entries)" % (self.n, len(self.theta))
+        return "MatrixDerivation(ad(%s))" % self.s
 
 
 def antisymmetric_basis(n):

@@ -101,8 +101,7 @@ class HamiltonianSolver:
         self.backend = form.backend
         self._images = [theta.iprod(form.omega) for theta in space.basis]
         self._system = ExactLinearSystem(
-            [img.coordinates() for img in self._images],
-            self.backend.field_one)
+            [img.coordinates() for img in self._images])
         self._kernel = self._system.nullspace()
         self._cache = {}
 

@@ -15,8 +15,7 @@ def commutator_closure(basis):
     dimensional and the basis is a truncation.
     """
     cols = [theta.coordinates() for theta in basis]
-    one = next(c for col in cols for c in col.values())
-    system = ExactLinearSystem(cols, one / one)
+    system = ExactLinearSystem(cols)
     out = []
     for i, j in itertools.combinations(range(len(basis)), 2):
         com = basis[i].commutator(basis[j])

@@ -153,7 +153,7 @@ def assert_no_stored_zero(x):
             assert not t.is_zero(), x.parts
             assert_no_stored_zero(t)
         return
-    coeffs = x.theta if isinstance(x, MatrixDerivation) else x.terms
+    coeffs = x.s.terms if isinstance(x, MatrixDerivation) else x.terms
     assert all(coeffs.values()), coeffs
 
 
@@ -240,7 +240,7 @@ def test_matrix_derivations_store_no_zero():
               MatrixDerivation.ad(ident), MatrixDerivation.ad(s) - ad_s,
               Fraction(0) * ad_t):
         assert_zero(z)
-    assert ((ad_s + ad_t) - ad_t).theta == ad_s.theta
+    assert ((ad_s + ad_t) - ad_t).s == ad_s.s
     e12 = TensorForm.unit(2, 0, 1)
     form = e12 * TensorForm.unit(2, 1, 0).d()
     for z in ((ad_s - ad_s).lie(form), ad_s.iprod(form) - ad_s.iprod(form),

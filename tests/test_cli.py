@@ -1017,7 +1017,14 @@ def test_cli_hamvec_on_an_empty_ansatz(capsys, tmp_path):
      "torus ansatz bound B 60 is outside the bounds 0..8"),
     (["--presentation", "cyclotomic.pres", "normalize", "u"],
      "line 1: cyclotomic order 10007 is outside the bounds 1..32"),
-], ids=["cuntz-n", "torus-p", "torus-B", "cyclotomic-line"])
+    (["--model", "matrix:n=5", "is-hamiltonian", "E12"],
+     "matrix n 5 is outside the bounds 2..4"),
+    (["--model", "polymat:D=1000", "normalize", "x"],
+     "polymat degree bound D 1000 is outside the bounds 1..48"),
+    (["--model", "polymat:D=49", "bracket", "x", "y"],
+     "polymat degree bound D 49 is outside the bounds 1..48"),
+], ids=["cuntz-n", "torus-p", "torus-B", "cyclotomic-line", "matrix-n",
+        "polymat-D", "polymat-D-next"])
 def test_cli_model_size_bounds_exit_2_at_once(capsys, tmp_path, monkeypatch,
                                               argv, message):
     import time
@@ -1034,6 +1041,12 @@ def test_model_size_bounds_are_inclusive(capsys, tmp_path):
     for model in ("torus:p=32,B=0", "torus:p=2,B=8", "cuntz:n=16"):
         code, out, _ = run_cli(capsys, "--model", model, "normalize", "2")
         assert (code, out) == (0, "2"), model
+    for model, two in (("matrix:n=2", "2 E11 + 2 E22"),
+                       ("matrix:n=4", "2 E11 + 2 E22 + 2 E33 + 2 E44"),
+                       ("polymat:D=1", "2 E11 + 2 E22"),
+                       ("polymat:D=48", "2 E11 + 2 E22")):
+        code, out, _ = run_cli(capsys, "--model", model, "normalize", "2")
+        assert (code, out) == (0, two), model
     path = tmp_path / "top.pres"
     path.write_text("cyclotomic 32\ngenerator u\n")
     code, out, _ = run_cli(capsys, "--presentation", str(path), "normalize",

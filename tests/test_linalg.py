@@ -94,7 +94,7 @@ def test_fraction_systems_match_sympy(seed):
     zero = Fraction(0)
     for _ in range(40):
         columns, rhss = random_system(rng, rand_fraction, zero)
-        system = ExactLinearSystem(columns, Fraction(1))
+        system = ExactLinearSystem(columns)
         assert system.keys == sorted({k for c in columns for k in c})
         pivot_keys = []
         if not columns:
@@ -126,10 +126,10 @@ def test_cyclotomic_systems_satisfy_the_identities(p):
     zero = one - one
     for _ in range(40):
         columns, rhss = random_system(rng, rand_cyc(p), zero)
-        system = ExactLinearSystem(columns, one)
+        system = ExactLinearSystem(columns)
         # a column is a pivot exactly when the columns before it miss it
         for j, col in enumerate(columns):
-            before = ExactLinearSystem(columns[:j], one)
+            before = ExactLinearSystem(columns[:j])
             assert (j in system.pivots) == (before.solve(col) is None)
         kernel = system.nullspace()
         assert len(kernel) == len(system.free_cols)

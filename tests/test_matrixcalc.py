@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from ncham.algebra import DegreeError
+from ncham.bigraded import MixedDerivation
 from ncham.matrixcalc import (MatrixDerivation, TensorForm,
                               antisymmetric_basis, matrix_symplectic_form)
+from ncham.polynomials import Poly
 
 
 def units(n):
@@ -143,10 +145,57 @@ def test_ad_commutators_match_oracle():
             assert lhs.coordinates() == rhs.coordinates()
 
 
-def test_derivation_leibniz_check_rejects_non_derivations():
-    bad = {(0, 0): Fraction(1)}   # theta(E11) = E11 alone is not a derivation
-    with pytest.raises(ValueError):
-        MatrixDerivation(2, bad)
+def test_ad_is_blind_to_multiples_of_the_identity():
+    """ad(S + cI) = ad(S) in coordinates, description and action, because
+    the stored S is traceless; so ad(cI) is zero."""
+    rng = random.Random(18)
+    for n in (2, 3, 4):
+        for _ in range(10):
+            s = rand_matrix(rng, n)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            scalar = [[c if i == j else 0 for j in range(n)] for i in range(n)]
+            ad_s = MatrixDerivation.ad(s)
+            shifted = MatrixDerivation.ad(
+                [[s[i][j] + scalar[i][j] for j in range(n)] for i in range(n)])
+            assert shifted.coordinates() == ad_s.coordinates()
+            assert shifted.describe() == ad_s.describe()
+            x = TensorForm.from_matrix(rand_matrix(rng, n)) \
+                * TensorForm.from_matrix(rand_matrix(rng, n)).d()
+            assert shifted.lie(x) == ad_s.lie(x)
+            assert shifted.iprod(x) == ad_s.iprod(x)
+            assert MatrixDerivation.ad(scalar).is_zero()
+
+
+def unit_images(theta):
+    n = theta.n
+    return [TensorForm(n, 0, {(o,): v for o, v in theta.apply_unit(f).items()})
+            for f in range(n * n)]
+
+
+def unit_matrices(n):
+    return [[[1 if (a, b) == divmod(f, n) else 0 for b in range(n)]
+             for a in range(n)] for f in range(n * n)]
+
+
+def test_apply_unit_matches_matrix_products():
+    """[S, E_ij] read off S equals the explicit SE - ES, over Fractions and
+    over polynomial entries (through a mixed derivation's ad part)."""
+    rng = random.Random(19)
+    for n in (2, 3, 4):
+        for _ in range(10):
+            s = rand_matrix(rng, n)
+            images = unit_images(MatrixDerivation.ad(s))
+            assert images == [TensorForm.from_matrix(commutator_oracle(s, e))
+                              for e in unit_matrices(n)]
+            assert all(all(img.terms.values()) for img in images)
+    for _ in range(10):
+        g = Poly({(rng.randint(0, 2), rng.randint(0, 2)):
+                  Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                  for _ in range(2)})
+        s = [[Poly(), g], [-g, Poly()]]
+        images = unit_images(MixedDerivation(0, 0, s)._ad())
+        assert images == [TensorForm.from_matrix(commutator_oracle(s, e))
+                          for e in unit_matrices(2)]
 
 
 def test_cartan_props_universal():
