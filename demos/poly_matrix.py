@@ -3,8 +3,10 @@
 The algebra is Q[x, y] (x) M_2 with forms
 Omega^n = sum over p+q=n of (classical p-forms) (x) (matrix q-forms) and
 Koszul signs in the product.  Derivations are triples
-(theta_x, theta_y, theta_S): two coefficient functions and an
-antisymmetric matrix-valued function acting by commutator.  The 2-form
+(theta_x, theta_y, theta_r) of polynomials: two coefficient functions and
+the commutator with the antisymmetric matrix-valued function
+theta_S = theta_r (E12 - E21), the form every antisymmetric 2 x 2 matrix
+takes.  The 2-form
 
     omega = dx dy + 1/2 sum dE_ij dE_ij + dx (dE12 - dE21)
 
@@ -34,8 +36,7 @@ print("\nomega =", omega)
 print("d omega =", omega.d())
 
 print("\n== evaluations of a derivation ==")
-th = MixedDerivation(Poly.x() * Poly.y(), Poly.const(1),
-                     [[Poly(), Poly.x()], [-Poly.x(), Poly()]])
+th = MixedDerivation(Poly.x() * Poly.y(), Poly.const(1), Poly.x())
 print("theta = (x y) d/dx + d/dy + ad(x (E12 - E21))")
 print("theta _| dx    =", th.iprod(dx))
 print("theta _| dE12  =", th.iprod(E12.d()))

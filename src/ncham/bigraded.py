@@ -11,13 +11,13 @@ differential acts by
 where d_mat inserts identity legs as in the universal matrix calculus
 and the partial derivatives hit the polynomial scalars.
 
-A derivation is a triple (theta_x, theta_y, theta_S): two polynomial
-coefficients for d/dx and d/dy plus an antisymmetric matrix-valued
-polynomial acting by commutator.  Interior product evaluates against
-dx, dy and the matrix legs; the Lie derivative is the unsigned
-derivation with L(da) = d(theta(a)).  For a non-constant theta_S the
-Lie derivative does not keep the bidegree: on a matrix 1-form A d_mat(B)
-it contributes A dx [dS/dx, B] + A dy [dS/dy, B] on top of the
+A derivation is three polynomials (theta_x, theta_y, theta_r): the
+coefficients of d/dx and d/dy, and the commutator with theta_S =
+theta_r (E12 - E21), the general antisymmetric 2 x 2 matrix.  Interior
+product evaluates against dx, dy and the matrix legs; the Lie derivative
+is the unsigned derivation with L(da) = d(theta(a)).  For a non-constant
+theta_S the Lie derivative does not keep the bidegree: on a matrix 1-form
+A d_mat(B) it contributes A dx [dS/dx, B] + A dy [dS/dy, B] on top of the
 leg-wise commutator action, extended to higher matrix degree with
 alternating junction insertions.
 """
@@ -215,23 +215,17 @@ def _map_scalars(t: TensorForm, fn) -> TensorForm:
 
 
 class MixedDerivation:
-    """(theta_x, theta_y, theta_S) acting as
-    theta(f) = theta_x df/dx + theta_y df/dy + [theta_S, f]."""
+    """(theta_x, theta_y, theta_r) acting as theta(f) = theta_x df/dx +
+    theta_y df/dy + [theta_S, f], with theta_S = theta_r (E12 - E21)."""
 
-    __slots__ = ("theta_x", "theta_y", "theta_s", "label", "_ad_s")
+    __slots__ = ("theta_x", "theta_y", "theta_r", "label", "_ad_s")
 
-    def __init__(self, theta_x=0, theta_y=0, theta_s=None, label=None):
+    def __init__(self, theta_x=0, theta_y=0, theta_r=0, label=None):
         self.theta_x = _poly(theta_x)
         self.theta_y = _poly(theta_y)
-        if theta_s is None:
-            theta_s = [[Poly(), Poly()], [Poly(), Poly()]]
-        self.theta_s = [[_poly(v) for v in row] for row in theta_s]
+        self.theta_r = _poly(theta_r)
         self.label = label
         self._ad_s = None                   # ad(theta_S), built on first use
-        for i in range(2):
-            for j in range(2):
-                if self.theta_s[i][j] != -self.theta_s[j][i]:
-                    raise ValueError("theta_S must be antisymmetric")
 
     # -- linear structure ---------------------------------------------------
 
@@ -240,13 +234,11 @@ class MixedDerivation:
             return NotImplemented
         return MixedDerivation(
             self.theta_x + other.theta_x, self.theta_y + other.theta_y,
-            [[self.theta_s[i][j] + other.theta_s[i][j] for j in range(2)]
-             for i in range(2)])
+            self.theta_r + other.theta_r)
 
     def __rmul__(self, c):
-        return MixedDerivation(
-            c * self.theta_x, c * self.theta_y,
-            [[c * v for v in row] for row in self.theta_s])
+        return MixedDerivation(c * self.theta_x, c * self.theta_y,
+                               c * self.theta_r)
 
     def __neg__(self):
         return (-1) * self
@@ -255,12 +247,12 @@ class MixedDerivation:
         return self + (-1) * other
 
     def is_zero(self):
-        return not (self.theta_x or self.theta_y
-                    or any(any(row) for row in self.theta_s))
+        return not (self.theta_x or self.theta_y or self.theta_r)
 
     def _ad(self):
         if self._ad_s is None:
-            self._ad_s = MatrixDerivation.ad(self.theta_s)
+            g = self.theta_r                # flat keys 1, 2 are E12, E21
+            self._ad_s = MatrixDerivation(TensorForm(2, 0, {(1,): g, (2,): -g}))
         return self._ad_s
 
     def _scalar_transport(self, t: TensorForm) -> TensorForm:
@@ -334,11 +326,11 @@ class MixedDerivation:
             if t.degree == 0:
                 continue
             if ds is None:
-                ds = (("x", [[v.diff_x() for v in row] for row in self.theta_s]),
-                      ("y", [[v.diff_y() for v in row] for row in self.theta_s]))
+                # d theta_S / d(var) = dg (E12 - E21) for g = theta_r
+                ds = [(var, [[0, dg], [-dg, 0]]) for var, dg in
+                      (("x", self.theta_r.diff_x()),
+                       ("y", self.theta_r.diff_y())) if dg]
             for var, dS in ds:
-                if not any(any(row) for row in dS):
-                    continue
                 w = wedge(csym, (var,))
                 if w is None:
                     continue
@@ -358,33 +350,27 @@ class MixedDerivation:
 
         tx = transport(self, other.theta_x) - transport(other, self.theta_x)
         ty = transport(self, other.theta_y) - transport(other, self.theta_y)
-        ts = [[transport(self, other.theta_s[i][j])
-               - transport(other, self.theta_s[i][j])
-               + sum((self.theta_s[i][k] * other.theta_s[k][j]
-                      - other.theta_s[i][k] * self.theta_s[k][j])
-                     for k in range(2))
-               for j in range(2)] for i in range(2)]
-        return MixedDerivation(tx, ty, ts)
+        # [g J, h J] = 0, so theta_r only transports
+        tr = transport(self, other.theta_r) - transport(other, self.theta_r)
+        return MixedDerivation(tx, ty, tr)
 
     def coordinates(self):
         coords = {}
-        parts = [(("x",), self.theta_x), (("y",), self.theta_y)]
-        parts += [(("S", i, j), self.theta_s[i][j])
-                  for i in range(2) for j in range(2)]
-        for head, p in parts:
+        for head, p in (("x", self.theta_x), ("y", self.theta_y),
+                        ("r", self.theta_r)):
             den = p.den
             for mono, n in p.nums.items():
-                coords[head + (mono,)] = Fraction(n, den)
+                coords[(head, mono)] = Fraction(n, den)
         return coords
 
     def describe(self):
         """The three components, printed."""
         return {"theta_x": str(self.theta_x), "theta_y": str(self.theta_y),
-                "theta_S(1,2)": str(self.theta_s[0][1])}
+                "theta_S(1,2)": str(self.theta_r)}
 
     def __repr__(self):
         return ("mixed derivation(theta_x=%s, theta_y=%s, theta_S12=%s)"
-                % (self.theta_x, self.theta_y, self.theta_s[0][1]))
+                % (self.theta_x, self.theta_y, self.theta_r))
 
 
 def poly_matrix_symplectic_form() -> BigradedForm:

@@ -265,10 +265,12 @@ def _parse_args(parser, argv):
 
     argparse reads such an argument as an unknown option.  Each one is
     swapped for a placeholder that cannot start an option, and swapped
-    back after parsing, in the values and in the error on left-over
-    arguments.  An option is named exactly, as --opt=value, or by a prefix
-    of its long name, as argparse allows; the argument after an option that
-    takes a value is that option's.  An unknown option before the command
+    back after parsing.  Left-over arguments are those of a second parse
+    that reads the swapped words as options (so `bracket u --bogus v`
+    names --bogus), unless too few words are then left for the command.
+    An option is named exactly, as --opt=value, or by a prefix of its long
+    name, as argparse allows; the argument after an option that takes a
+    value is that option's.  An unknown option before the command
     is an error at once, or argparse would take its value for the command.
     """
     options = {s: a.nargs != 0 for a in parser._actions
@@ -295,6 +297,10 @@ def _parse_args(parser, argv):
             hidden[argv[i]] = arg
     args, extra = parser.parse_known_args(argv, argparse.Namespace(**DEFAULTS))
     if extra:
+        taken = sum(value in hidden for value in vars(args).values())
+        if taken <= sum(a not in hidden for a in extra):
+            extra = parser.parse_known_args([hidden.get(a, a) for a in argv],
+                                            argparse.Namespace(**DEFAULTS))[1]
         parser.error("unrecognized arguments: %s"
                      % " ".join(hidden.get(a, a) for a in extra))
     for key, value in vars(args).items():

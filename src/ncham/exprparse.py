@@ -1,11 +1,11 @@
 """Expression parser and presentation-file loader.
 
-Surface syntax: terms are juxtaposed factors ('*' and the tensor sign are
-optional separators), factors are atoms with an optional integer power,
-atoms are rationals like 2/3, the scalar q (presented models), generator
-or differential names, or parenthesized expressions.  Products associate
-left to right.  Negative powers exist only for invertible generators;
-du^-1 is rejected.
+Surface syntax: terms are juxtaposed factors ('*' is an optional
+separator) of atoms with an optional integer power, joined by the tensor
+sign (leg concatenation); atoms are rationals like 2/3, the scalar q
+(presented models), generator or differential names, or parenthesized
+expressions.  Products associate left to right.  Negative powers exist
+only for invertible generators; du^-1 is rejected.
 
 Presentation files are line oriented:
 
@@ -105,7 +105,13 @@ class ExpressionParser:
         kind, tok, pos = self.tokens[self.i]
         if kind != "end":
             raise ParseError("trailing input %r" % tok, pos)
-        return self._to_element(value)
+        value = self._to_element(value)
+        if self.calculus is None:
+            # a sum of ⊗ terms can be a form where no term is, as dE12 is
+            legs = value.parts.values() if hasattr(value, "parts") else [value]
+            if not all(t.in_kernel() for t in legs):
+                raise ParseError("%s is not a form" % value)
+        return value
 
     def _to_element(self, value):
         if isinstance(value, _Scalar):
@@ -334,10 +340,11 @@ def parse_derivation(text, model):
         from .matrixcalc import MatrixDerivation
 
         s = parser.parse(fields["S"])
-        return MatrixDerivation.ad(s.to_matrix())
+        if s.degree != 0:
+            raise ParseError("S must be a 0-form")
+        return MatrixDerivation(s)
     if model.kind == "polymat":
         from .bigraded import MixedDerivation
-        from .polynomials import Poly
 
         unknown = sorted(set(fields) - {"x", "y", "S"})
         if unknown:
@@ -353,15 +360,17 @@ def parse_derivation(text, model):
 
         def poly_of(key):
             if key not in fields:
-                return Poly()
+                return 0
             mat = zero_form_of(key)
             if mat[0][1] or mat[1][0] or mat[0][0] != mat[1][1]:
                 raise ParseError("%s must be a multiple of the identity" % key)
-            return mat[0][0] if isinstance(mat[0][0], Poly) else Poly.const(mat[0][0])
+            return mat[0][0]
 
-        theta_s = zero_form_of("S") if "S" in fields else \
-            [[Poly(), Poly()], [Poly(), Poly()]]
-        return MixedDerivation(poly_of("x"), poly_of("y"), theta_s)
+        mat = zero_form_of("S") if "S" in fields else [[0, 0], [0, 0]]
+        theta_x, theta_y = poly_of("x"), poly_of("y")
+        if mat[0][0] or mat[1][1] or mat[0][1] != -mat[1][0]:
+            raise ParseError("theta_S must be antisymmetric")
+        return MixedDerivation(theta_x, theta_y, mat[0][1])
     raise ParseError("could not interpret derivation spec %r" % text)
 
 

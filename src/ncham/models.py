@@ -419,17 +419,12 @@ def build_poly_matrix(degree_bound: int = 3) -> ModelDescriptor:
     basis = []
     monos = sorted({(i, d - i) for d in range(degree_bound + 1)
                     for i in range(d + 1)})
-    for i, j in monos:
-        m = Poly.monomial(i, j)
-        basis.append(MixedDerivation(m, 0, label="x-flow x^%d y^%d" % (i, j)))
-    for i, j in monos:
-        m = Poly.monomial(i, j)
-        basis.append(MixedDerivation(0, m, label="y-flow x^%d y^%d" % (i, j)))
-    for i, j in monos:
-        m = Poly.monomial(i, j)
-        basis.append(MixedDerivation(
-            0, 0, [[Poly(), m], [-m, Poly()]],
-            label="rotation x^%d y^%d" % (i, j)))
+    for k, kind in enumerate(("x-flow", "y-flow", "rotation")):
+        for i, j in monos:
+            thetas = [0, 0, 0]              # theta_x, theta_y, theta_r
+            thetas[k] = Poly.monomial(i, j)
+            basis.append(MixedDerivation(
+                *thetas, label="%s x^%d y^%d" % (kind, i, j)))
     backend = Backend(BigradedForm.d, MixedDerivation())
 
     def rand_poly(rng, d=2, terms=2):
@@ -458,8 +453,7 @@ def build_poly_matrix(degree_bound: int = 3) -> ModelDescriptor:
 
     def random_derivation(rng):
         g = rand_poly(rng, 2)
-        return MixedDerivation(rand_poly(rng, 2), rand_poly(rng, 2),
-                               [[Poly(), g], [-g, Poly()]])
+        return MixedDerivation(rand_poly(rng, 2), rand_poly(rng, 2), g)
 
     ns = {
         "x": BigradedForm.scalar(Poly.x()),

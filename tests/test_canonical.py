@@ -252,8 +252,8 @@ def test_bigraded_forms_store_no_zero():
     x = BigradedForm.scalar(Poly.x())
     dx = BigradedForm.classical(("x",))
     g = Poly.monomial(1, 1)
-    theta = MixedDerivation(Poly.y(), Poly(), [[Poly(), g], [-g, Poly()]])
-    const = MixedDerivation(0, 0, [[0, 1], [-1, 0]])
+    theta = MixedDerivation(Poly.y(), Poly(), g)
+    const = MixedDerivation(0, 0, 1)
     ident = BigradedForm.from_matrix([[1, 0], [0, 1]])
     for z in (dx * dx, x * dx - dx * x, dx.d(), (x * x).d() - 2 * x * x.d(),
               theta.iprod(dx - dx), theta.lie(x - x), const.lie(ident),

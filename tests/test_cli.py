@@ -12,7 +12,7 @@ from ncham.cli import main
 from ncham.exprparse import (ParseError, load_presentation, parse_derivation,
                              parse_expression)
 from ncham.models import (ModelDescriptor, UnsoundPresentationError,
-                          build_matrix, build_torus)
+                          build_matrix, build_poly_matrix, build_torus)
 from ncham.scalars import q_power
 
 
@@ -84,6 +84,13 @@ def test_parse_round_trip_matrix():
     assert parse_expression(str(x), m) == x
     dx = x.d()
     assert parse_expression(str(dx), m) == dx
+    # no ⊗ term of a printed form need be a form; their sum is, and reads back
+    import random
+
+    pm, rng = build_poly_matrix(2), random.Random(3)
+    for _ in range(20):
+        x = pm.random_form(rng, 2)
+        assert parse_expression(str(x), pm) == x
 
 
 def test_parse_derivations(torus2m):
@@ -96,12 +103,13 @@ def test_parse_derivations(torus2m):
     ad = parse_derivation("S: E12 - E21", m2)
     assert ad.apply_unit(0)   # acts nontrivially on E11
 
-    from ncham.models import build_poly_matrix
     pm = build_poly_matrix(2)
     mixed = parse_derivation("x: 1, y: y^2, S: x (E12 - E21)", pm)
-    assert mixed.theta_x == 1 and str(mixed.theta_s[0][1]) == "x"
-    with pytest.raises(ValueError):
-        parse_derivation("S: E12", pm)   # not antisymmetric
+    assert mixed.theta_x == 1 and str(mixed.theta_r) == "x"
+    # theta_S = theta_r (E12 - E21): a zero diagonal and S21 = -S12
+    for spec in ("S: E12", "S: E11", "S: x E12 + x E21", "S: E12 - E21 + I"):
+        with pytest.raises(ValueError, match="theta_S must be antisymmetric"):
+            parse_derivation(spec, pm)
 
 
 TORUS2_RELATIONS = """\
@@ -747,7 +755,13 @@ def test_cli_expression_with_leading_minus(capsys):
              "unrecognized arguments: -u"),
             # one left over after the command is named as typed
             (["--model", "torus:p=2", "normalize", "u", "--bogus"],
-             "ncham: error: unrecognized arguments: --bogus\n")):
+             "ncham: error: unrecognized arguments: --bogus\n"),
+            # and so is an unknown option among the command's arguments
+            (["--model", "torus:p=2", "bracket", "u", "--bogus", "v"],
+             "ncham: error: unrecognized arguments: --bogus\n"),
+            # a "-" word is a value when the command needs it
+            (["--model", "torus:p=2", "normalize", "-u", "-v"],
+             "ncham: error: unrecognized arguments: -v\n")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -776,6 +790,22 @@ def test_cli_tensor_backends_read_a_rational_as_a_multiple_of_i(
         capsys, model, expr, want):
     code, out, err = run_cli(capsys, "--model", model, "normalize", "--", expr)
     assert (code, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize("model, argv, message", [
+    ("matrix:n=2", ["normalize", "E12 ⊗ E21"], "E12⊗E21 is not a form"),
+    ("matrix:n=2", ["iprod", "S: E12", "E12 ⊗ E21"], "E12⊗E21 is not a form"),
+    ("matrix:n=2", ["lie", "S: E12", "E12 ⊗ E21"], "E12⊗E21 is not a form"),
+    ("matrix:n=2", ["normalize", "E11⊗E12 - E12⊗E22 + E11⊗E11"],
+     "E11⊗E11 + E11⊗E12 - E12⊗E22 is not a form"),
+    ("polymat:D=3", ["normalize", "dx (E12 ⊗ E21)"],
+     "dx E12⊗E21 is not a form"),
+    ("matrix:n=2", ["lie", "S: dE12", "E11"], "S must be a 0-form"),
+], ids=["matrix-normalize", "matrix-iprod", "matrix-lie", "matrix-sum",
+        "polymat", "matrix-S-degree"])
+def test_cli_tensor_expressions_must_be_forms(capsys, model, argv, message):
+    code, out, err = run_cli(capsys, "--model", model, *argv)
+    assert (code, out, err) == (2, "", "error: " + message)
 
 
 def test_cli_q_stays_presented_only(capsys):

@@ -193,7 +193,7 @@ def test_apply_unit_matches_matrix_products():
                   Fraction(rng.randint(-2, 2), rng.randint(1, 2))
                   for _ in range(2)})
         s = [[Poly(), g], [-g, Poly()]]
-        images = unit_images(MixedDerivation(0, 0, s)._ad())
+        images = unit_images(MixedDerivation(0, 0, g)._ad())
         assert images == [TensorForm.from_matrix(commutator_oracle(s, e))
                           for e in unit_matrices(2)]
 
