@@ -1,13 +1,19 @@
-"""ExactLinearSystem against sympy, an independent implementation.
+"""ExactLinearSystem against sympy, an independent implementation, and
+against the elimination that scans every basis vector for each new pivot.
 
 Seeded random sparse systems with dependent columns, zero columns (empty
 or with explicit zero entries), an empty column list and right-hand sides
-with keys outside the columns.  Over Fraction, the pivots, the kernel
-basis and the span test are recomputed by sympy on the matrix whose rows
-are the keys in key order, and the residual must vanish on the pivot keys
-sympy finds, which with `rhs - A c` fixes the coefficients and the
-residual.  Over CycScalar, which sympy does not model, the same facts are
-checked through the identities that define them.
+with keys outside the columns, and banded or rank-deficient systems of
+about 40 columns, where a new pivot changes several earlier basis
+vectors.  Over Fraction, the pivots, the kernel basis and the span test
+are recomputed by sympy on the matrix whose rows are the keys in key
+order, and the residual must vanish on the pivot keys sympy finds, which
+with `rhs - A c` fixes the coefficients and the residual.  Over
+CycScalar, which sympy does not model, the same facts are checked through
+the identities that define them.  Every system, the solver systems of the
+built-in models included, gives the reference elimination's pivots,
+echelon, nullspace and projections, and its key index equals the
+echelon's nonzero pattern off the pivot keys.
 """
 
 import random
@@ -16,8 +22,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from ncham.linalg import ExactLinearSystem
+from ncham.linalg import ExactLinearSystem, _axpy
+from ncham.models import build_model
 from ncham.scalars import CycScalar, euler_phi
+
+ONE, ZERO = Fraction(1), Fraction(0)
 
 
 def rand_fraction(rng):
@@ -63,6 +72,103 @@ def random_system(rng, draw, zero):
     return columns, rhss
 
 
+def banded_system(rng, draw, zero, deficient):
+    """About 40 columns, each nonzero at a few keys near its own index; a
+    deficient system has fewer keys than columns, and some columns combine
+    earlier ones."""
+    ncols = rng.randint(36, 44)
+    width = rng.randint(2, 5)
+    spread = 0.6 if deficient else 1.0
+    columns = []
+    for j in range(ncols):
+        if deficient and columns and rng.random() < 0.2:
+            picks = rng.sample(columns, min(len(columns), 3))
+            columns.append(combine([(draw(rng), c) for c in picks], zero))
+        else:
+            base = int(j * spread)
+            columns.append({(base + rng.randint(0, width),): draw(rng)
+                            for _ in range(width)})
+    nkeys = int(ncols * spread) + width
+    rhss = [{(rng.randint(0, nkeys + 3),): draw(rng)
+             for _ in range(rng.randint(0, 5))} for _ in range(2)]
+    rhss.append(combine([(draw(rng), c) for c in columns], zero))
+    return columns, rhss
+
+
+class ReferenceElimination:
+    """The factor loop that looks up each new pivot key in every basis
+    vector, with the same reduction and the same exact arithmetic."""
+
+    def __init__(self, columns):
+        self.ncols = len(columns)
+        self.pivots, self.free_cols, self.kernel = [], [], []
+        self.echelon, self.basis_at = [], {}
+        for j, col in enumerate(columns):
+            coeffs, rest = self.reduce(col)
+            expr = {i: -c for i, c in coeffs.items()}
+            expr[j] = ONE
+            if not rest:
+                self.free_cols.append(j)
+                self.kernel.append(self.dense(expr))
+                continue
+            key = min(rest)
+            inv = ONE / rest[key]
+            vec = {k: v * inv for k, v in rest.items()}
+            expr = {i: c * inv for i, c in expr.items()}
+            for other, other_expr in self.echelon:
+                f = other.get(key)
+                if f:
+                    _axpy(other, -f, vec)
+                    _axpy(other_expr, -f, expr)
+            self.basis_at[key] = len(self.echelon)
+            self.echelon.append((vec, expr))
+            self.pivots.append(j)
+
+    def reduce(self, vec):
+        rest = {k: v for k, v in vec.items() if v}
+        coeffs = {}
+        for key, f in [(k, v) for k, v in rest.items() if k in self.basis_at]:
+            basis, expr = self.echelon[self.basis_at[key]]
+            _axpy(rest, -f, basis)
+            _axpy(coeffs, f, expr)
+        return coeffs, rest
+
+    def dense(self, coeffs):
+        return [coeffs.get(i, ZERO) for i in range(self.ncols)]
+
+    def project(self, rhs):
+        coeffs, rest = self.reduce(rhs)
+        return self.dense(coeffs), rest
+
+
+def items(echelon):
+    """The echelon as item lists, so that key order is compared too."""
+    return [(list(vec.items()), list(expr.items())) for vec, expr in echelon]
+
+
+def check_reference(system, columns, rhss):
+    """system agrees with the reference elimination, and its key index is
+    the echelon's nonzero pattern off the pivot keys."""
+    ref = ReferenceElimination(columns)
+    assert system.pivots == ref.pivots
+    assert system.free_cols == ref.free_cols
+    assert items(system.echelon) == items(ref.echelon)
+    assert system.nullspace() == ref.kernel
+    for rhs in rhss:
+        (coeffs, residual), (ref_coeffs, ref_residual) = \
+            system.project(rhs), ref.project(rhs)
+        assert coeffs == ref_coeffs
+        assert list(residual.items()) == list(ref_residual.items())
+    pivot_key = {i: k for k, i in system._basis_at.items()}
+    held = {}
+    for i, (vec, _) in enumerate(system.echelon):
+        assert [k for k in vec if k in system._basis_at] == [pivot_key[i]]
+        assert vec[pivot_key[i]] == 1
+        for k in vec.keys() - system._basis_at.keys():
+            held.setdefault(k, set()).add(i)
+    assert system._holders == held
+
+
 def minus_image(rhs, columns, coeffs, zero):
     """rhs - sum c_j columns_j, dropping exact zeros."""
     return combine([(1, rhs)] + [(-c, col) for c, col in zip(coeffs, columns)],
@@ -84,39 +190,79 @@ def to_sympy(rows, columns):
                         sympy.Rational(columns[j].get(rows[i], 0)))
 
 
+def sympy_rank(mat):
+    # Matrix.rank can take seconds on a 40-column system; rref does not
+    return len(mat.rref()[1])
+
+
 def from_sympy(vec):
     return [Fraction(int(v.p), int(v.q)) for v in vec]
+
+
+def check_against_sympy(columns, rhss):
+    system = ExactLinearSystem(columns)
+    assert system.keys == sorted({k for c in columns for k in c})
+    pivot_keys = []
+    if not columns:
+        assert (system.pivots, system.nullspace()) == ([], [])
+    else:
+        mat = to_sympy(system.keys, columns)
+        assert system.pivots == list(mat.rref()[1])
+        assert system.nullspace() == [from_sympy(v)
+                                      for v in mat.nullspace()]
+        # the pivot keys are the first basis of the pivot columns' rows
+        # in key order, and the residual is the one zero on them
+        sub = mat.extract(list(range(len(system.keys))), system.pivots)
+        pivot_keys = [system.keys[i] for i in sub.T.rref()[1]]
+    assert sorted(system.pivots + system.free_cols) == \
+        list(range(len(columns)))
+    for rhs in rhss:
+        residual = check_project(system, columns, rhs, ZERO)
+        assert not set(residual) & set(pivot_keys)
+        rows = sorted(set(system.keys) | set(rhs))
+        rank = sympy_rank(to_sympy(rows, columns)) if columns else 0
+        grown = sympy_rank(to_sympy(rows, columns + [rhs]))
+        assert (not residual) == (grown == rank)
+    check_reference(system, columns, rhss)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_fraction_systems_match_sympy(seed):
     rng = random.Random(seed)
-    zero = Fraction(0)
     for _ in range(40):
-        columns, rhss = random_system(rng, rand_fraction, zero)
-        system = ExactLinearSystem(columns)
-        assert system.keys == sorted({k for c in columns for k in c})
-        pivot_keys = []
-        if not columns:
-            assert (system.pivots, system.nullspace()) == ([], [])
-        else:
-            mat = to_sympy(system.keys, columns)
-            assert system.pivots == list(mat.rref()[1])
-            assert system.nullspace() == [from_sympy(v)
-                                          for v in mat.nullspace()]
-            # the pivot keys are the first basis of the pivot columns' rows
-            # in key order, and the residual is the one zero on them
-            sub = mat.extract(list(range(len(system.keys))), system.pivots)
-            pivot_keys = [system.keys[i] for i in sub.T.rref()[1]]
-        assert sorted(system.pivots + system.free_cols) == \
-            list(range(len(columns)))
-        for rhs in rhss:
-            residual = check_project(system, columns, rhs, zero)
-            assert not set(residual) & set(pivot_keys)
-            rows = sorted(set(system.keys) | set(rhs))
-            rank = to_sympy(rows, columns).rank() if columns else 0
-            grown = to_sympy(rows, columns + [rhs]).rank()
-            assert (not residual) == (grown == rank)
+        check_against_sympy(*random_system(rng, rand_fraction, ZERO))
+
+
+@pytest.mark.parametrize("deficient", [False, True])
+def test_banded_systems_match_sympy(deficient):
+    rng = random.Random(int(deficient))
+    for _ in range(6):
+        columns, rhss = banded_system(rng, rand_fraction, ZERO, deficient)
+        check_against_sympy(columns, rhss)
+
+
+def test_elimination_cancels_an_entry_of_an_earlier_basis_vector():
+    # the second pivot, at b, clears c from the first basis vector too, so
+    # the index must drop that vector at c
+    columns = [{("a",): ONE, ("b",): ONE, ("c",): ONE},
+               {("b",): ONE, ("c",): ONE}]
+    check_against_sympy(columns, [{("c",): ONE}])
+    system = ExactLinearSystem(columns)
+    assert system.echelon[0][0] == {("a",): ONE}
+    assert system._holders == {("c",): {1}}
+
+
+@pytest.mark.parametrize("desc", ["torus:p=1", "torus:p=2", "torus:p=3",
+                                  "torus:p=3,B=8", "matrix:n=2", "matrix:n=3",
+                                  "cuntz:n=2", "cuntz:n=3", "polymat:D=3"])
+def test_model_solver_systems_match_the_reference(desc):
+    model = build_model(desc)
+    columns = model.solver._system.columns
+    rng = random.Random(desc)
+    rhss = [model.backend.d(model.random_form(rng, 0)).coordinates()
+            for _ in range(3)]
+    rhss.append(model.random_form(rng, 2).coordinates())
+    check_reference(ExactLinearSystem(columns), columns, rhss)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -142,3 +288,4 @@ def test_cyclotomic_systems_satisfy_the_identities(p):
         for j in system.pivots:
             assert system.solve(columns[j]) == \
                 [one if i == j else zero for i in range(len(columns))]
+        check_reference(system, columns, rhss)
