@@ -31,12 +31,16 @@ class PresentedDerivation:
     def __init__(self, calculus: CalculusPresentation, images, label=None):
         self.calculus = calculus
         self.images = {}
+        names = {g.name for g in calculus.generators}
         for name, img in images.items():
-            if name not in {g.name for g in calculus.generators}:
+            if name not in names:
                 raise KeyError("unknown generator %r" % name)
             if not isinstance(img, Element):
                 raise TypeError("image of %s must be an Element" % name)
-            img = self.images[name] = calculus.normalize(img)
+            # an Element is in normal form already; it must be this one's
+            if img.system is not calculus.system:
+                raise ValueError("element belongs to a different calculus")
+            self.images[name] = img
             if any(map(calculus.system.table.word_degree, img.terms)):
                 raise ValueError("image of %s must be a 0-form, not %s"
                                  % (name, img))

@@ -12,7 +12,9 @@ All arithmetic is in integers.  Phi_p is monic with integer
 coefficients, built by exact integer long division, so a product is an
 integer convolution reduced by an integer table of the powers of q, then
 one gcd; at phi(p) = 1 it is a single integer multiply.  The inverse of a
-nonzero a is prod_k sigma_k(a) / N(a) over the Galois automorphisms
+monomial r q^m is (1/r) q^(p-m), one row of the power table; that covers
+every pivot of omega~ on the torus, which is +-q^m.  The inverse of any
+other nonzero a is prod_k sigma_k(a) / N(a) over the Galois automorphisms
 sigma_k: q -> q^k, k a unit mod p other than 1, where the norm
 N(a) = a * prod_k sigma_k(a) is rational (Washington, Introduction to
 Cyclotomic Fields, ch. 2).  q**p == 1 holds on the nose and all arithmetic
@@ -177,11 +179,18 @@ class CycScalar:
     __rmul__ = __mul__
 
     def inverse(self):
-        """The product b of the Galois conjugates sigma_k (q -> q^k, k a
-        unit mod p other than 1) over the rational norm N = self * b."""
-        if not self:
-            raise ZeroDivisionError("division by zero in Q(q)")
+        """(den/a) q^(p-m) for a monomial (a/den) q^m; otherwise the product
+        b of the Galois conjugates sigma_k (q -> q^k, k a unit mod p other
+        than 1) over the rational norm N = self * b."""
         p, nums = self.p, self.nums
+        nz = [m for m, a in enumerate(nums) if a]
+        if not nz:
+            raise ZeroDivisionError("division by zero in Q(q)")
+        if len(nz) == 1:
+            a = nums[nz[0]]
+            s = self.den if a > 0 else -self.den
+            return _canonical(p, [s * t for t in q_power(p, -nz[0]).nums],
+                              abs(a))
         table = _power_table(p)
         conj = cyc_one(p)
         for k in range(2, p):

@@ -309,6 +309,62 @@ def test_sort_path_agrees_with_rewriting(build, tmp_path):
     assert kinds == set(system.table.letters)
 
 
+def _inversions(word):
+    """Pairs of letters out of precedence order: a bound on the swaps that
+    rewriting the word takes."""
+    counts = {}
+    out = 0
+    for y in word:
+        out += sum(c for x, c in counts.items() if x > y)
+        counts[y] = counts.get(y, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    lambda tmp_path: torus_calculus(1),
+    lambda tmp_path: torus_calculus(2),
+    lambda tmp_path: torus_calculus(3),
+    lambda tmp_path: torus_calculus(32),
+    _readme_presentation,
+], ids=["torus-p1", "torus-p2", "torus-p3", "torus-p32", "readme-file"])
+def test_sort_path_agrees_with_rewriting_on_long_runs(build, tmp_path):
+    """150 seeded words made of up to four powers g^k, k of either sign
+    with |k| <= 1 + 8p like the words of a B=8 torus ansatz, and up to two
+    differentials: the sorted normal form is the rewritten one.  Rewriting
+    takes one step per swap and caches every word on the way, so words
+    with more than 2,000 inversions are drawn again and the cache is
+    emptied after each word."""
+    system = build(tmp_path).system
+    table = system._sort_table
+    assert table is not None
+    letters = system.table.letters
+    gens = [lt.base for lt in letters if not lt.diff and lt.exp == 1]
+    diffs = [lt.display for lt in letters if lt.diff]
+    top = 1 + 8 * system.p
+    rng = random.Random(top)
+    kinds, longest, kept = set(), 0, 0
+    while kept < 150:
+        factors = [(rng.choice(gens), rng.randint(-top, top))
+                   for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(0, 2)):
+            factors.insert(rng.randint(0, len(factors)),
+                           (rng.choice(diffs), 1))
+        word = system.encode_word(factors)
+        if _inversions(word) > 2000:
+            continue
+        kept += 1
+        kinds.update(letters[li] for li in word)
+        run = 0
+        for i, li in enumerate(word):
+            run = run + 1 if i and word[i - 1] == li else 1
+            longest = max(longest, run)
+        assert table.reduce(word) == system.rewrite_word(word), \
+            system.word_str(word)
+        system._nf_cache.clear()
+    assert kinds == set(letters)
+    assert longest > 8 * system.p
+
+
 def test_no_sort_table_off_q_commutation_rules(tmp_path):
     assert cuntz_calculus(3).system._sort_table is None
     # b a -> a b alone leaves the differentials without swap rules

@@ -9,7 +9,8 @@ from ncham.algebra import DegreeError
 from ncham.cartan import (DerivationSpace, PresentedDerivation,
                           check_consistency, classify_torus_derivations,
                           iprod_or_zero)
-from ncham.models import cuntz_calculus, theta_h, torus_calculus
+from ncham.models import (build_model, cuntz_calculus, theta_h,
+                          torus_calculus)
 
 
 def torus_derivation(calc, img_u=None, img_v=None):
@@ -185,3 +186,18 @@ def test_derivation_images_must_be_0_forms():
     # a form that normalizes to zero is the zero image
     th = torus_derivation(calc, img_u=calc.dgen("u") * calc.dgen("u"))
     assert th.is_zero()
+
+
+def test_derivation_images_come_from_its_calculus():
+    calc, other = torus_calculus(2), torus_calculus(2)
+    with pytest.raises(ValueError,
+                       match="^element belongs to a different calculus$"):
+        torus_derivation(calc, img_u=other.gen("u"))
+    # the constructor keeps each image as given: it is in normal form
+    model = build_model("torus:p=3,B=8")
+    calc = model.calculus
+    assert len(model.space.basis) == 578
+    for theta in model.space.basis:
+        for img in theta.images.values():
+            assert list(img.terms.items()) == \
+                list(calc.normalize(img).terms.items())

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from ncham.algebra import Element, GeneratorSymbol, RuleSpec
+from ncham.algebra import (Element, GeneratorSymbol, RuleSpec,
+                           UnknownGeneratorError)
 from ncham.forms import CalculusPresentation
 
 MODELS = ("torus1", "torus2", "torus3", "cuntz2")
@@ -136,6 +137,17 @@ def reference_concat(table, *parts):
     return tuple(out)
 
 
+def reference_encode_word(system, factors):
+    """Every factor flattened into letters, then cancelled letter by letter."""
+    letters = []
+    for name, exp in factors:
+        if exp == 0:
+            continue
+        li = system.encode_letter(name, 1 if exp > 0 else -1)
+        letters.extend([li] * abs(exp))
+    return reference_concat(system.table, letters)
+
+
 def test_junction_concat_matches_per_letter_reference(torus2):
     system = torus2.calculus.system
     table = system.table
@@ -168,6 +180,49 @@ def test_encode_word_reduces_letter_by_letter(torus2):
     assert system.encode_word([("u", 1), ("u", -1), ("v", 1)]) == v
     assert system.encode_word([("v", 1), ("u", 2), ("u", -2)]) == v
     assert system.encode_word([("u", 1), ("v", 1), ("v", -1), ("u", -1)]) == ()
+
+
+def test_encode_word_matches_the_flattened_reference(torus2):
+    """Seeded factor lists with exponents in [-30, 30], each followed at
+    times by inverse powers of its last factors, split differently, so
+    that cancellation cascades across several adjacent factors."""
+    system = torus2.calculus.system
+    rng = random.Random(21)
+    deep = 0
+    for _ in range(1500):
+        factors = []
+        for _ in range(rng.randint(1, 6)):
+            if factors and rng.random() < 0.4:
+                undo = []
+                for name, exp in factors[-rng.randint(1, len(factors)):]:
+                    undo += [(name, -e) for e in _split(rng, exp)]
+                factors += undo[::-1]
+            elif rng.random() < 0.15:
+                factors.append((rng.choice(("du", "dv")), rng.randint(0, 2)))
+            else:
+                factors.append((rng.choice("uv"), rng.randint(-30, 30)))
+        # du and dv have no negative powers
+        factors = [(n, e) for n, e in factors if e >= 0 or n in ("u", "v")]
+        word = system.encode_word(factors)
+        assert word == reference_encode_word(system, factors), factors
+        # at least 30 inverse pairs cancelled
+        deep += sum(abs(e) for _, e in factors) - len(word) >= 60
+    assert deep > 100
+    # a differential has no inverse letter
+    for name in ("du", "dv"):
+        with pytest.raises(UnknownGeneratorError,
+                           match=r"unknown letter '%s'\^-1" % name):
+            system.encode_word([("u", 2), (name, -1)])
+
+
+def _split(rng, exp):
+    """exp as a sum of parts of its sign, in random sizes."""
+    sign, left, parts = (1 if exp > 0 else -1), abs(exp), []
+    while left:
+        k = rng.randint(1, left)
+        parts.append(sign * k)
+        left -= k
+    return parts
 
 
 @pytest.mark.parametrize("name", ("torus3", "cuntz2"))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -164,3 +165,47 @@ def test_str_forms():
     assert str(cyc_one(3) - 2 * q_power(3, 1)) == "1 - 2q"
     assert str(q_power(5, 2)) == "q^2"
     assert str(CycScalar.from_rational(2, Fraction(2, 3))) == "2/3"
+
+
+# -- the monomial inverse -----------------------------------------------------
+
+def galois_inverse(x):
+    """The general inverse, for every nonzero x: the product b of the Galois
+    conjugates q -> q^k (k a unit mod p other than 1) over the rational
+    norm x * b, written out with the public arithmetic."""
+    p = x.p
+    conj = cyc_one(p)
+    for k in range(2, p):
+        if gcd(k, p) == 1:
+            img = cyc_zero(p)
+            for m, a in enumerate(x.coeffs):
+                if a:
+                    img = img + a * q_power(p, k * m)
+            conj = conj * img
+    norm = x * conj
+    assert norm.monomial_form()[0] == 0    # the norm is rational
+    return conj * CycScalar.from_rational(p, 1 / norm.coeffs[0])
+
+
+def test_monomial_inverse_against_the_galois_product():
+    """r q^m for every p <= 32 and m < phi(p), r a signed rational that is
+    not a unit, inverts to the general inverse's value."""
+    rng = random.Random(2021)
+    for p in range(1, 33):
+        phi = euler_phi(p)
+        for m in range(phi):
+            for _ in range(2):
+                r = Fraction(rng.choice((-1, 1)) * rng.randint(2, 40),
+                             rng.randint(1, 40))
+                if abs(r) == 1:
+                    r *= 3
+                x = CycScalar(p, [r if j == m else 0 for j in range(phi)])
+                assert x.monomial_form() == (m, r)
+                inv = x.inverse()
+                assert inv == galois_inverse(x), (p, m, r)
+                assert x * inv == 1
+        for k in range(-p, 2 * p):
+            assert q_power(p, k).inverse() == q_power(p, -k)
+        with pytest.raises(ZeroDivisionError,
+                           match=r"^division by zero in Q\(q\)$"):
+            cyc_zero(p).inverse()
