@@ -15,11 +15,12 @@ A derivation is three polynomials (theta_x, theta_y, theta_r): the
 coefficients of d/dx and d/dy, and the commutator with theta_S =
 theta_r (E12 - E21), the general antisymmetric 2 x 2 matrix.  Interior
 product evaluates against dx, dy and the matrix legs; the Lie derivative
-is the unsigned derivation with L(da) = d(theta(a)).  For a non-constant
+is the unsigned derivation with L(da) = d(theta(a)), which replaces a
+classical letter dxi in place by d(theta_xi).  For a non-constant
 theta_S the Lie derivative does not keep the bidegree: on a matrix 1-form
 A d_mat(B) it contributes A dx [dS/dx, B] + A dy [dS/dy, B] on top of the
 leg-wise commutator action, extended to higher matrix degree with
-alternating junction insertions.
+alternating junction insertions, as in the matrix interior product.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from fractions import Fraction
 from .algebra import DegreeError
 from .matrixcalc import MatrixDerivation, TensorForm
 from .polynomials import P_ONE, Poly
-
-CSYMS = ((), ("x",), ("y",), ("x", "y"))
 
 
 def wedge(a, b):
@@ -115,7 +114,6 @@ class BigradedForm:
         coords = {}
         for csym, t in self.parts.items():
             for key, val in t.terms.items():
-                val = _poly(val)
                 den = val.den
                 for mono, n in val.nums.items():
                     coords[(csym, key, mono)] = Fraction(n, den)
@@ -296,29 +294,19 @@ class MixedDerivation:
         ad = self._ad()
         parts = {}
         for csym, t in x.parts.items():
-            # replace each classical letter dxi by d(theta_xi)
+            # replace each classical letter dxi by d(theta_xi) in place:
+            # csym is a sorted subset of (x, y), so the new symbol is sorted
+            # too, or repeats a letter and is zero
             if csym and dtheta is None:
                 dtheta = {
                     "x": (self.theta_x.diff_x(), self.theta_x.diff_y()),
                     "y": (self.theta_y.diff_x(), self.theta_y.diff_y()),
                 }
             for j, var in enumerate(csym):
-                cx, cy = dtheta[var]
-                for repl, coeff in (("x", cx), ("y", cy)):
-                    if not coeff:
-                        continue
-                    w = wedge(csym[:j], (repl,))
-                    if w is None:
-                        continue
-                    s1, left = w
-                    w2 = wedge(left, csym[j + 1:])
-                    if w2 is None:
-                        continue
-                    s2, nc = w2
-                    term = t.scale(coeff)
-                    if s1 * s2 < 0:
-                        term = -term
-                    _put(parts, nc, term)
+                for r, coeff in zip(("x", "y"), dtheta[var]):
+                    if coeff and (r == var or r not in csym):
+                        _put(parts, csym[:j] + (r,) + csym[j + 1:],
+                             t.scale(coeff))
             # transport of polynomial scalars plus leg-wise commutator
             _put(parts, csym, self._scalar_transport(t) + ad.lie(t))
             # bidegree leakage of a non-constant theta_S, which enters at
@@ -335,10 +323,7 @@ class MixedDerivation:
                 if w is None:
                     continue
                 sign, nc = w
-                acc = None
-                for j, ins in enumerate(t.contract_junctions(dS)):
-                    term = ins if j % 2 == 0 else -ins
-                    acc = term if acc is None else acc + term
+                acc = t.contract_alternating(dS)
                 if sign < 0:
                     acc = -acc
                 _put(parts, nc, acc)

@@ -13,9 +13,12 @@ The differential inserts the identity into each slot with alternating
 signs, d(a0 x ... x am) = sum_i (-1)^i a0 x ... x 1_(i) x ... x am, which
 restricts to 1 x a - a x 1 in degree 0; multiplication merges the two
 adjacent legs at the junction.  Every derivation of M_n is inner,
-ad_S(C) = [S, C], and is kept as its traceless matrix S; the interior
-product contracts ad_S into one leg at a time with alternating signs and
-the Lie derivative applies it leg-wise.
+ad_S(C) = [S, C], and is kept as its traceless matrix S.  The interior
+product contracts S at each junction, with alternating signs: the
+contraction of ad_S into leg j, merged left, is a_(j-1) [S, a_j] =
+a_(j-1) S a_j - (a_(j-1) a_j) S, and on a form the second term vanishes
+because junction j contracts to zero.  The Lie derivative applies ad_S
+leg-wise.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ class TensorForm:
 
     No stored coefficient is zero, so `is_zero` is an empty-dict test.
     The constructor owns that invariant: it drops the zeros of the dict it
-    is given, so operations hand it their raw sums.
+    is given, so operations hand it their raw sums.  The constructor and
+    `tensor` accept any tensor, but `MatrixDerivation.iprod` assumes a
+    form, one whose junctions contract to zero (`in_kernel`).
     """
 
     __slots__ = ("n", "degree", "terms")
@@ -139,7 +144,8 @@ class TensorForm:
 
     def tensor(self, other: "TensorForm") -> "TensorForm":
         """Raw leg concatenation (no junction merge); used to rebuild
-        printed forms, whose tensor sign separates legs."""
+        printed forms, whose tensor sign separates legs.  The result need
+        not be a form, which `MatrixDerivation.iprod` assumes."""
         if self.n != other.n:
             raise ValueError("matrix sizes differ")
         out = {}
@@ -195,6 +201,13 @@ class TensorForm:
             outs.append(TensorForm(n, self.degree - 1, out))
         return outs
 
+    def contract_alternating(self, p_matrix) -> "TensorForm":
+        """sum_j (-1)^(j-1) of junction j contracted with P inserted."""
+        out = TensorForm.zero(self.n, self.degree - 1)
+        for j, t in enumerate(self.contract_junctions(p_matrix)):
+            out = out - t if j % 2 else out + t
+        return out
+
     def in_kernel(self):
         """All products of adjacent legs vanish, as on honest forms."""
         eye = [[1 if i == j else 0 for j in range(self.n)]
@@ -215,6 +228,7 @@ class MatrixDerivation:
     S is a degree-0 `TensorForm` made traceless at construction: ad_S =
     ad_T exactly when S - T is a multiple of I, so the traceless S is
     canonical, and the linear structure and commutator are those of S.
+    `iprod` contracts S at each junction; `lie` applies [S, E_ij] leg-wise.
     """
 
     __slots__ = ("n", "s", "label", "_images")
@@ -290,23 +304,11 @@ class MatrixDerivation:
         return self.apply(x)
 
     def iprod(self, x: TensorForm) -> TensorForm:
-        """Contract ad_S into leg j and merge left, signs alternating."""
+        """sum_j (-1)^(j-1) a_(j-1) S a_j, which on a form x is ad_S
+        contracted into leg j and merged left (see the module docstring)."""
         if x.degree < 1:
             raise DegreeError("interior product needs degree >= 1")
-        n = x.n
-        out = {}
-        for key, c in x.terms.items():
-            for j in range(1, len(key)):
-                sign = c if (j - 1) % 2 == 0 else -c
-                li, lj = divmod(key[j - 1], n)
-                for o, v in self.apply_unit(key[j]).items():
-                    oi, oj = divmod(o, n)
-                    if lj != oi:
-                        continue
-                    nk = key[:j - 1] + (li * n + oj,) + key[j + 1:]
-                    acc = out.get(nk)
-                    out[nk] = sign * v if acc is None else acc + sign * v
-        return TensorForm(n, x.degree - 1, out)
+        return x.contract_alternating(self.s.to_matrix())
 
     def lie(self, x: TensorForm) -> TensorForm:
         out = {}

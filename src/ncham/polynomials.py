@@ -199,5 +199,4 @@ def _canonical(nums, den):
     return _trusted(nums, den)
 
 
-P_ZERO = Poly()
 P_ONE = Poly.const(1)

@@ -30,20 +30,14 @@ def _q_term(k: int, r: Fraction, lead: bool) -> str:
     return "%s %s" % (sign, body)
 
 
-def scalar_str(c) -> str:
-    if isinstance(c, Fraction):
-        return rational_str(c)
-    if isinstance(c, int):
-        return str(c)
-    if isinstance(c, CycScalar):
-        parts = [(k, r) for k, r in enumerate(c.coeffs) if r]
-        if not parts:
-            return "0"
-        out = _q_term(parts[0][0], parts[0][1], lead=True)
-        for k, r in parts[1:]:
-            out += " " + _q_term(k, r, lead=False)
-        return out
-    return str(c)
+def scalar_str(c: CycScalar) -> str:
+    parts = [(k, r) for k, r in enumerate(c.coeffs) if r]
+    if not parts:
+        return "0"
+    out = _q_term(parts[0][0], parts[0][1], lead=True)
+    for k, r in parts[1:]:
+        out += " " + _q_term(k, r, lead=False)
+    return out
 
 
 def _coeff_prefix(c, word_part: str):
@@ -111,21 +105,15 @@ def _monomial_str(mono) -> str:
 
 
 def poly_str(p) -> str:
-    from .polynomials import Poly
-
-    if isinstance(p, Poly):
-        if not p.coeffs:
-            return "0"
-        parts = []
-        for i, (mono, c) in enumerate(sorted(p.coeffs.items())):
-            parts.append(term_str(c, _monomial_str(mono), lead=(i == 0)))
-        return " ".join(parts)
-    return scalar_str(p)
+    if not p.coeffs:
+        return "0"
+    parts = []
+    for i, (mono, c) in enumerate(sorted(p.coeffs.items())):
+        parts.append(term_str(c, _monomial_str(mono), lead=(i == 0)))
+    return " ".join(parts)
 
 
 def bigraded_str(x) -> str:
-    from .polynomials import Poly
-
     chunks = []
     first = True
     for csym in sorted(x.parts, key=lambda c: (len(c), c)):
@@ -134,13 +122,8 @@ def bigraded_str(x) -> str:
         for key in sorted(t.terms):
             legs = "⊗".join(unit_name(t.n, f) for f in key)
             word = " ".join(s for s in (csym_txt, legs) if s)
-            coeff = t.terms[key]
-            if isinstance(coeff, Poly):
-                for mono, c in sorted(coeff.coeffs.items()):
-                    full = " ".join(s for s in (_monomial_str(mono), word) if s)
-                    chunks.append(term_str(c, full, lead=first))
-                    first = False
-            else:
-                chunks.append(term_str(coeff, word, lead=first))
+            for mono, c in sorted(t.terms[key].coeffs.items()):
+                full = " ".join(s for s in (_monomial_str(mono), word) if s)
+                chunks.append(term_str(c, full, lead=first))
                 first = False
     return " ".join(chunks) if chunks else "0"

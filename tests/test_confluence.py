@@ -4,6 +4,7 @@ confluent, and a deliberately broken one must be reported as such."""
 import pytest
 
 from ncham.algebra import GeneratorSymbol, RuleSpec, check_local_confluence
+from ncham.cli import main
 from ncham.forms import CalculusPresentation
 from ncham.models import cuntz_calculus, torus_calculus
 from ncham.scalars import q_power
@@ -59,3 +60,22 @@ def test_cancellation_overlaps_are_checked():
     words = [calc.system.word_str(p.word) for p in rep.pairs]
     assert "v u u^-1" in words
     assert rep.all_joinable
+
+
+INCLUSION = "generator a\ngenerator b\norder a < b\nrule b a -> a b\n"
+
+
+@pytest.mark.parametrize("rule, code, summary, line", [
+    ("rule b a b -> a", 1, "critical pairs: 3, joinable: 1, failing: 2",
+     "NOT JOINABLE: b a b  (b a b -> ... <- b a)"),
+    ("rule b a b -> a b b", 0, "critical pairs: 3, joinable: 3, failing: 0",
+     "joinable: b a b  (b a b -> ... <- b a)"),
+])
+def test_inclusion_ambiguities(capsys, tmp_path, rule, code, summary, line):
+    """b a lies inside b a b: both rewrites of b a b must meet."""
+    path = tmp_path / "inclusion.pres"
+    path.write_text(INCLUSION + rule + "\n")
+    assert main(["--presentation", str(path), "confluence"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == summary
+    assert "  " + line in lines

@@ -222,3 +222,73 @@ def test_cartan_props_universal():
             assert ph.iprod(th.iprod(x)) == -th.iprod(ph.iprod(x))
         assert th.lie(ph.lie(x)) - ph.lie(th.lie(x)) \
             == th.commutator(ph).lie(x)
+
+
+def legwise_iprod(theta, x):
+    """Reference interior product: ad_S contracted into leg j and merged
+    left, sum_j (-1)^(j-1) a_(j-1) [S, a_j], one leg at a time."""
+    n = x.n
+    out = {}
+    for key, c in x.terms.items():
+        for j in range(1, len(key)):
+            sign = c if (j - 1) % 2 == 0 else -c
+            li, lj = divmod(key[j - 1], n)
+            for o, v in theta.apply_unit(key[j]).items():
+                oi, oj = divmod(o, n)
+                if lj == oi:
+                    nk = key[:j - 1] + (li * n + oj,) + key[j + 1:]
+                    out[nk] = out[nk] + sign * v if nk in out else sign * v
+    return TensorForm(n, x.degree - 1, out)
+
+
+def random_form(rng, n, degree):
+    """a0 da1 ... da_k plus a second such term, dense random matrices."""
+    out = TensorForm.zero(n, degree)
+    for _ in range(2):
+        t = TensorForm.from_matrix(rand_matrix(rng, n))
+        for _ in range(degree):
+            t = t * TensorForm.from_matrix(rand_matrix(rng, n)).d()
+        out = out + t
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_iprod_is_the_legwise_contraction(n):
+    """S contracted at each junction equals the leg-wise a_(j-1) [S, a_j]
+    on forms of degree 1 to 3 over Fractions."""
+    rng = random.Random(30 + n)
+    for trial in range(12 if n < 4 else 6):
+        degree = 1 + trial % (3 if n < 4 else 2)
+        x = random_form(rng, n, degree)
+        assert not x.is_zero()
+        th = MatrixDerivation.ad(rand_matrix(rng, n))
+        assert th.iprod(x) == legwise_iprod(th, x)
+
+
+def test_polymat_iprod_is_the_legwise_contraction():
+    """ad(g (E12 - E21)) over Poly, on forms with polynomial entries as in
+    the matrix parts of polymat."""
+    rng = random.Random(32)
+
+    def poly():
+        return Poly({(rng.randint(0, 2), rng.randint(0, 2)):
+                     Fraction(rng.randint(-2, 2)) for _ in range(2)})
+
+    def poly_matrix():
+        return TensorForm.from_matrix([[poly(), poly()], [poly(), poly()]])
+
+    for trial in range(12):
+        x = poly_matrix()
+        for _ in range(1 + trial % 3):
+            x = x * poly_matrix().d()
+        th = MixedDerivation(0, 0, poly())._ad()
+        assert th.iprod(x) == legwise_iprod(th, x)
+
+
+def test_contract_alternating_sums_the_junctions():
+    """sum_j (-1)^(j-1) of the junction contractions, on a 2-form."""
+    rng = random.Random(31)
+    x = random_form(rng, 3, 2)
+    p = rand_matrix(rng, 3)
+    first, second = x.contract_junctions(p)
+    assert x.contract_alternating(p) == first - second

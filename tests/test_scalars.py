@@ -161,6 +161,21 @@ def test_errors():
         q_power(0, 1)
 
 
+def test_reflected_division():
+    """r / x is x's inverse times r, and 1 / x is the inverse."""
+    rng = random.Random(11)
+    for p in (1, 2, 3, 5, 12, 32):
+        for _ in range(5):
+            x = rand_scalar(rng, p)
+            if not x:
+                continue
+            inv = x.inverse()
+            assert 1 / x == inv
+            assert Fraction(3, 2) / x == inv * Fraction(3, 2)
+        with pytest.raises(ZeroDivisionError):
+            1 / cyc_zero(p)
+
+
 def test_str_forms():
     assert str(cyc_one(3) - 2 * q_power(3, 1)) == "1 - 2q"
     assert str(q_power(5, 2)) == "q^2"
