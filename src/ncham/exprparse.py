@@ -17,7 +17,8 @@ Presentation files are line oriented:
     omega u^-1 du dv v^-1
     derivation theta: u -> u^3 v^2, v -> u^2 v^3
 
-Lines starting with # are comments.  A file builds one calculus: bare, it
+Lines starting with # are comments; `cyclotomic`, `order` and `omega`
+may each appear once.  A file builds one calculus: bare, it
 parses every rule's right-hand side; then all `rule` lines (which may not
 name a differential) go in, then all `frule` lines, each in file order,
 then the derived inverse variants, and only then are the optional `omega`
@@ -394,8 +395,8 @@ def load_presentation(path):
     A line that cannot be read, or that names an unknown letter, is a
     ParseError naming that line; so is an `order` line that leaves out a
     generator, a `rule` line that names a differential, an `omega` line
-    whose 2-form is not closed, and a rule whose derived inverse variant
-    does not decrease.
+    whose 2-form is not closed, a second `cyclotomic`, `order` or `omega`
+    line, and a rule whose derived inverse variant does not decrease.
     """
     from .backends import Backend
     from .models import MAX_CYCLOTOMIC_ORDER, ModelDescriptor, check_bound
@@ -403,7 +404,7 @@ def load_presentation(path):
     p = 1
     generators = []
     order = None
-    order_line = None
+    first_line = {}                     # once-only directive -> its line
     body = []                           # (lineno, directive, text)
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -413,6 +414,11 @@ def load_presentation(path):
             head, _, rest = line.partition(" ")
             rest = rest.strip()
             with _at_line(lineno):
+                if head in ("cyclotomic", "order", "omega"):
+                    if head in first_line:
+                        raise ParseError("%s declared twice (first on line %d)"
+                                         % (head, first_line[head]))
+                    first_line[head] = lineno
                 if head == "cyclotomic":
                     p = check_bound("cyclotomic order", int(rest), 1,
                                     MAX_CYCLOTOMIC_ORDER)
@@ -430,7 +436,6 @@ def load_presentation(path):
                         name, invertible="invertible" in parts[1:]))
                 elif head == "order":
                     order = [t.strip() for t in rest.split("<")]
-                    order_line = lineno
                 elif head in ("rule", "frule", "omega", "derivation"):
                     body.append((lineno, head, rest))
                 else:
@@ -439,7 +444,7 @@ def load_presentation(path):
         raise ParseError("presentation declares no generators")
 
     # without an order line the checks above leave nothing here to fail
-    with _at_line(order_line):
+    with _at_line(first_line.get("order")):
         calc = CalculusPresentation(generators, [], [], p=p,
                                     letter_order=order)
     rhs_parser = ExpressionParser(calc.namespace(), calc)
@@ -517,5 +522,5 @@ def load_presentation(path):
 
     return ModelDescriptor(
         kind="file", params={}, backend=Backend.presented(calc), calculus=calc,
-        omega=omega, basis=derivations, random_form=random_form,
+        omega=omega, basis=lambda: derivations, random_form=random_form,
         random_derivation=random_derivation, namespace=namespace)

@@ -2,14 +2,17 @@
 
 Each builder returns a ModelDescriptor bundling the calculus, its
 `backends.Backend`, the closed 2-form, the default derivation ansatz as
-a `DerivationSpace` and seeded random generators.  Its `cartan_residuals`
-is the Cartan identity suite on one random triple, and its `certify`
-runs the structural checks (local confluence, d omega = 0, consistency
-of the ansatz, trivial omega_tilde kernel).  A presentation file loads
-to the same type, with omega None when the file declares no 2-form; its
-ansatz is loaded unchecked, so that `certify` can report an inconsistent
-member, and its `solver` refuses an unsound file (`require_sound`).  The
-model parameters are bounded by the MAX_* constants below.
+a `DerivationSpace` and seeded random generators; the ansatz and the
+closedness check of the 2-form wait for their first use, so a command
+that only rewrites a form or applies d, _| or L builds neither.  Its
+`cartan_residuals` is the Cartan identity suite on one random triple,
+and its `certify` runs the structural checks (local confluence,
+d omega = 0, consistency of the ansatz, trivial omega_tilde kernel).  A
+presentation file loads to the same type, with omega None when the file
+declares no 2-form; its ansatz is loaded unchecked, so that `certify`
+can report an inconsistent member, and its `solver` refuses an unsound
+file (`require_sound`).  The model parameters are bounded by the MAX_*
+constants below.
 
 Rule orientations.  Torus: differentials first, dv < du < u < v, so the
 single algebra rule reads v u -> q^-1 u v and normal form words are
@@ -83,6 +86,14 @@ class ModelDescriptor:
     `calculus` is None on the tensor backends, which have no presentation
     to check for confluence; `omega` is None for a presentation file
     without a 2-form, which then has no solver.
+
+    `basis` and `v_family` are zero-argument functions returning lists of
+    derivations.  `space` (the ansatz), `v_family` (the family V the
+    ansatz is drawn from; the ansatz itself when not given) and `omega`
+    (the `SymplecticForm`, whose constructor checks d omega = 0) are
+    built the first time something reads them, and at most once.  So a
+    2-form that is not closed raises ValueError on the first read of
+    `omega`, not here.
     """
 
     def __init__(self, kind, params, backend, calculus, omega, basis,
@@ -91,12 +102,25 @@ class ModelDescriptor:
         self.params = dict(params)
         self.backend = backend
         self.calculus = calculus
-        self.omega = None if omega is None else SymplecticForm(backend, omega)
-        self.space = DerivationSpace(basis, backend)
-        self.v_family = list(v_family) if v_family is not None else list(basis)
+        self._omega, self._basis, self._v_family = omega, basis, v_family
         self.random_form = random_form              # (rng, max_degree=2)
         self.random_derivation = random_derivation  # (rng)
         self._namespace = namespace
+
+    @cached_property
+    def omega(self):
+        if self._omega is not None:
+            return SymplecticForm(self.backend, self._omega)
+
+    @cached_property
+    def space(self):
+        return DerivationSpace(self._basis(), self.backend)
+
+    @cached_property
+    def v_family(self):
+        if self._v_family is None:
+            return list(self.space.basis)
+        return self._v_family()
 
     @property
     def name(self):
@@ -224,13 +248,14 @@ def build_torus(p: int, bound: int = 3, root_exp: int = 1) -> ModelDescriptor:
     check_bound("torus p", p, 1, MAX_CYCLOTOMIC_ORDER)
     check_bound("torus ansatz bound B", bound, 0, MAX_TORUS_BOUND)
     calc = torus_calculus(p, root_exp)
-    basis = classify_torus_derivations(calc, bound)
     omega = (calc.gen("u", -1) * calc.dgen("u") * calc.dgen("v")
              * calc.gen("v", -1))
     backend = Backend.presented(calc)
     # small-offset pool for randomized identity checking; large exponents
-    # only slow the rewriting down without adding coverage
-    pool = classify_torus_derivations(calc, min(bound, 1))
+    # only slow the rewriting down without adding coverage.  It is built
+    # with the model, unlike the ansatz: every random_derivation draws
+    # from it, so deferring it would only move its cost into the first draw
+    pool =classify_torus_derivations(calc, min(bound, 1))
 
     def random_form(rng, max_degree=2):
         du, dv = calc.dgen("u"), calc.dgen("v")
@@ -254,7 +279,8 @@ def build_torus(p: int, bound: int = 3, root_exp: int = 1) -> ModelDescriptor:
     return ModelDescriptor(
         kind="torus", params={"p": p} if root_exp == 1 else
         {"p": p, "root": root_exp},
-        backend=backend, calculus=calc, omega=omega, basis=basis,
+        backend=backend, calculus=calc, omega=omega,
+        basis=lambda: classify_torus_derivations(calc, bound),
         random_form=random_form, random_derivation=random_derivation,
         namespace=calc.namespace())
 
@@ -265,8 +291,6 @@ def build_torus(p: int, bound: int = 3, root_exp: int = 1) -> ModelDescriptor:
 def build_matrix(n: int) -> ModelDescriptor:
     check_bound("matrix n", n, 2, MAX_MATRIX_N)
     omega = matrix_symplectic_form(n)
-    basis = [MatrixDerivation(a, label="ad(%s)" % a)
-             for a in antisymmetric_basis(n)]
     backend = Backend(TensorForm.d, MatrixDerivation.zero(n))
 
     def rand_matrix(rng, entries=2):
@@ -295,8 +319,10 @@ def build_matrix(n: int) -> ModelDescriptor:
     ns["I"] = TensorForm.identity(n)
     return ModelDescriptor(
         kind="matrix", params={"n": n}, backend=backend, calculus=None,
-        omega=omega, basis=basis, random_form=random_form,
-        random_derivation=random_derivation, namespace=ns)
+        omega=omega, basis=lambda: [MatrixDerivation(a, label="ad(%s)" % a)
+                                    for a in antisymmetric_basis(n)],
+        random_form=random_form, random_derivation=random_derivation,
+        namespace=ns)
 
 
 # -- Cuntz algebra -----------------------------------------------------------
@@ -356,20 +382,22 @@ def build_cuntz(n: int) -> ModelDescriptor:
     # plus differences of consecutive diagonal ones.  It is still closed
     # under commutator, omega~ is injective on it, and theta_1 acts as
     # zero on every balanced word, so no Poisson bracket changes.
-    family = []
-    diag = []
-    for k in range(n):
-        for m in range(n):
-            h = calc.gen("s%d" % (k + 1)) * calc.gen("s%d*" % (m + 1))
-            th = theta_h(calc, h, n, label="theta[s%d s%d*]" % (k + 1, m + 1))
-            family.append(th)
-            if k == m:
-                diag.append(th)
-    basis = [th for k, th in enumerate(family) if k // n != k % n]
-    for i in range(n - 1):
-        member = diag[i] - diag[i + 1]
-        member.label = "theta[s%d s%d* - s%d s%d*]" % (i + 1, i + 1, i + 2, i + 2)
-        basis.append(member)
+    def family():
+        return [theta_h(calc, calc.gen("s%d" % k) * calc.gen("s%d*" % m), n,
+                        label="theta[s%d s%d*]" % (k, m))
+                for k in range(1, n + 1) for m in range(1, n + 1)]
+
+    def basis():
+        family = model.v_family
+        diag = family[::n + 1]
+        out = [th for k, th in enumerate(family) if k // n != k % n]
+        for i in range(n - 1):
+            member = diag[i] - diag[i + 1]
+            member.label = ("theta[s%d s%d* - s%d s%d*]"
+                            % (i + 1, i + 1, i + 2, i + 2))
+            out.append(member)
+        return out
+
     backend = Backend.presented(calc)
     gen_names = ["s%d" % (i + 1) for i in range(n)] + \
                 ["s%d*" % (i + 1) for i in range(n)]
@@ -401,13 +429,14 @@ def build_cuntz(n: int) -> ModelDescriptor:
             h = random_word(rng, rng.randint(1, 3))
             if not h.is_zero():
                 return theta_h(calc, h, n)
-        return basis[0]
+        return model.space.basis[0]
 
-    return ModelDescriptor(
+    model = ModelDescriptor(
         kind="cuntz", params={"n": n}, backend=backend, calculus=calc,
         omega=omega, basis=basis, random_form=random_form,
         random_derivation=random_derivation, namespace=calc.namespace(),
         v_family=family)
+    return model
 
 
 # -- polynomial functions with matrix values ----------------------------------
@@ -416,15 +445,19 @@ def build_cuntz(n: int) -> ModelDescriptor:
 def build_poly_matrix(degree_bound: int = 3) -> ModelDescriptor:
     check_bound("polymat degree bound D", degree_bound, 1, MAX_POLY_DEGREE)
     omega = poly_matrix_symplectic_form()
-    basis = []
-    monos = sorted({(i, d - i) for d in range(degree_bound + 1)
-                    for i in range(d + 1)})
-    for k, kind in enumerate(("x-flow", "y-flow", "rotation")):
-        for i, j in monos:
-            thetas = [0, 0, 0]              # theta_x, theta_y, theta_r
-            thetas[k] = Poly.monomial(i, j)
-            basis.append(MixedDerivation(
-                *thetas, label="%s x^%d y^%d" % (kind, i, j)))
+
+    def basis():
+        out = []
+        monos = sorted({(i, d - i) for d in range(degree_bound + 1)
+                        for i in range(d + 1)})
+        for k, kind in enumerate(("x-flow", "y-flow", "rotation")):
+            for i, j in monos:
+                thetas = [0, 0, 0]              # theta_x, theta_y, theta_r
+                thetas[k] = Poly.monomial(i, j)
+                out.append(MixedDerivation(
+                    *thetas, label="%s x^%d y^%d" % (kind, i, j)))
+        return out
+
     backend = Backend(BigradedForm.d, MixedDerivation())
 
     def rand_poly(rng, d=2, terms=2):

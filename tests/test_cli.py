@@ -252,6 +252,27 @@ def test_cli_presentation_error_names_the_line(capsys, tmp_path, text,
     assert (code, out, err) == (2, "", "error: " + message)
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("omega\n", "line 16: omega declared twice (first on line 14)"),
+    ("omega 2 u^-1 du dv v^-1\n",
+     "line 16: omega declared twice (first on line 14)"),
+    ("cyclotomic 2\n", "line 16: cyclotomic declared twice (first on line 2)"),
+    ("order dv < du < u < v\n",
+     "line 16: order declared twice (first on line 5)"),
+], ids=["empty-omega", "second-omega", "cyclotomic", "order"])
+def test_presentation_file_directive_declared_twice(capsys, tmp_path, extra,
+                                                    message):
+    """A second cyclotomic, order or omega line is an error naming both
+    lines; it neither replaces the first nor, when empty, drops the
+    2-form."""
+    path = tmp_path / "twice.pres"
+    path.write_text(TORUS2_RELATIONS + TORUS2_OMEGA + TORUS2_DERIVATION
+                    + extra)
+    code, out, err = run_cli(capsys, "--presentation", str(path),
+                             "is-hamiltonian", "u^2 v^2")
+    assert (code, out, err) == (2, "", "error: " + message)
+
+
 # -- command line ------------------------------------------------------------
 
 

@@ -4,7 +4,8 @@ import pytest
 from closure import commutator_closure
 
 from ncham.matrixcalc import MatrixDerivation
-from ncham.models import build_matrix, build_model, build_torus, theta_h
+from ncham.models import (build_cuntz, build_matrix, build_model,
+                          build_poly_matrix, build_torus, theta_h)
 
 
 def test_certificates_all_models(all_models):
@@ -184,3 +185,123 @@ def test_check_evaluates_every_identity_count_times(capsys, monkeypatch,
     assert evaluated == Counter({name: 7 for name in CARTAN_IDENTITIES})
     assert lines[-5:] == ["PASS %s (7 trials, seed 2026)" % name
                           for name in CARTAN_IDENTITIES]
+
+
+# -- what a command builds ----------------------------------------------------
+
+LAZY_COMMANDS = {
+    "torus:p=2": [("normalize", "v u"), ("d", "u v"),
+                  ("iprod", "u -> u^3 v^2, v -> 0", "du dv"),
+                  ("lie", "u -> u^3 v^2, v -> 0", "u du"),
+                  ("lie", "u -> 0, v -> u^2 v^3", "v"), ("confluence",)],
+    "matrix:n=3": [("normalize", "E12 E21"), ("d", "E12"),
+                   ("iprod", "S: E12 - E21", "E11 dE12"),
+                   ("lie", "S: E12 - E21", "E11"),
+                   ("lie", "S: 2 E11 + E12", "E11 dE12"), ("confluence",)],
+}
+HAMILTONIAN = {"torus:p=2": "u^2 v^2", "matrix:n=3": "E12 - E21"}
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The bounds of every classify_torus_derivations call and the number
+    of SymplecticForm closedness checks, from the moment it is used."""
+    import ncham.models
+    from ncham.symplectic import SymplecticForm
+
+    seen = {"bounds": [], "checks": 0}
+    classify, post_init = (ncham.models.classify_torus_derivations,
+                           SymplecticForm.__post_init__)
+
+    def counted_classify(calc, bound):
+        seen["bounds"].append(bound)
+        return classify(calc, bound)
+
+    def counted_post_init(self):
+        seen["checks"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(ncham.models, "classify_torus_derivations",
+                        counted_classify)
+    monkeypatch.setattr(SymplecticForm, "__post_init__", counted_post_init)
+    return seen
+
+
+@pytest.mark.parametrize("desc", sorted(LAZY_COMMANDS))
+def test_a_command_builds_only_what_it_uses(capsys, builds, desc):
+    """Rewriting, d, _|, L and confluence build neither the ansatz nor
+    omega's closedness check; is-hamiltonian builds each once.  The torus
+    pool of random derivations (bound 1) is built with the model."""
+    from ncham.cli import main
+
+    pool = [1] if desc.startswith("torus") else []
+    for command in LAZY_COMMANDS[desc]:
+        builds.update(bounds=[], checks=0)
+        assert main(["--model", desc, *command]) == 0, command
+        assert builds == {"bounds": pool, "checks": 0}, command
+    builds.update(bounds=[], checks=0)
+    assert main(["--model", desc, "is-hamiltonian", HAMILTONIAN[desc]]) == 0
+    ansatz = [3] if pool else []
+    assert builds == {"bounds": pool + ansatz, "checks": 1}
+    capsys.readouterr()
+
+
+def test_lazy_members_are_built_once(builds):
+    torus = build_model("torus:p=2")
+    assert torus.space is torus.space
+    assert torus.omega is torus.omega
+    assert torus.v_family == torus.space.basis
+    assert builds == {"bounds": [1, 3], "checks": 1}
+
+    cuntz = build_model("cuntz:n=2")
+    assert len(cuntz.v_family) == 4
+    assert len(cuntz.space.basis) == 3
+    # the ansatz is drawn from the one family: off-diagonal members first
+    assert cuntz.space.basis[:2] == [cuntz.v_family[1], cuntz.v_family[2]]
+    assert cuntz.space.basis[0] is cuntz.v_family[1]
+
+
+def test_cuntz_random_derivation_falls_back_to_the_ansatz():
+    """Every drawn word s1* s2 is zero, so random_derivation returns the
+    first member of the model's own ansatz."""
+    class ZeroWords:
+        def __init__(self):
+            self.names = iter(["s1*", "s2"] * 50)
+
+        def randint(self, low, high):
+            return 2
+
+        def choice(self, seq):
+            return next(self.names)
+
+    cuntz = build_model("cuntz:n=2")
+    assert cuntz.random_derivation(ZeroWords()) is cuntz.space.basis[0]
+
+
+def test_deferred_closedness_check_covers_every_model(builds):
+    models = [build_torus(1), build_torus(2), build_torus(3), build_matrix(2),
+              build_matrix(3), build_cuntz(2), build_cuntz(3),
+              build_poly_matrix(3)]
+    assert builds["checks"] == 0
+    for k, model in enumerate(models, 1):
+        omega = model.omega.omega
+        assert builds["checks"] == k, model.name
+        assert model.backend.is_zero(model.backend.d(omega)), model.name
+
+
+def test_a_form_that_is_not_closed_fails_on_first_use(torus2):
+    from ncham.models import ModelDescriptor
+
+    calc = torus2.calculus
+    model = ModelDescriptor(
+        kind="torus", params={"p": 2}, backend=torus2.backend, calculus=calc,
+        omega=calc.gen("u") * calc.dgen("v"), basis=lambda: [],
+        random_form=torus2.random_form,
+        random_derivation=torus2.random_derivation,
+        namespace=calc.namespace())
+    assert model.name == "torus:p=2"
+    for _ in range(2):
+        with pytest.raises(ValueError, match="the 2-form is not closed"):
+            model.omega
+    with pytest.raises(ValueError, match="the 2-form is not closed"):
+        model.solver
