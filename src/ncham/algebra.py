@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import CycScalar, cyc_one, cyc_zero, q_power
+from .scalars import CycScalar, cyc_one, cyc_zero, power, q_power
 
 
 class ReductionBudgetExceeded(RuntimeError):
@@ -591,14 +591,6 @@ class Element:
     def one(cls, system):
         return cls(system, {(): system.one()}, normal=True)
 
-    @classmethod
-    def from_word(cls, system, factors, coeff=1):
-        return cls(system, {system.encode_word(factors): system.scalar(coeff)})
-
-    @classmethod
-    def generator(cls, system, name, exp=1):
-        return cls.from_word(system, [(name, exp)])
-
     def _check(self, other):
         if self.system is not other.system:
             raise ValueError("elements belong to different presentations")
@@ -651,14 +643,7 @@ class Element:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out, base = Element.one(self.system), self
-        while k:    # square-and-multiply: O(log k) products
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return power(self, k, Element.one(self.system))
 
     def commutator(self, other):
         return self * other - other * self

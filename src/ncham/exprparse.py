@@ -5,7 +5,11 @@ separator) of atoms with an optional integer power, joined by the tensor
 sign (leg concatenation); atoms are rationals like 2/3, the scalar q
 (presented models), generator or differential names, or parenthesized
 expressions.  Products associate left to right.  Negative powers exist
-only for invertible generators; du^-1 is rejected.
+only for invertible generators and nonzero scalars; du^-1 is rejected.
+A rational parses to its Fraction and q to its CycScalar; scalars
+combine by their own arithmetic, every element type takes them as
+coefficients, and an expression that is a scalar alone reads as that
+multiple of the unit (I on the tensor backends).
 
 Presentation files are line oriented:
 
@@ -25,7 +29,8 @@ then the derived inverse variants, and only then are the optional `omega`
 and `derivation` lines read; when present they make the Hamiltonian
 commands available on a user presentation.  A file loads to a
 ModelDescriptor like the built-in models, with omega None when the file
-has no `omega` line.
+has no `omega` line; the 2-form is checked to be closed last, once every
+line has parsed.
 """
 
 from __future__ import annotations
@@ -36,7 +41,11 @@ from fractions import Fraction
 
 from .algebra import DerivedVariantError, GeneratorSymbol, RuleSpec
 from .forms import CalculusPresentation
-from .scalars import CycScalar, q_power
+from .scalars import CycScalar, power, q_power
+
+
+def _is_scalar(x):
+    return isinstance(x, (Fraction, CycScalar))
 
 
 class ParseError(ValueError):
@@ -68,15 +77,6 @@ def tokenize(text):
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
-
-
-class _Scalar:
-    """Wrapper distinguishing pure scalars from algebra elements."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
 
 
 class ExpressionParser:
@@ -115,9 +115,7 @@ class ExpressionParser:
         return value
 
     def _to_element(self, value):
-        if isinstance(value, _Scalar):
-            return self.unit * value.value
-        return value
+        return self.unit * value if _is_scalar(value) else value
 
     def _peek(self):
         return self.tokens[self.i]
@@ -139,10 +137,8 @@ class ExpressionParser:
                 return value
 
     def _combine_add(self, a, b, op, pos):
-        if isinstance(a, _Scalar) and isinstance(b, _Scalar):
-            return _Scalar(a.value + b.value if op == "+" else a.value - b.value)
-        a = self._to_element(a)
-        b = self._to_element(b)
+        if not (_is_scalar(a) and _is_scalar(b)):
+            a, b = self._to_element(a), self._to_element(b)
         try:
             return a + b if op == "+" else a - b
         except (TypeError, ValueError) as exc:
@@ -171,19 +167,9 @@ class ExpressionParser:
                 value = self._combine_mul(value, rhs, pos)
             else:
                 break
-        if negate:
-            if isinstance(value, _Scalar):
-                return _Scalar(-value.value)
-            return -value
-        return value
+        return -value if negate else value
 
     def _combine_mul(self, a, b, pos):
-        if isinstance(a, _Scalar) and isinstance(b, _Scalar):
-            return _Scalar(a.value * b.value)
-        if isinstance(a, _Scalar):
-            return b * a.value
-        if isinstance(b, _Scalar):
-            return a * b.value
         try:
             return a * b
         except (TypeError, ValueError) as exc:
@@ -196,7 +182,7 @@ class ExpressionParser:
             if kind == "op" and tok == "⊗":
                 self._next()
                 rhs = self._primary()
-                if not hasattr(value, "tensor") or isinstance(rhs, _Scalar):
+                if not hasattr(value, "tensor") or _is_scalar(rhs):
                     raise ParseError("tensor legs need forms of a tensor "
                                      "backend", pos)
                 try:
@@ -221,23 +207,12 @@ class ExpressionParser:
         return atom
 
     def _power(self, atom, k, pos, atom_name=None):
-        if isinstance(atom, _Scalar):
-            v = atom.value
-            if k < 0 and not v:
+        if _is_scalar(atom):
+            if k < 0 and not atom:
                 raise ParseError("division by zero: 0 to the power %d" % k, pos)
-            if k < 0 and not isinstance(v, CycScalar):
-                return _Scalar(Fraction(v) ** k)
-            return _Scalar(v ** k)
+            return atom ** k
         if k >= 0:
-            # square-and-multiply: O(log k) products
-            result = None
-            while k:
-                if k & 1:
-                    result = atom if result is None else result * atom
-                k >>= 1
-                if k:
-                    atom = atom * atom
-            return self.unit if result is None else result
+            return power(atom, k, self.unit)
         if self.calculus is None or atom_name is None:
             raise ParseError("negative powers need an invertible generator", pos)
         gens = {g.name: g for g in self.calculus.generators}
@@ -257,13 +232,13 @@ class ExpressionParser:
                 num, den = tok.split("/")
                 if not int(den):
                     raise ParseError("division by zero in %s" % tok, pos)
-                return _Scalar(Fraction(int(num), int(den)))
-            return _Scalar(Fraction(int(tok)))
+                return Fraction(int(num), int(den))
+            return Fraction(int(tok))
         if kind == "name":
             if tok == "q":
                 if self.calculus is None:
                     raise ParseError("q is only defined on presented models", pos)
-                return _Scalar(q_power(self.calculus.p, 1))
+                return q_power(self.calculus.p, 1)
             if tok in self.namespace:
                 return self.namespace[tok]
             raise ParseError("unknown generator %r" % tok, pos)
@@ -394,9 +369,10 @@ def load_presentation(path):
 
     A line that cannot be read, or that names an unknown letter, is a
     ParseError naming that line; so is an `order` line that leaves out a
-    generator, a `rule` line that names a differential, an `omega` line
-    whose 2-form is not closed, a second `cyclotomic`, `order` or `omega`
-    line, and a rule whose derived inverse variant does not decrease.
+    generator, a `rule` line that names a differential, a second
+    `cyclotomic`, `order` or `omega` line, a rule whose derived inverse
+    variant does not decrease, and, checked after every other line, an
+    `omega` line whose 2-form is not closed.
     """
     from .backends import Backend
     from .models import MAX_CYCLOTOMIC_ORDER, ModelDescriptor, check_bound
@@ -492,9 +468,6 @@ def load_presentation(path):
         with _at_line(lineno):
             if head == "omega":
                 omega = parser.parse(text) if text else None
-                if omega is not None and not calc.d(omega).is_zero():
-                    raise ValueError("the 2-form is not closed: d omega = %s"
-                                     % calc.d(omega))
             elif head == "derivation":
                 name, _, spec = text.partition(":")
                 derivations.append(_image_derivation(spec, parser,
@@ -520,7 +493,11 @@ def load_presentation(path):
             combo = combo + rng.choice([1, -1, 2]) * rng.choice(derivations)
         return combo
 
-    return ModelDescriptor(
+    model = ModelDescriptor(
         kind="file", params={}, backend=Backend.presented(calc), calculus=calc,
         omega=omega, basis=lambda: derivations, random_form=random_form,
         random_derivation=random_derivation, namespace=namespace)
+    # the SymplecticForm checks d omega = 0; its error names the omega line
+    with _at_line(first_line.get("omega")):
+        model.omega
+    return model

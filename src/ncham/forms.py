@@ -93,13 +93,16 @@ class CalculusPresentation:
         return Element(self.system, {(): self.system.scalar(c)}, normal=True)
 
     def gen(self, name, exp=1):
-        return Element.generator(self.system, name, exp)
+        return self.element([(name, exp)])
 
     def dgen(self, name):
-        return Element.from_word(self.system, [("d" + name, 1)])
+        return self.element([("d" + name, 1)])
 
     def element(self, factors, coeff=1):
-        return Element.from_word(self.system, factors, coeff)
+        """coeff times the word of (name, exp) factors, normalized."""
+        system = self.system
+        return Element(system,
+                       {system.encode_word(factors): system.scalar(coeff)})
 
     def namespace(self):
         """Display name -> element, for the expression parser."""

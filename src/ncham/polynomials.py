@@ -19,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .scalars import power
+
 
 class Poly:
     """An element of Q[x, y], exact, immutable and canonical.
@@ -129,15 +131,7 @@ class Poly:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = P_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return power(self, k, P_ONE)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -41,23 +41,20 @@ def scalar_str(c: CycScalar) -> str:
 
 
 def _coeff_prefix(c, word_part: str):
-    """(sign, body) where body is '' for a bare +-1 coefficient."""
+    """(sign, body) where body is '' for a bare +-1 coefficient.  A
+    rational r is the monomial r q^0; any other sum of powers of q prints
+    whole, in parentheses."""
     if isinstance(c, CycScalar):
         mono = c.monomial_form()
         if mono is None:
             return "+", "(%s)" % scalar_str(c)
         k, r = mono
-        sign = "-" if r < 0 else "+"
-        mag = CycScalar(c.p, [abs(x) for x in c.coeffs])
-        if word_part and k == 0 and abs(r) == 1:
-            return sign, ""
-        return sign, scalar_str(mag)
-    # Fraction / int
-    r = Fraction(c)
+    else:
+        k, r = 0, Fraction(c)
     sign = "-" if r < 0 else "+"
-    if word_part and abs(r) == 1:
+    if word_part and k == 0 and abs(r) == 1:
         return sign, ""
-    return sign, rational_str(abs(r))
+    return sign, _q_term(k, abs(r), lead=True)
 
 
 def term_str(c, word_part: str, lead: bool) -> str:

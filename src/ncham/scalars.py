@@ -22,6 +22,10 @@ is exact.  p = 1 gives plain rationals (q = 1), p = 2 gives q = -1
 concretely.  Fractions appear only at the edges: the constructor and
 `from_rational` accept them, and `.coeffs` (the coordinates as a tuple of
 Fractions) and `monomial_form` return them.
+
+`power(x, k, one)` is the one square-and-multiply of the package: the
+powers of `CycScalar`, `Poly` and `Element` and the expression parser's
+powers all call it.
 """
 
 from __future__ import annotations
@@ -219,16 +223,8 @@ class CycScalar:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = CycScalar.from_rational(self.p, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        base = self.inverse() if k < 0 else self
+        return power(base, abs(k), cyc_one(self.p))
 
     def __eq__(self, other):
         if other.__class__ is not CycScalar or other.p != self.p:
@@ -259,6 +255,19 @@ class CycScalar:
         from .printing import scalar_str
 
         return scalar_str(self)
+
+
+def power(x, k, one):
+    """x**k for an int k >= 0 by square-and-multiply, O(log k) products;
+    `one` is returned for k = 0 and x itself for k = 1."""
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return one if out is None else out
 
 
 def _trusted(p, nums, den):

@@ -42,8 +42,10 @@ class SymplecticForm:
     omega: object
 
     def __post_init__(self):
-        if not self.backend.is_zero(self.backend.d(self.omega)):
-            raise ValueError("the 2-form is not closed")
+        residual = self.backend.d(self.omega)
+        if not self.backend.is_zero(residual):
+            raise ValueError("the 2-form is not closed: d omega = %s"
+                             % residual)
 
 
 @dataclass

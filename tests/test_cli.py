@@ -147,6 +147,44 @@ def test_presentation_file_round_trip(tmp_path):
     assert sol.hamiltonian
 
 
+def test_d_omega_is_computed_once_per_file_model(monkeypatch, tmp_path):
+    """Loading checks that omega is closed by reading model.omega, which
+    applies d to omega once; the solver and certify reuse that verdict."""
+    from ncham.forms import CalculusPresentation
+
+    args, d = [], CalculusPresentation.d
+
+    def counted_d(self, x):
+        args.append(x)
+        return d(self, x)
+
+    monkeypatch.setattr(CalculusPresentation, "d", counted_d)
+    path = tmp_path / "torus.pres"
+    path.write_text(TORUS2_RELATIONS + TORUS2_OMEGA + TORUS2_DERIVATION)
+    model = load_presentation(str(path))
+    omega = model.omega.omega
+    assert sum(x is omega for x in args) == 1
+    a = model.calculus.element([("u", 2), ("v", 2)])
+    assert model.solver.solve(a).hamiltonian
+    checks = {name: ok for name, ok, _ in model.certify()}
+    assert checks["d omega = 0"] is True
+    assert sum(x is omega for x in args) == 1
+
+
+def test_presentation_file_reports_an_unclosed_omega_last(capsys, tmp_path):
+    """The 2-form is checked once every line has parsed, so a later line
+    that cannot be read is the error reported."""
+    path = tmp_path / "bad.pres"
+    path.write_text("generator u invertible\ngenerator v invertible\n"
+                    "omega u dv\nderivation t: u -> w\n")
+    code, out, err = run_cli(capsys, "--presentation", str(path), "normalize",
+                             "u")
+    assert (code, out, err) == (
+        2, "", "error: line 4: unknown generator 'w' (at position 1)")
+    with pytest.raises(ParseError, match="line 4: unknown generator 'w'"):
+        load_presentation(str(path))
+
+
 def test_presentation_file_algebra_only_order(tmp_path):
     """An order clause without differentials still yields a calculus."""
     text = """\
@@ -806,6 +844,10 @@ def test_cli_expression_with_leading_minus(capsys):
     ("matrix:n=2", "E12^0", "E11 + E22"),
     ("matrix:n=2", "(1 + E12)^2", "E11 + 2 E12 + E22"),
     ("matrix:n=2", "-2", "-2 E11 - 2 E22"),
+    ("torus:p=3", "(2/3 q)^-2 u - (1/2)^3 q^-1 v", "(1/8 + 1/8q) v + 9/4q u"),
+    ("torus:p=2", "-(2 - q)^3 u^0", "-27"),
+    ("polymat:D=3", "(x + 1/2)^2 E12 - 2^-1 y^0 E21",
+     "1/4 E12 + x E12 + x^2 E12 - 1/2 E21"),
 ])
 def test_cli_tensor_backends_read_a_rational_as_a_multiple_of_i(
         capsys, model, expr, want):
