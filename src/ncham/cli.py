@@ -7,8 +7,10 @@
 
 The model string is the one way to set a model's parameters, the ansatz
 bound included (torus:p=2,B=4).  Each option may come before or after
-the command; a value given after it wins.  `run` takes one path: check
-the bounds, build the model, gate it, parse, compute, print.
+the command; a value given after it wins, and `--` ends the options
+wherever it stands.  `_parse_args` reads a command line with one parser,
+built for the command it names, in one pass.  `run` takes one path:
+check the bounds, build the model, gate it, parse, compute, print.
 
 Exit codes: 0 success, 1 mathematical negative (not Hamiltonian, failed
 check, non-confluent presentation, a derivation for iprod or lie that
@@ -25,6 +27,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 
 from .algebra import ReductionBudgetExceeded
@@ -40,50 +43,46 @@ from .symplectic import HamiltonianSolver, NotHamiltonian, \
 MAX_CHECK_COUNT = 1000
 
 
-DEFAULTS = {"model": None, "presentation": None, "order": 2, "seed": 2026,
-            "count": 25, "format": "text"}
+# each option's add_argument keywords; all six take a value
+OPTIONS = {
+    "--model": dict(help="torus:p=2[,B=3] | matrix:n=2 | cuntz:n=2 | "
+                         "polymat:D=3"),
+    "--presentation": dict(help="presentation file path"),
+    "--order": dict(type=int, default=2, help=(
+        "flow truncation order, 0..%d (default %%(default)s)"
+        % HamiltonianSolver.MAX_FLOW_ORDER)),
+    "--seed": dict(type=int, default=2026, help="PRNG seed for check"),
+    "--count": dict(type=int, default=25,
+                    help="random trials per property in check, 1..%d"
+                    % MAX_CHECK_COUNT),
+    "--format": dict(choices=("text", "json"), default="text")}
+
+THETA = ("derivation spec, e.g. 'u -> u^3 v^2, v -> 0' or 'h: s1 s2*' or "
+         "'S: E12 - E21'")
+# each command's own arguments, in argv order, with their help
+COMMANDS = {"normalize": {"expr": None}, "d": {"expr": None},
+            "iprod": {"theta": THETA, "expr": None},
+            "lie": {"theta": THETA, "expr": None},
+            "bracket": {"a": None, "b": None}, "hamvec": {"a": None},
+            "is-hamiltonian": {"a": None},
+            "flow": {"b": "Hamiltonian generating the flow",
+                     "a": "element transported by the flow"},
+            "check": {}, "confluence": {}}
 
 
-def make_parser():
-    # no option has a default of its own: `_parse_args` passes DEFAULTS as
-    # the namespace, so a value given after the command overrides one
-    # given before it, and one given before it is not reset
-    common = argparse.ArgumentParser(add_help=False,
-                                     argument_default=argparse.SUPPRESS)
-    common.add_argument("--model", help="torus:p=2[,B=3] | matrix:n=2 | "
-                                        "cuntz:n=2 | polymat:D=3")
-    common.add_argument("--presentation", help="presentation file path")
-    common.add_argument("--order", type=int, help=(
-        "flow truncation order, 0..%d (default %d)"
-        % (HamiltonianSolver.MAX_FLOW_ORDER, DEFAULTS["order"])))
-    common.add_argument("--seed", type=int, help="PRNG seed for check")
-    common.add_argument("--count", type=int,
-                        help="random trials per property in check, 1..%d"
-                        % MAX_CHECK_COUNT)
-    common.add_argument("--format", choices=("text", "json"))
+def make_parser(command=None):
+    """The parser of a command line: the six options, the command, and,
+    when `command` is known, its own arguments and usage."""
+    own = COMMANDS.get(command)
     ap = argparse.ArgumentParser(
-        prog="ncham", parents=[common],
+        prog="ncham", usage=None if own is None else " ".join(
+            ["%(prog)s", command, "[options]", *own]),
         description="Hamiltonian dynamics on noncommutative algebras")
-    sub = ap.add_subparsers(dest="command", required=True, parser_class=(
-        lambda **kw: argparse.ArgumentParser(parents=[common], **kw)))
-
-    sub.add_parser("normalize").add_argument("expr")
-    sub.add_parser("d").add_argument("expr")
-    for name in ("iprod", "lie"):
-        sp = sub.add_parser(name)
-        sp.add_argument("theta", help="derivation spec, e.g. 'u -> u^3 v^2, "
-                                      "v -> 0' or 'h: s1 s2*' or 'S: E12 - E21'")
-        sp.add_argument("expr")
-    sp = sub.add_parser("bracket")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sub.add_parser("hamvec").add_argument("a")
-    sub.add_parser("is-hamiltonian").add_argument("a")
-    sp = sub.add_parser("flow")
-    sp.add_argument("b", help="Hamiltonian generating the flow")
-    sp.add_argument("a", help="element transported by the flow")
-    sub.add_parser("check")
-    sub.add_parser("confluence")
+    for name, kwargs in OPTIONS.items():
+        ap.add_argument(name, **kwargs)
+    ap.add_argument("command", choices=COMMANDS)
+    for name, help in (own or {}).items():
+        ap.add_argument(name, help=help)
     return ap
 
 
@@ -100,13 +99,6 @@ def _emit(args, payload, text):
 
 class UsageError(Exception):
     pass
-
-
-def _require_symplectic(model):
-    if model.omega is None:
-        raise UsageError("this command needs a symplectic model "
-                         "(built-in, or a presentation file with omega "
-                         "and derivation lines)")
 
 
 def _confluence_payload(rep, system):
@@ -150,7 +142,10 @@ def run(args) -> int:
     model = (build_model(args.model) if args.model
              else load_presentation(args.presentation))
     if cmd in ("bracket", "hamvec", "is-hamiltonian", "flow"):
-        _require_symplectic(model)
+        if model.omega is None:
+            raise UsageError("this command needs a symplectic model "
+                             "(built-in, or a presentation file with "
+                             "omega and derivation lines)")
         try:
             model.require_sound()
         except UnsoundPresentationError as exc:
@@ -258,59 +253,61 @@ def _run_check(args, model) -> int:
     return 0 if ok_all else 1
 
 
-def _parse_args(parser, argv):
-    """parse_args, with every argument after the command that starts
-    with "-" but names no option (such as the expression "-u") taken as
-    a value.
+# words that argparse reads as positional though they start with "-"
+_NOT_AN_OPTION = re.compile(r"-$|-\d+$|-\d*\.\d+$|.* ", re.DOTALL)
 
-    argparse reads such an argument as an unknown option.  Each one is
-    swapped for a placeholder that cannot start an option, and swapped
-    back after parsing.  Left-over arguments are those of a second parse
-    that reads the swapped words as options (so `bracket u --bogus v`
-    names --bogus), unless too few words are then left for the command.
-    An option is named exactly, as --opt=value, or by a prefix of its long
-    name, as argparse allows; the argument after an option that takes a
-    value is that option's.  An unknown option before the command
-    is an error at once, or argparse would take its value for the command.
+
+def _parse_args(argv):
+    """Parse a command line with one parser, in one pass.
+
+    A pre-scan sorts the words.  An option is named exactly, as
+    --opt=value or by a long-name prefix, and takes the next word as its
+    value; a "-" word before the command is an unknown option, an error
+    at once.  The parser reads the options, "--", then the command and
+    its words, so "-u" can be a value.  When enough words do not start
+    with "-", no word argparse reads as an option is a value (`bracket u
+    --bogus v` names --bogus); else the first words are the values
+    (`normalize -u -v` names -v).  The words left over follow, in argv
+    order, for argparse to name.
     """
-    options = {s: a.nargs != 0 for a in parser._actions
-               for s in a.option_strings}
-    commands = next(a.choices for a in parser._actions if a.dest == "command")
     argv = list(sys.argv[1:] if argv is None else argv)
-    hidden = {}
-    command = value_due = False
+    takes_value = {"-h": False, "--help": False,
+                   **dict.fromkeys(OPTIONS, True)}
+    options, words = [], []     # words: (word, starts with "-" before "--")
+    value_due = False
     for i, arg in enumerate(argv):
         if arg == "--":
+            words += [(w, False) for w in argv[i + 1:]]
             break
         name = arg.partition("=")[0]
-        named = [o for o in options
+        named = [o for o in takes_value
                  if o == name or name[:2] == "--" and o.startswith(name)]
         if value_due or named:
             value_due = (not value_due and len(named) == 1 and name == arg
-                         and options[named[0]])
-        elif not command:
-            if arg.startswith("-"):
-                parser.error("unrecognized arguments: %s" % arg)
-            command = arg in commands
-        elif arg.startswith("-"):
-            argv[i] = "\0%d" % i
-            hidden[argv[i]] = arg
-    args, extra = parser.parse_known_args(argv, argparse.Namespace(**DEFAULTS))
-    if extra:
-        taken = sum(value in hidden for value in vars(args).values())
-        if taken <= sum(a not in hidden for a in extra):
-            extra = parser.parse_known_args([hidden.get(a, a) for a in argv],
-                                            argparse.Namespace(**DEFAULTS))[1]
-        parser.error("unrecognized arguments: %s"
-                     % " ".join(hidden.get(a, a) for a in extra))
-    for key, value in vars(args).items():
-        if value in hidden:
-            setattr(args, key, hidden[value])
-    return args
+                         and takes_value[named[0]])
+            if not words or words[0][0] in COMMANDS:
+                options.append(arg)
+        elif arg[:1] == "-" and not any(w in COMMANDS for w, _ in words):
+            make_parser().error("unrecognized arguments: %s" % arg)
+        else:
+            words.append((arg, arg[:1] == "-"))
+    command = words.pop(0)[0] if words else None
+    need = len(COMMANDS.get(command, ()))
+    plenty = sum(not dashed for _, dashed in words) >= need
+    # argparse would strip a "--" given as a value
+    values = [i for i, (w, dashed) in enumerate(words)
+              if w != "--" and not (plenty and dashed
+                                    and not _NOT_AN_OPTION.match(w))][:need]
+    positionals = [command] * (command is not None) + [
+        words[i][0] for i in values]
+    if len(values) == need:     # else argparse names the missing value
+        positionals += [w for i, (w, _) in enumerate(words)
+                        if i not in values]
+    return make_parser(command).parse_args(options + ["--"] + positionals)
 
 
 def main(argv=None) -> int:
-    args = _parse_args(make_parser(), argv)
+    args = _parse_args(argv)
     try:
         return run(args)
     except (UsageError, ValueError, OSError, ReductionBudgetExceeded) as exc:

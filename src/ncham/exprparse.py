@@ -5,7 +5,7 @@ separator) of atoms with an optional integer power, joined by the tensor
 sign (leg concatenation); atoms are rationals like 2/3, the scalar q
 (presented models), generator or differential names, or parenthesized
 expressions.  Products associate left to right.  Negative powers exist
-only for invertible generators and nonzero scalars; du^-1 is rejected.
+only for nonzero scalars and monomials of invertible generators.
 A rational parses to its Fraction and q to its CycScalar; scalars
 combine by their own arithmetic, every element type takes them as
 coefficients, and an expression that is a scalar alone reads as that
@@ -39,7 +39,7 @@ import re
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .algebra import DerivedVariantError, GeneratorSymbol, RuleSpec
+from .algebra import DerivedVariantError, Element, GeneratorSymbol, RuleSpec
 from .forms import CalculusPresentation
 from .scalars import CycScalar, power, q_power
 
@@ -193,37 +193,39 @@ class ExpressionParser:
                 return value
 
     def _primary(self):
-        kind, tok, _ = self._peek()
-        atom_name = tok if kind == "name" else None
         atom = self._atom()
-        kind2, tok2, pos2 = self._peek()
-        if kind2 == "pow":
+        kind, tok, pos = self._peek()
+        if kind == "pow":
             self._next()
-            k = int(tok2[1:])
+            k = int(tok[1:])
             if abs(k) > self.MAX_POWER:
                 raise ParseError("power %d exceeds the bound %d in absolute "
-                                 "value" % (k, self.MAX_POWER), pos2)
-            return self._power(atom, k, pos2, atom_name)
+                                 "value" % (k, self.MAX_POWER), pos)
+            return self._power(atom, k, pos)
         return atom
 
-    def _power(self, atom, k, pos, atom_name=None):
+    def _power(self, atom, k, pos):
         if _is_scalar(atom):
             if k < 0 and not atom:
                 raise ParseError("division by zero: 0 to the power %d" % k, pos)
             return atom ** k
-        if k >= 0:
-            return power(atom, k, self.unit)
-        if self.calculus is None or atom_name is None:
-            raise ParseError("negative powers need an invertible generator", pos)
-        gens = {g.name: g for g in self.calculus.generators}
-        if atom_name in gens:
-            if not gens[atom_name].invertible:
-                raise ParseError("generator %s is not invertible" % atom_name, pos)
-            return self.calculus.element([(atom_name, k)])
-        if atom_name.startswith("d") and atom_name[1:] in gens:
-            raise ParseError("differentials are not invertible: %s" % atom_name,
-                             pos)
-        raise ParseError("cannot invert %r" % atom_name, pos)
+        if k < 0:
+            # c w has the inverse c^-1 w^-1: w reversed, each letter inverted
+            if not (isinstance(atom, Element) and len(atom.terms) == 1):
+                raise ParseError("negative powers need an invertible "
+                                 "generator", pos)
+            ((word, c),) = atom.terms.items()
+            table = atom.system.table
+            for li in word:
+                if li not in table.inverse_of:
+                    lt = table.letters[li]
+                    raise ParseError(
+                        "differentials are not invertible: %s" % lt.display
+                        if lt.diff else "generator %s is not invertible"
+                        % lt.base, pos)
+            inverse = tuple(table.inverse_of[li] for li in reversed(word))
+            atom = Element(atom.system, {inverse: c ** -1})
+        return power(atom, abs(k), self.unit)
 
     def _atom(self):
         kind, tok, pos = self._next()

@@ -820,19 +820,131 @@ def test_cli_expression_with_leading_minus(capsys):
              "ncham: error: unrecognized arguments: --bogus\n"),
             # a "-" word is a value when the command needs it
             (["--model", "torus:p=2", "normalize", "-u", "-v"],
-             "ncham: error: unrecognized arguments: -v\n")):
+             "ncham: error: unrecognized arguments: -v\n"),
+            (["--model", "torus:p=2", "normalize", "-u", "-u"],
+             "ncham: error: unrecognized arguments: -u\n"),
+            (["--model", "torus:p=2", "bracket", "-u", "-v", "-w"],
+             "ncham: error: unrecognized arguments: -w\n"),
+            (["--model", "torus:p=2", "bracket", "-u", "-v", "w"],
+             "ncham: error: unrecognized arguments: w\n"),
+            (["--model", "torus:p=2", "confluence", "-u"],
+             "ncham: error: unrecognized arguments: -u\n"),
+            (["--model", "torus:p=2", "check", "extra"],
+             "ncham: error: unrecognized arguments: extra\n"),
+            # with enough words that do not start with "-", no word that
+            # reads as an option is a value; left-overs keep argv order
+            (["--model", "torus:p=2", "normalize", "-u", "v", "w"],
+             "ncham: error: unrecognized arguments: -u w\n"),
+            (["--model", "torus:p=2", "normalize", "-1/2", "u"],
+             "ncham: error: unrecognized arguments: -1/2\n"),
+            (["--model", "torus:p=2", "normalize", "-u + v", "w"],
+             "ncham: error: unrecognized arguments: w\n"),
+            (["--model", "torus:p=2", "normalize", "-2", "u"],
+             "ncham: error: unrecognized arguments: u\n"),
+            (["--model", "torus:p=2", "normalize"],
+             "the following arguments are required: expr")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
     # the real options keep working wherever they appear
+    for argv in (["normalize", "-u", "-h"], ["check", "-h"], ["flow", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--model", "torus:p=2", *argv])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: ncham %s" % argv[0]), argv
+    assert "Hamiltonian generating the flow" in out
     with pytest.raises(SystemExit) as exc:
-        main(["--model", "torus:p=2", "normalize", "-u", "-h"])
+        main(["-h"])
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: ncham normalize")
+    assert ("{normalize,d,iprod,lie,bracket,hamvec,is-hamiltonian,flow,"
+            "check,confluence}") in capsys.readouterr().out
     code, out, err = run_cli(capsys, "--mod", "torus:p=2", "normalize", "-x")
     assert (code, out) == (2, "")
     assert err == "error: unknown generator 'x' (at position 1)"
+
+
+def test_cli_double_dash_only_ends_the_options(capsys):
+    """`--` ends the options wherever it stands, before the command too,
+    and is never itself a value or a left-over word."""
+    for argv, want in ((["--", "normalize", "u"], "u"),
+                       (["--", "d", "-u"], "-du"),
+                       (["--format", "json", "--", "normalize", "u"],
+                        '{\n  "result": "u",\n  "status": "ok"\n}')):
+        code, out, err = run_cli(capsys, "--model", "torus:p=2", *argv)
+        assert (code, out, err) == (0, want, ""), argv
+    code, out, _ = run_cli(capsys, "--model", "cuntz:n=2", "confluence", "--")
+    assert code == 0
+    assert out.startswith("critical pairs: 8, joinable: 8, failing: 0\n")
+    # argparse cannot pass on a later "--" as a value: it is left out
+    with pytest.raises(SystemExit) as exc:
+        main(["--model", "torus:p=2", "bracket", "--", "--", "--"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "ncham: error: the following arguments are required: a, b\n")
+
+
+def test_cli_builds_one_parser_per_command_line(capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["normalize", "v u"], ["bracket", "-u", "--bogus", "v"],
+                 ["flow", "-h"]):
+        built.clear()
+        try:
+            main(["--model", "torus:p=2", *argv])
+        except SystemExit:
+            pass
+        assert len(built) == 1, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("model, expr, want", [
+    ("torus:p=2", "(u)^-1", "u^-1"),
+    ("torus:p=2", "(2 u)^-1", "1/2 u^-1"),
+    ("torus:p=2", "(u v)^-1", "-u^-1 v^-1"),
+    ("torus:p=2", "(u^-1 v^2)^-2", "u^2 v^-4"),
+    ("torus:p=3", "(2/3 q u^2 v^-1)^-1", "3/2q u^-2 v"),
+])
+def test_cli_inverts_monomials_of_invertible_generators(capsys, model, expr,
+                                                        want):
+    code, out, err = run_cli(capsys, "--model", model, "normalize", expr)
+    assert (code, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize("model, expr, message", [
+    ("torus:p=2", "du^-1", "differentials are not invertible: du "
+                           "(at position 2)"),
+    ("torus:p=2", "(u du)^-1", "differentials are not invertible: du "
+                               "(at position 6)"),
+    ("cuntz:n=2", "s1^-1", "generator s1 is not invertible (at position 2)"),
+    ("torus:p=2", "(u + v)^-1", "negative powers need an invertible "
+                                "generator (at position 7)"),
+    ("matrix:n=2", "E12^-1", "negative powers need an invertible generator "
+                             "(at position 3)"),
+    ("polymat:D=3", "x^-1", "negative powers need an invertible generator "
+                            "(at position 1)"),
+])
+def test_cli_refuses_other_negative_powers(capsys, model, expr, message):
+    code, out, err = run_cli(capsys, "--model", model, "normalize", expr)
+    assert (code, out, err) == (2, "", "error: " + message)
+
+
+def test_monomial_inverse_is_two_sided(torus3m):
+    one = torus3m.calculus.one()
+    for text in ("u", "v u", "2/3 q u^2 v^-1", "(u v)^3", "q^2 v^-2 u"):
+        x = parse_expression(text, torus3m)
+        inverse = parse_expression("(%s)^-1" % text, torus3m)
+        assert x * inverse == one and inverse * x == one, text
+        assert parse_expression("(%s)^-3" % text, torus3m) == inverse ** 3
 
 
 @pytest.mark.parametrize("model,expr,want", [
