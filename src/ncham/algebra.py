@@ -175,6 +175,9 @@ class RewriteSystem:
         self._nf_cache = {}
         self._max_lhs = 0
         self._sort_table = None
+        # the calculus's relations under these rules, built on first use by
+        # forms.CalculusPresentation.relations
+        self._relations = None
 
     # -- scalars -------------------------------------------------------
 
@@ -246,6 +249,7 @@ class RewriteSystem:
         self._max_lhs = max(self._max_lhs, len(lhs))
         self._nf_cache.clear()
         self._sort_table = None     # compiled for the previous rule set
+        self._relations = None
         return rule
 
     def install_inverse_variants(self):
@@ -286,6 +290,7 @@ class RewriteSystem:
                 self._rules_by_first.setdefault(lhs[0], []).append(var)
                 existing.add(lhs)
         self._nf_cache.clear()
+        self._relations = None
         self._sort_table = SortTable.compile(self)
 
     # -- rewriting -----------------------------------------------------
@@ -467,16 +472,21 @@ class SortTable:
     order, with g and g^-1 cancelled; its coefficient is the product of
     c(x, y)^n over the swap rules x y -> c(x, y) y x, n counting the
     letters x that stand before a y.  g and g^-1 swap for free.  A swap
-    scalar +-q^k is kept as a sign and an exponent, so on the torus a
-    coefficient costs no scalar product.  The counts are updated once per
+    scalar +-q^k is kept as a sign and an exponent, which `reduce` adds n
+    times into two running ints in the one pass over the word; so on the
+    torus a coefficient costs no scalar product, only a look-up in a table
+    of signed powers.  Any other swap scalar c gets a count of its own, and
+    c is raised to it once, at the end.  The counts are updated once per
     run of equal letters, so a word costs its runs: u^25 v^24 takes two
     updates, not 49.
     """
 
-    def __init__(self, powers, above, weights, emit):
-        self.powers = powers    # q^k for k = 0 .. p-1
-        self.above = above      # letter y -> ((x, pair), ...) over x > y
-        self.weights = weights  # pair -> (sign, exponent, None) or (0, 0, c)
+    def __init__(self, powers, above, emit):
+        self.powers = powers    # (q^k, -q^k) for k = 0 .. p-1
+        # letter y -> ((x, sign, exponent, None) or (x, 0, 0, c), ...) over
+        # the letters x > y, for the swap x y -> (-1)^sign q^exponent y x or
+        # x y -> c y x
+        self.above = above
         self.emit = emit        # (letter, its inverse or None, square-zero)
 
     @classmethod
@@ -512,20 +522,19 @@ class SortTable:
         signed = {}
         for k, qk in enumerate(powers):
             signed[-qk], signed[qk] = (1, k, None), (0, k, None)
-        weights = tuple(signed.get(swaps[pair], (0, 0, swaps[pair]))
-                        for pair in pairs)
-        index = {pair: i for i, pair in enumerate(pairs)}
-        above = tuple(tuple((x, index[x, y]) for x in range(y + 1, n)
-                            if (x, y) in index) for y in range(n))
+        above = tuple(tuple((x,) + signed.get(swaps[x, y], (0, 0, swaps[x, y]))
+                            for x in range(y + 1, n) if inv.get(x) != y)
+                      for y in range(n))
         emit = tuple((li, inv.get(li), li in square_zero) for li in range(n)
                      if inv.get(li, n) > li)
-        return cls(powers, above, weights, emit)
+        return cls(tuple((qk, -qk) for qk in powers), above, emit)
 
     def reduce(self, word):
         """The normal form of `word` as a dict word -> scalar."""
         above = self.above
         counts = [0] * len(above)
-        swapped = [0] * len(self.weights)
+        sign = exponent = 0
+        general = {}            # c -> its count, for each scalar c not +-q^k
         i, n = 0, len(word)
         while i < n:
             # a run of r letters y puts r y's after each x counted so far
@@ -534,8 +543,13 @@ class SortTable:
             while j < n and word[j] == y:
                 j += 1
             r = j - i
-            for x, pair in above[y]:
-                swapped[pair] += r * counts[x]
+            for x, s, e, c in above[y]:
+                m = r * counts[x]
+                if m:
+                    sign += s * m
+                    exponent += e * m
+                    if c is not None:
+                        general[c] = general.get(c, 0) + m
             counts[y] += r
             i = j
         out = []
@@ -548,20 +562,9 @@ class SortTable:
             elif square_zero and k > 1:
                 return {}
             out += [li] * k
-        sign = exponent = 0
-        coeff = None
-        for (s, e, c), m in zip(self.weights, swapped):
-            if m:
-                if c is None:
-                    sign += s * m
-                    exponent += e * m
-                else:
-                    coeff = c ** m if coeff is None else coeff * c ** m
-        scalar = self.powers[exponent % len(self.powers)]
-        if sign & 1:
-            scalar = -scalar
-        if coeff is not None:
-            scalar = scalar * coeff
+        scalar = self.powers[exponent % len(self.powers)][sign & 1]
+        for c, m in general.items():
+            scalar = scalar * c ** m
         return {tuple(out): scalar}
 
 

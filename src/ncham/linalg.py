@@ -13,8 +13,9 @@ elimination visits only those and costs what the fill costs, not rank²;
 on a diagonal system, such as omega~ on the torus ansatz, the index
 stays empty.  Projecting a right-hand side is one pass of the same
 reduction over its pivot keys.  Every step divides exactly; there is no
-tolerance.  A Fraction 1 serves as the unit of either field: Q is a
-subfield of Q(q), and 1 / c is a CycScalar for a CycScalar c.
+tolerance.  A Fraction 1 serves as the unit of either field, as Q is a
+subfield of Q(q); a pivot is scaled by c ** -1, the inverse in c's own
+field.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class ExactLinearSystem:
                 self._kernel.append(self._dense(expr))
                 continue
             key = min(rest)
-            inv = _ONE / rest[key]
+            inv = rest[key] ** -1
             vec = {k: v * inv for k, v in rest.items()}
             expr = {i: c * inv for i, c in expr.items()}
             n = len(self.echelon)

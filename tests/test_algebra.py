@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from randomized_reducer import reduce_word_randomized
+from test_leibniz import reference_sort_reduce
 
 from ncham.algebra import (GeneratorSymbol, ReductionBudgetExceeded,
                            RewriteRule, RuleSpec, SortTable,
@@ -14,7 +15,7 @@ from ncham.algebra import (GeneratorSymbol, ReductionBudgetExceeded,
 from ncham.exprparse import load_presentation
 from ncham.forms import CalculusPresentation
 from ncham.models import cuntz_calculus, torus_calculus
-from ncham.scalars import q_power
+from ncham.scalars import CycScalar, power, q_power
 
 
 # -- independent oracle for the torus: bubble sort with q bookkeeping -------
@@ -292,8 +293,9 @@ def test_randomized_reducer_agrees_with_reduce_word(build, sorts, tmp_path):
         "readme-file", "general-scalar-file"])
 def test_sort_path_agrees_with_rewriting(build, tmp_path):
     """3,000 seeded words over every letter, inverses and differentials
-    included: the sorted normal form is the rewritten one.  The cache holds
-    only rewritten words, so neither path sees the other's results."""
+    included: the sorted normal form is the rewritten one, and the one the
+    per-pair count gave.  The cache holds only rewritten words, so neither
+    path sees the other's results."""
     system = build(tmp_path).system
     table = system._sort_table
     assert table is not None
@@ -304,8 +306,9 @@ def test_sort_path_agrees_with_rewriting(build, tmp_path):
         word = system.table.concat(*[(rng.choice(letters),)
                                      for _ in range(rng.randint(0, 16))])
         kinds.update(system.table.letters[li] for li in word)
-        assert table.reduce(word) == system.rewrite_word(word), \
-            system.word_str(word)
+        nf = table.reduce(word)
+        assert nf == system.rewrite_word(word), system.word_str(word)
+        assert nf == reference_sort_reduce(system, word), system.word_str(word)
     assert kinds == set(system.table.letters)
 
 
@@ -326,14 +329,16 @@ def _inversions(word):
     lambda tmp_path: torus_calculus(3),
     lambda tmp_path: torus_calculus(32),
     _readme_presentation,
-], ids=["torus-p1", "torus-p2", "torus-p3", "torus-p32", "readme-file"])
+    lambda tmp_path: _file_calculus(tmp_path, GENERAL_SCALARS),
+], ids=["torus-p1", "torus-p2", "torus-p3", "torus-p32", "readme-file",
+        "general-scalar-file"])
 def test_sort_path_agrees_with_rewriting_on_long_runs(build, tmp_path):
     """150 seeded words made of up to four powers g^k, k of either sign
     with |k| <= 1 + 8p like the words of a B=8 torus ansatz, and up to two
-    differentials: the sorted normal form is the rewritten one.  Rewriting
-    takes one step per swap and caches every word on the way, so words
-    with more than 2,000 inversions are drawn again and the cache is
-    emptied after each word."""
+    differentials: the sorted normal form is the rewritten one, and the one
+    the per-pair count gave.  Rewriting takes one step per swap and caches
+    every word on the way, so words with more than 2,000 inversions are
+    drawn again and the cache is emptied after each word."""
     system = build(tmp_path).system
     table = system._sort_table
     assert table is not None
@@ -358,11 +363,37 @@ def test_sort_path_agrees_with_rewriting_on_long_runs(build, tmp_path):
         for i, li in enumerate(word):
             run = run + 1 if i and word[i - 1] == li else 1
             longest = max(longest, run)
-        assert table.reduce(word) == system.rewrite_word(word), \
-            system.word_str(word)
+        nf = table.reduce(word)
+        assert nf == system.rewrite_word(word), system.word_str(word)
+        assert nf == reference_sort_reduce(system, word), system.word_str(word)
         system._nf_cache.clear()
     assert kinds == set(letters)
     assert longest > 8 * system.p
+
+
+def test_sort_path_takes_one_power_per_general_swap_scalar(tmp_path,
+                                                          monkeypatch):
+    """A swap scalar that is no +-q^k is raised to its total count once, not
+    once per run: (v u)^12 swaps v past u in 12 runs for one power of 2."""
+    system = _file_calculus(tmp_path, GENERAL_SCALARS).system
+    table = system._sort_table
+    powers = []
+    monkeypatch.setattr(CycScalar, "__pow__", lambda c, k: powers.append(k)
+                        or power(c, k, system.one()))
+    word = system.encode_word([("v", 1), ("u", 1)] * 12)
+    assert table.reduce(word) == reference_sort_reduce(system, word) \
+        == {system.encode_word([("u", 12), ("v", 12)]): system.scalar(2 ** 78)}
+    assert powers == [78, 78]       # one here, one in the reference
+    # one power per distinct scalar met, whatever the runs
+    rng = random.Random(7)
+    letters = range(len(system.table.letters))
+    scalars = {c for row in table.above for _, _, _, c in row} - {None}
+    for _ in range(200):
+        word = system.table.concat(*[(rng.choice(letters),) * rng.randint(1, 3)
+                                     for _ in range(rng.randint(0, 12))])
+        del powers[:]
+        table.reduce(word)
+        assert len(powers) <= len(scalars)
 
 
 def test_no_sort_table_off_q_commutation_rules(tmp_path):

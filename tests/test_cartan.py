@@ -4,11 +4,13 @@ import random
 
 import pytest
 from closure import commutator_closure
+from test_algebra import _readme_text
 
-from ncham.algebra import DegreeError
+from ncham.algebra import DegreeError, Element, RewriteSystem, RuleSpec
 from ncham.cartan import (DerivationSpace, PresentedDerivation,
                           check_consistency, classify_torus_derivations,
                           iprod_or_zero)
+from ncham.exprparse import load_presentation
 from ncham.models import (build_model, cuntz_calculus, theta_h,
                           torus_calculus)
 
@@ -121,6 +123,124 @@ def test_consistency_examples():
         if h.is_zero():
             continue
         assert check_consistency(theta_h(cc, h, 2)).ok
+
+
+# -- the relations, built once per rule set ----------------------------------
+
+
+def reference_all_relations(calc):
+    """all_relations as it was: every rule's elements built afresh."""
+    system = calc.system
+    out = []
+    for rule in system.rules:
+        lhs = Element(system, {rule.lhs: system.one()}, normal=True)
+        rhs = Element(system, dict(rule.rhs), normal=True)
+        tag = "derived " if rule.derived else ""
+        out.append(("%srule %s" % (tag, system.word_str(rule.lhs)), lhs, rhs))
+    return out
+
+
+def reference_consistency(theta):
+    """check_consistency as it was, on relations built afresh and sorted by
+    a degree test of their own: (description, ok, residual printed)."""
+    deg = theta.calculus.system.table.word_degree
+    out = []
+    for desc, lhs, rhs in reference_all_relations(theta.calculus):
+        rel = lhs - rhs
+        if all(deg(w) == 0 for w in rel.terms):
+            ops = [("apply", theta.apply)]
+        else:
+            ops = [("iprod", theta.iprod), ("lie", theta.lie)]
+        for name, op in ops:
+            res = op(rel)
+            out.append(("%s on %s" % (name, desc), res.is_zero(), str(res)))
+    return out
+
+
+def _readme_model(tmp_path, extra=""):
+    path = tmp_path / "readme.pres"
+    path.write_text(_readme_text() + extra)
+    return load_presentation(str(path))
+
+
+@pytest.mark.parametrize("build", [
+    lambda tmp_path: torus_calculus(1),
+    lambda tmp_path: torus_calculus(2),
+    lambda tmp_path: torus_calculus(3),
+    lambda tmp_path: cuntz_calculus(2),
+    lambda tmp_path: cuntz_calculus(3),
+    lambda tmp_path: _readme_model(tmp_path).calculus,
+], ids=["torus-p1", "torus-p2", "torus-p3", "cuntz-n2", "cuntz-n3",
+        "readme-file"])
+def test_all_relations_match_the_relations_built_afresh(build, tmp_path):
+    calc = build(tmp_path)
+
+    def listed(relations):
+        return [(desc, list(lhs.terms.items()), list(rhs.terms.items()))
+                for desc, lhs, rhs in relations]
+    got, want = calc.all_relations(), reference_all_relations(calc)
+    assert listed(got) == listed(want)
+    # each call returns a fresh list, so clearing one keeps the others
+    got.clear()
+    assert listed(calc.all_relations()) == listed(want)
+
+
+@pytest.mark.parametrize("desc", ["torus:p=3,B=2", "cuntz:n=3",
+                                  "readme-file-with-bad"])
+def test_consistency_checks_match_the_relations_built_afresh(desc, tmp_path):
+    """Every check of every ansatz member: description, verdict and
+    residual are those of the relations built afresh for each check."""
+    if desc == "readme-file-with-bad":
+        model = _readme_model(tmp_path, "derivation bad: u -> u v, v -> 0\n")
+    else:
+        model = build_model(desc)
+    failing = []
+    for theta in model.space.basis:
+        rep = check_consistency(theta)
+        assert [(c.description, c.ok, str(c.residual)) for c in rep.checks] \
+            == reference_consistency(theta)
+        if not rep.ok:
+            failing.append(theta.label)
+    assert failing == (["bad"] if desc == "readme-file-with-bad" else [])
+
+
+def test_consistency_builds_the_relations_once_per_rule_set(monkeypatch):
+    """A second check on one rule set reuses the kept relations: it takes
+    no difference of elements and prints no rule."""
+    calc = torus_calculus(3)
+    theta = torus_derivation(calc, img_u=calc.element([("u", 4)]))
+    first = check_consistency(theta)
+    kept = calc.relations()
+    assert calc.relations() is kept
+    calls = []
+    monkeypatch.setattr(Element, "__sub__", lambda *a: calls.append(a))
+    monkeypatch.setattr(RewriteSystem, "word_str", lambda *a: calls.append(a))
+    second = check_consistency(theta)
+    assert calls == [] and calc.relations() is kept
+    assert [(c.description, c.ok, str(c.residual)) for c in second.checks] \
+        == [(c.description, c.ok, str(c.residual)) for c in first.checks]
+
+
+def test_add_rule_drops_the_kept_relations():
+    """As the sort table is dropped: a rule added through the rewrite system
+    is listed and checked at once, and still after finish_rules."""
+    calc = torus_calculus(3)
+    theta = torus_derivation(calc, img_u=calc.gen("u"))
+    descs = [desc for desc, _, _ in calc.all_relations()]
+    assert check_consistency(theta).ok
+    kept = calc.relations()
+    calc.system.add_rule(RuleSpec.make([("u", 2)], [(1, [])]))
+    for finish in (False, True):
+        if finish:
+            calc.finish_rules()
+        assert calc.relations() is not kept
+        relations = calc.all_relations()
+        assert [desc for desc, _, _ in relations] == descs + ["rule u^2"]
+        assert relations[-1][2] == calc.one()
+        check = check_consistency(theta).checks[-1]
+        # theta(u^2 - 1) = 2 u^2, which the new rule reads as 2
+        assert (check.description, check.ok, str(check.residual)) \
+            == ("apply on rule u^2", False, "2")
 
 
 def test_classification_counts_and_membership():

@@ -13,6 +13,7 @@ import pytest
 from ncham.algebra import (Element, GeneratorSymbol, RuleSpec,
                            UnknownGeneratorError)
 from ncham.forms import CalculusPresentation
+from ncham.scalars import q_power
 
 MODELS = ("torus1", "torus2", "torus3", "cuntz2")
 
@@ -146,6 +147,65 @@ def reference_encode_word(system, factors):
         li = system.encode_letter(name, 1 if exp > 0 else -1)
         letters.extend([li] * abs(exp))
     return reference_concat(system.table, letters)
+
+
+def reference_sort_reduce(system, word):
+    """SortTable.reduce as it was with a count per letter pair: the swaps of
+    each pair go into an array, and a second pass over the pairs turns the
+    counts into a sign, an exponent and a product of the other scalars.
+    The pairs and their scalars are read from the system's rules."""
+    table, p = system.table, system.p
+    inv = table.inverse_of
+    n = len(table.letters)
+    swaps = {r.lhs: c for r in system.rules for c in r.rhs.values()}
+    square_zero = {r.lhs[0] for r in system.rules if not r.rhs}
+    pairs = [(x, y) for x in range(n) for y in range(x) if inv.get(x) != y]
+    powers = [q_power(p, k) for k in range(p)]
+    signed = {}
+    for k, qk in enumerate(powers):
+        signed[-qk], signed[qk] = (1, k, None), (0, k, None)
+    weights = [signed.get(swaps[pair], (0, 0, swaps[pair])) for pair in pairs]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    counts, swapped = [0] * n, [0] * len(pairs)
+    i = 0
+    while i < len(word):
+        y = word[i]
+        j = i + 1
+        while j < len(word) and word[j] == y:
+            j += 1
+        for x in range(y + 1, n):
+            if (x, y) in index:
+                swapped[index[x, y]] += (j - i) * counts[x]
+        counts[y] += j - i
+        i = j
+    out = []
+    for li in range(n):
+        h = inv.get(li)
+        if h is not None and h < li:
+            continue
+        k = counts[li]
+        if h is not None:
+            k -= counts[h]
+            if k < 0:
+                li, k = h, -k
+        elif li in square_zero and k > 1:
+            return {}
+        out += [li] * k
+    sign = exponent = 0
+    coeff = None
+    for (s, e, c), m in zip(weights, swapped):
+        if m:
+            if c is None:
+                sign += s * m
+                exponent += e * m
+            else:
+                coeff = c ** m if coeff is None else coeff * c ** m
+    scalar = powers[exponent % p]
+    if sign & 1:
+        scalar = -scalar
+    if coeff is not None:
+        scalar = scalar * coeff
+    return {tuple(out): scalar}
 
 
 def test_junction_concat_matches_per_letter_reference(torus2):

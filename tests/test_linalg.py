@@ -13,9 +13,12 @@ CycScalar, which sympy does not model, the same facts are checked through
 the identities that define them.  Every system, the solver systems of the
 built-in models included, gives the reference elimination's pivots,
 echelon, nullspace and projections, and its key index equals the
-echelon's nonzero pattern off the pivot keys.
+echelon's nonzero pattern off the pivot keys.  Three of them keep, digit
+for digit, the factorization that scaling each pivot c by the division
+1 / c gave; the pivots are now scaled by c ** -1.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -263,6 +266,39 @@ def test_model_solver_systems_match_the_reference(desc):
             for _ in range(3)]
     rhss.append(model.random_form(rng, 2).coordinates())
     check_reference(ExactLinearSystem(columns), columns, rhss)
+
+
+def factorization_digest(system):
+    """sha256 of the pivots, free columns, echelon (in key order) and kernel,
+    each scalar printed with its type."""
+    text = repr((system.pivots, system.free_cols,
+                 [([(k, type(v).__name__, str(v)) for k, v in vec.items()],
+                   [(i, type(c).__name__, str(c)) for i, c in expr.items()])
+                  for vec, expr in system.echelon],
+                 [[str(c) for c in vec] for vec in system.nullspace()]))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("desc, digest", [
+    ("torus:p=3,B=3",
+     "f74ca82a59e222e932c37495259b4556ba21142742d369319e7214ea04bb79a0"),
+    ("matrix:n=3",
+     "cf50684cdcd9b06053afa0b2fa3140da79225f0f33f8e532c33aee60e75a557b"),
+    ("polymat:D=3",
+     "b27b62c48c582e20537e8c72af22b2ea278b458164816aad75eb9f3692c59d46"),
+])
+def test_pivot_scaling_keeps_the_factorization(desc, digest):
+    """A pivot c is scaled by c ** -1: the factorization is the one that
+    scaling by the division 1 / c gave, digits and scalar types alike."""
+    model = build_model(desc)
+    system = ExactLinearSystem(model.solver._system.columns)
+    assert factorization_digest(system) == digest
+    for vec, _ in system.echelon:
+        for v in vec.values():
+            assert v ** -1 == ONE / v and type(v ** -1) is type(ONE / v)
+            if isinstance(v, CycScalar):
+                with pytest.raises(TypeError):
+                    1.0 / v
 
 
 @pytest.mark.parametrize("p", [3, 5])
