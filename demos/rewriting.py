@@ -25,7 +25,7 @@ from ncham.scalars import q_power
 
 print("== a good presentation: the p=3 torus ==")
 calc = torus_calculus(3)
-for desc, lhs, rhs in calc.all_relations():
+for desc, lhs, rhs, _, _ in calc.system.relations():
     print("   %-28s ->  %s" % (desc.replace("rule ", ""), rhs))
 rep = check_local_confluence(calc)
 print("critical pairs: %d, all joinable: %s" % (len(rep.pairs),

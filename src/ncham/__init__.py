@@ -21,10 +21,10 @@ from .matrixcalc import (MatrixDerivation, TensorForm, antisymmetric_basis,
 from .polynomials import Poly
 from .bigraded import (BigradedForm, MixedDerivation,
                        poly_matrix_symplectic_form)
-from .backends import Backend
-from .symplectic import (FlowSeries, HamiltonianSolution, HamiltonianSolver,
-                         KernelReport, NotHamiltonian, NotHamiltonianError,
-                         SingularFormError, SymplecticForm)
+from .symplectic import (Backend, FlowSeries, HamiltonianSolution,
+                         HamiltonianSolver, KernelReport, NotHamiltonian,
+                         NotHamiltonianError, SingularFormError,
+                         SymplecticForm)
 from .models import (ModelDescriptor, UnsoundPresentationError, build_cuntz,
                      build_matrix, build_model, build_poly_matrix, build_torus,
                      cuntz_calculus, theta_h, torus_calculus)

@@ -31,7 +31,9 @@ normal form is unique: the letters sorted by precedence, g against g^-1
 cancelled, times c^n for each pair type swapped n times, and zero if a
 square-zero letter is left twice.  `reduce_word` takes that path when the
 table exists and the rewriting path otherwise; both fill the one
-normal-form cache.
+normal-form cache.  `relations` lists every installed rule as a relation
+lhs - rhs, built once per rule set for the consistency check; adding a
+rule drops the list.
 
 `check_local_confluence` enumerates all
 overlap and inclusion ambiguities between rule left-hand sides (including
@@ -175,9 +177,7 @@ class RewriteSystem:
         self._nf_cache = {}
         self._max_lhs = 0
         self._sort_table = None
-        # the calculus's relations under these rules, built on first use by
-        # forms.CalculusPresentation.relations
-        self._relations = None
+        self._relations = None     # built on first use by `relations`
 
     # -- scalars -------------------------------------------------------
 
@@ -292,6 +292,23 @@ class RewriteSystem:
         self._nf_cache.clear()
         self._relations = None
         self._sort_table = SortTable.compile(self)
+
+    def relations(self):
+        """Every installed rule as (description, lhs, rhs, lhs - rhs, whether
+        it relates 0-forms), built once per rule set and kept until a rule
+        is added; the caller must not change the list."""
+        if self._relations is None:
+            deg = self.table.word_degree
+            out = []
+            for rule in self.rules:
+                lhs = Element(self, {rule.lhs: self.one()}, normal=True)
+                rhs = Element(self, dict(rule.rhs), normal=True)
+                rel = lhs - rhs
+                tag = "derived " if rule.derived else ""
+                out.append(("%srule %s" % (tag, self.word_str(rule.lhs)),
+                            lhs, rhs, rel, not any(map(deg, rel.terms))))
+            self._relations = out
+        return self._relations
 
     # -- rewriting -----------------------------------------------------
 
@@ -719,8 +736,6 @@ class CriticalPair:
     word: tuple
     rule_a: RewriteRule
     rule_b: RewriteRule
-    branch_a: dict
-    branch_b: dict
     joinable: bool
 
     def describe(self, system):
@@ -771,7 +786,7 @@ def check_local_confluence(calculus) -> ConfluenceReport:
 
     def record(word, ra, rb, terms_a, terms_b):
         na, nb = system.normalize_terms(terms_a), system.normalize_terms(terms_b)
-        report.pairs.append(CriticalPair(word, ra, rb, na, nb, na == nb))
+        report.pairs.append(CriticalPair(word, ra, rb, na == nb))
 
     def apply_at(word, i, rule):
         pre, suf = word[:i], word[i + len(rule.lhs):]

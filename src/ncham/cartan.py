@@ -189,11 +189,11 @@ def check_consistency(theta: PresentedDerivation) -> ConsistencyReport:
     the interior product and the Lie derivative.  Derived inverse-variant
     rules are consequences of the declared ones, but checking them too is
     cheap and catches encoding mistakes.  The relations are built once per
-    rule set (`CalculusPresentation.relations`), so a check costs only
-    theta's own Leibniz work.
+    rule set (`RewriteSystem.relations`), so a check costs only theta's
+    own Leibniz work.
     """
     report = ConsistencyReport()
-    for desc, _, _, rel, algebraic in theta.calculus.relations():
+    for desc, _, _, rel, algebraic in theta.calculus.system.relations():
         if algebraic:
             res = theta.apply(rel)
             report.checks.append(ConsistencyCheck("apply on " + desc, res,
@@ -248,9 +248,8 @@ class DerivationSpace:
     which `certify`, the CLI and `ModelDescriptor.require_sound` report on.
     """
 
-    def __init__(self, basis, backend=None):
+    def __init__(self, basis):
         self.basis = list(basis)
-        self.backend = backend
 
     def inconsistent(self):
         """(theta, report) for each member failing its consistency check."""

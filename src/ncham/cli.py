@@ -14,7 +14,8 @@ check the bounds, build the model, gate it, parse, compute, print.
 
 Exit codes: 0 success, 1 mathematical negative (not Hamiltonian, failed
 check, non-confluent presentation, a derivation for iprod or lie that
-fails its consistency check), 2 usage or parse error.  The Hamiltonian
+fails its consistency check, an ansatz on which omega_tilde is singular,
+printed as SINGULAR), 2 usage or parse error.  The Hamiltonian
 commands (bracket, hamvec, is-hamiltonian, flow) on a presentation file
 exit 1 unless its rules are locally confluent and each of its
 derivations passes the consistency check, as `ModelDescriptor.require_sound`
@@ -36,7 +37,7 @@ from .exprparse import load_presentation, parse_derivation, \
     parse_expression
 from .models import UnsoundPresentationError, build_model, check_bound
 from .symplectic import HamiltonianSolver, NotHamiltonian, \
-    NotHamiltonianError
+    NotHamiltonianError, SingularFormError
 
 # Stated bound on the random trials per property of `check`; a trial
 # takes tens of milliseconds on the built-in models.
@@ -310,6 +311,10 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         return run(args)
+    except SingularFormError as exc:
+        _emit(args, {"status": "SINGULAR", "detail": str(exc)},
+              "SINGULAR: %s" % exc)
+        return 1
     except (UsageError, ValueError, OSError, ReductionBudgetExceeded) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

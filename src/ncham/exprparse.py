@@ -86,7 +86,9 @@ class ExpressionParser:
     Parentheses may nest at most MAX_NESTING deep, which keeps the
     recursion far inside Python's stack limit.  A power k needs
     |k| <= MAX_POWER: a k-th generator power is a k-letter word, so its
-    cost grows linearly in |k|.
+    cost grows linearly in |k|.  So a presented element's k-th power needs
+    |k| times its longest word <= MAX_POWER letters, which refuses nested
+    powers such as ((u^1000)^1000)^2.
     """
 
     MAX_NESTING = 100
@@ -209,6 +211,12 @@ class ExpressionParser:
             if k < 0 and not atom:
                 raise ParseError("division by zero: 0 to the power %d" % k, pos)
             return atom ** k
+        if isinstance(atom, Element):
+            longest = max(map(len, atom.terms), default=0)
+            if abs(k) * longest > self.MAX_POWER:
+                raise ParseError("power %d of a %d-letter word exceeds the "
+                                 "bound of %d letters"
+                                 % (k, longest, self.MAX_POWER), pos)
         if k < 0:
             # c w has the inverse c^-1 w^-1: w reversed, each letter inverted
             if not (isinstance(atom, Element) and len(atom.terms) == 1):
@@ -376,7 +384,7 @@ def load_presentation(path):
     variant does not decrease, and, checked after every other line, an
     `omega` line whose 2-form is not closed.
     """
-    from .backends import Backend
+    from .symplectic import Backend
     from .models import MAX_CYCLOTOMIC_ORDER, ModelDescriptor, check_bound
 
     p = 1

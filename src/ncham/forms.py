@@ -17,11 +17,6 @@ once the rules are in (`finish_rules`), and `d` is one call of
 rules are guessed: where a commutation between letters is not installed,
 words are left unreduced.
 
-The relations, one per installed rule with lhs - rhs and whether it
-relates 0-forms, are built once per rule set, on first use (`relations`,
-which the consistency check reads); adding a rule to the rewrite system
-drops them.
-
 This is the one presented-algebra type: an algebra-only presentation is a
 calculus with no form rules, `CalculusPresentation(gens, rules, [], ...)`,
 whose 0-forms are the algebra and whose differentials no rule relates.
@@ -122,33 +117,3 @@ class CalculusPresentation:
     def d(self, x: Element) -> Element:
         """Signed Leibniz derivation with d^2 = 0."""
         return self.system.leibniz(x, self._d_of_letter.__getitem__, signed=True)
-
-    def normalize(self, x: Element) -> Element:
-        if x.system is not self.system:
-            raise ValueError("element belongs to a different calculus")
-        return Element(self.system, dict(x.terms))
-
-    # -- rule access -------------------------------------------------------
-
-    def relations(self):
-        """Every installed rule as (description, lhs, rhs, lhs - rhs, whether
-        it relates 0-forms), built once per rule set and kept until a rule
-        is added; the caller must not change the list."""
-        system = self.system
-        if system._relations is None:
-            deg = system.table.word_degree
-            out = []
-            for rule in system.rules:
-                lhs = Element(system, {rule.lhs: system.one()}, normal=True)
-                rhs = Element(system, dict(rule.rhs), normal=True)
-                rel = lhs - rhs
-                tag = "derived " if rule.derived else ""
-                out.append(("%srule %s" % (tag, system.word_str(rule.lhs)),
-                            lhs, rhs, rel, not any(map(deg, rel.terms))))
-            system._relations = out
-        return system._relations
-
-    def all_relations(self):
-        """Every installed rule as (description, lhs element, rhs element),
-        in a fresh list."""
-        return [entry[:3] for entry in self.relations()]

@@ -1,7 +1,7 @@
 """Built-in models: torus, matrix algebra, Cuntz algebra, poly (x) M_2.
 
 Each builder returns a ModelDescriptor bundling the calculus, its
-`backends.Backend`, the closed 2-form, the default derivation ansatz as
+`symplectic.Backend`, the closed 2-form, the default derivation ansatz as
 a `DerivationSpace` and seeded random generators; the ansatz and the
 closedness check of the 2-form wait for their first use, so a command
 that only rewrites a form or applies d, _| or L builds neither.  Its
@@ -33,7 +33,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import GeneratorSymbol, RuleSpec, check_local_confluence
-from .backends import Backend
 from .bigraded import (BigradedForm, MixedDerivation,
                        poly_matrix_symplectic_form)
 from .cartan import (DerivationSpace, PresentedDerivation,
@@ -43,7 +42,7 @@ from .matrixcalc import (MatrixDerivation, TensorForm, antisymmetric_basis,
                          matrix_symplectic_form)
 from .polynomials import Poly
 from .scalars import q_power
-from .symplectic import HamiltonianSolver, SymplecticForm
+from .symplectic import Backend, HamiltonianSolver, SymplecticForm
 
 # Stated bounds on model size, for the model strings and the `cyclotomic`
 # line of a presentation file.  A torus ansatz word carries exponents up to
@@ -114,7 +113,7 @@ class ModelDescriptor:
 
     @cached_property
     def space(self):
-        return DerivationSpace(self._basis(), self.backend)
+        return DerivationSpace(self._basis())
 
     @cached_property
     def v_family(self):

@@ -11,9 +11,16 @@ elimination (`linalg`) over the coefficient field; there is no
 tolerance anywhere.
 
 HamiltonianSolver is the one solver surface: it factorizes omega_tilde
-on the ansatz (a DerivationSpace, over the form's `backends.Backend`)
-once and answers solve, poisson and flow from that factorization.  A
-model builds it on first use and keeps it as `model.solver`.
+on the ansatz (a DerivationSpace) once and answers solve, poisson and
+flow from that factorization.  A model builds it on first use and keeps
+it as `model.solver`.
+
+The solver reads a calculus only through its form's `Backend`: the
+differential, zero tests, a hashable freeze of a form (for caching) and
+linear combinations of derivations.  Forms answer `is_zero()` and
+`coordinates()` and derivations `describe()` themselves, so a backend is
+a differential and a zero derivation; `Backend.presented` serves every
+presented calculus, algebra-only ones included.
 """
 
 from __future__ import annotations
@@ -21,8 +28,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import DerivationSpace
+from .cartan import DerivationSpace, PresentedDerivation
 from .linalg import ExactLinearSystem
+
+
+class Backend:
+    def __init__(self, d, zero_derivation):
+        self.d = d
+        self.zero_derivation = zero_derivation
+
+    @classmethod
+    def presented(cls, calculus):
+        return cls(calculus.d, PresentedDerivation(calculus, {}))
+
+    @staticmethod
+    def is_zero(x):
+        return x.is_zero()
+
+    @staticmethod
+    def freeze(x):
+        return frozenset(x.coordinates().items())
+
+    def combo(self, coeffs, derivations):
+        """sum c * theta over the nonzero coefficients."""
+        out = None
+        for c, theta in zip(coeffs, derivations):
+            if c:
+                term = c * theta
+                out = term if out is None else out + term
+        return self.zero_derivation if out is None else out
 
 
 class SingularFormError(ValueError):
@@ -96,14 +130,11 @@ class HamiltonianSolver:
     MAX_FLOW_ORDER = 16
 
     def __init__(self, form: SymplecticForm, space: DerivationSpace):
-        if form.backend is not space.backend:
-            raise ValueError("form and ansatz use different backends")
         self.form = form
         self.space = space
         self.backend = form.backend
-        self._images = [theta.iprod(form.omega) for theta in space.basis]
         self._system = ExactLinearSystem(
-            [img.coordinates() for img in self._images])
+            [theta.iprod(form.omega).coordinates() for theta in space.basis])
         self._kernel = self._system.nullspace()
         self._cache = {}
 

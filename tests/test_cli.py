@@ -41,6 +41,9 @@ def test_parse_examples(torus2m, torus3m):
     expected = calc3.element([("u", 2), ("v", -1)],
                              q_power(3, 2) * Fraction(2, 3))
     assert el == expected
+    # '*' is an optional separator
+    assert parse_expression("u * v", torus2m) == \
+        parse_expression("u v", torus2m)
 
     with pytest.raises(ParseError):
         parse_expression("du^-1", torus2m)
@@ -129,6 +132,8 @@ frule dv dv -> 0
 """
 TORUS2_OMEGA = "omega u^-1 du dv v^-1\n"
 TORUS2_DERIVATION = "derivation xa: u -> 2 u^3 v^2, v -> -2 u^2 v^3\n"
+# a second copy of xa, which makes omega_tilde singular on the ansatz
+TORUS2_COPY = "derivation xb: u -> 2 u^3 v^2, v -> -2 u^2 v^3\n"
 
 
 def test_presentation_file_round_trip(tmp_path):
@@ -275,12 +280,13 @@ def test_presentation_file_errors(tmp_path):
      "line 3: letter order omits generator 'v'"),
     ("generator u\nrule u u ->\n",
      "line 2: unexpected end of expression (at position 0)"),
+    ("generator u\nbogus x\n", "line 2: unknown directive 'bogus'"),
 ], ids=["order", "rule-lhs", "bare-generator", "cyclotomic", "rule-power",
         "omega-not-closed", "derived-variant", "derived-form-variant",
         "rule-names-differential", "generator-is-a-differential",
         "differential-is-a-generator", "derivation-repeats-a-generator",
         "derivation-names-no-generator", "order-omits-a-generator",
-        "rule-without-rhs"])
+        "rule-without-rhs", "unknown-directive"])
 def test_cli_presentation_error_names_the_line(capsys, tmp_path, text,
                                                message):
     path = tmp_path / "bad.pres"
@@ -552,12 +558,20 @@ _PROPERTY_LINES = ["PASS %s (3 trials, seed 2026)" % name for name in (
     (False, False, 0, [
         "PASS local confluence 44 critical pairs",
         "PASS derivation consistency 0 derivations"]),
-], ids=["omega+derivation", "derivation-only", "omega-only", "neither"])
+    (True, 2, 1, [
+        "PASS local confluence 44 critical pairs",
+        "PASS d omega = 0",
+        "PASS ansatz consistency 2 derivations",
+        "FAIL omega_tilde injective omega_tilde kernel dimension: 1"]
+     + _PROPERTY_LINES),
+], ids=["omega+derivation", "derivation-only", "omega-only", "neither",
+        "omega+singular-ansatz"])
 def test_cli_check_on_presentation_variants(capsys, tmp_path, omega,
                                             derivation, code, lines):
     path = tmp_path / "torus.pres"
     path.write_text(TORUS2_RELATIONS + (TORUS2_OMEGA if omega else "")
-                    + (TORUS2_DERIVATION if derivation else ""))
+                    + (TORUS2_DERIVATION if derivation else "")
+                    + (TORUS2_COPY if derivation == 2 else ""))
     got, out, err = run_cli(capsys, "--presentation", str(path), "check",
                             "--count", "3")
     assert (got, out, err) == (code, "\n".join(lines), "")
@@ -632,9 +646,14 @@ def test_cli_iprod_and_lie_refuse_an_inconsistent_derivation(capsys):
      "'z' is none of x, y, S"),
     ("polymat:D=3", "lie", "x: 1, x: y", "derivation chunk 'x: y': 'x' is "
      "given twice"),
+    ("polymat:D=3", "lie", "S: dE12", "S must be a 0-form"),
+    ("polymat:D=3", "lie", "x: E12", "x must be a multiple of the identity"),
+    ("matrix:n=2", "lie", "S: E12 - E21, x: E11",
+     "matrix derivations take a single S: <matrix>"),
 ], ids=["unknown-generator", "differential", "empty-name", "cuntz-unknown",
         "repeated-generator", "polymat-unknown-field",
-        "polymat-repeated-field"])
+        "polymat-repeated-field", "polymat-S-degree", "polymat-x-not-scalar",
+        "matrix-second-field"])
 def test_cli_bad_derivation_spec_names_the_chunk(capsys, model, cmd, spec,
                                                  message):
     code, out, err = run_cli(capsys, "--model", model, cmd, spec, "du")
@@ -780,7 +799,16 @@ def test_cli_power_bound_exit_2(capsys):
             ("2^99999999 u", "error: power 99999999 exceeds the bound "
                              "1000000 in absolute value (at position 1)"),
             ("(u v)^-1000001", "error: power -1000001 exceeds the bound "
-                               "1000000 in absolute value (at position 5)")):
+                               "1000000 in absolute value (at position 5)"),
+            # the bound holds for the word a power builds, nested or not
+            ("((u^1000)^1000)^2", "error: power 2 of a 1000000-letter word "
+                                  "exceeds the bound of 1000000 letters (at "
+                                  "position 15)"),
+            ("((u^1000)^1000)^1000", "error: power 1000 of a 1000000-letter "
+                                     "word exceeds the bound of 1000000 "
+                                     "letters (at position 15)"),
+            ("(u v)^600000", "error: power 600000 of a 2-letter word exceeds "
+                             "the bound of 1000000 letters (at position 5)")):
         code, out, err = run_cli(capsys, "--model", "torus:p=2", "normalize",
                                  expr)
         assert (code, out, err) == (2, "", message)
@@ -789,6 +817,9 @@ def test_cli_power_bound_exit_2(capsys):
         code, out, _ = run_cli(capsys, "--model", "torus:p=2", "normalize",
                                expr)
         assert (code, out) == (0, "u")
+    code, out, _ = run_cli(capsys, "--model", "torus:p=2", "normalize",
+                           "(u^1000)^1000")
+    assert (code, out) == (0, "u^1000000")
 
 
 def test_cli_expression_with_leading_minus(capsys):
@@ -976,8 +1007,10 @@ def test_cli_tensor_backends_read_a_rational_as_a_multiple_of_i(
     ("polymat:D=3", ["normalize", "dx (E12 ⊗ E21)"],
      "dx E12⊗E21 is not a form"),
     ("matrix:n=2", ["lie", "S: dE12", "E11"], "S must be a 0-form"),
+    ("polymat:D=3", ["normalize", "dx ⊗ E12"], "tensor legs only combine "
+     "matrix-direction parts (at position 3)"),
 ], ids=["matrix-normalize", "matrix-iprod", "matrix-lie", "matrix-sum",
-        "polymat", "matrix-S-degree"])
+        "polymat", "matrix-S-degree", "polymat-classical-leg"])
 def test_cli_tensor_expressions_must_be_forms(capsys, model, argv, message):
     code, out, err = run_cli(capsys, "--model", model, *argv)
     assert (code, out, err) == (2, "", "error: " + message)
@@ -1046,6 +1079,22 @@ def test_cli_presentation_refuses_an_inconsistent_derivation(capsys,
     code, out, _ = run_cli(capsys, "--model", "torus:p=2", "is-hamiltonian",
                            "u^2 v^2")
     assert code == 0
+
+
+def test_cli_singular_ansatz_is_a_mathematical_negative(capsys, tmp_path):
+    """omega_tilde with a kernel on a file's ansatz answers SINGULAR, exit
+    1, as `check` reports it, not a usage error."""
+    path = tmp_path / "torus.pres"
+    path.write_text(TORUS2_RELATIONS + TORUS2_OMEGA + TORUS2_DERIVATION
+                    + TORUS2_COPY)
+    detail = "omega_tilde has kernel of dimension 1 on the ansatz"
+    for argv in HAMILTONIAN_COMMANDS:
+        code, out, err = run_cli(capsys, "--presentation", str(path), *argv)
+        assert (code, out, err) == (1, "SINGULAR: " + detail, ""), argv
+        code, out, err = run_cli(capsys, "--presentation", str(path),
+                                 "--format", "json", *argv)
+        assert (code, json.loads(out), err) == (
+            1, {"status": "SINGULAR", "detail": detail}, ""), argv
 
 
 def test_cli_presentation_refuses_non_confluent_rules(capsys, tmp_path):

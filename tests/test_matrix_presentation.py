@@ -21,13 +21,12 @@ from fractions import Fraction
 import pytest
 
 from ncham.algebra import GeneratorSymbol, RuleSpec, check_local_confluence
-from ncham.backends import Backend
 from ncham.cartan import DerivationSpace, PresentedDerivation, iprod_or_zero
 from ncham.forms import CalculusPresentation
 from ncham.matrixcalc import (MatrixDerivation, TensorForm,
                               antisymmetric_basis)
 from ncham.models import build_matrix
-from ncham.symplectic import HamiltonianSolver, SymplecticForm
+from ncham.symplectic import Backend, HamiltonianSolver, SymplecticForm
 
 NS = (2, 3, 4)
 
@@ -217,7 +216,7 @@ def test_solver_kernel_and_brackets_agree(setup):
     anti = antisymmetric_basis(n)
     basis = [presented_ad(calc, n, a.to_matrix()) for a in anti]
     solver = HamiltonianSolver(SymplecticForm(backend, omega),
-                               DerivationSpace(basis, backend))
+                               DerivationSpace(basis))
     model = build_matrix(n)
     assert phi(omega) == model.omega.omega
     assert (solver.kernel_report().dimension

@@ -57,7 +57,7 @@ def test_nonsingularity(torus2, matrix3, cuntz2, polymat):
 def test_zero_form_is_totally_singular(torus2):
     calc = torus2.calculus
     om0 = SymplecticForm(torus2.backend, calc.zero())
-    space = DerivationSpace(torus2.space.basis[:5], torus2.backend)
+    space = DerivationSpace(torus2.space.basis[:5])
     assert space.inconsistent() == []
     solver = HamiltonianSolver(om0, space)
     rep = solver.kernel_report()
