@@ -7,7 +7,8 @@ degree-lexicographic term order, so word comparison is just comparison of
 (len(word), word).  Inverse cancellation g g^-1 -> 1 is structural: it
 happens during concatenation, and stored words never contain an adjacent
 inverse pair.  `RewriteSystem.leibniz` is the one derivation-expansion
-routine: d, apply, iprod and lie are per-letter substitutions over it.
+routine: d, iprod and lie are per-letter substitutions over it, and
+apply is lie on 0-forms.
 
 Rewrite rules replace a subword (the lhs) by an element (the rhs); every
 rhs word must be strictly smaller than the lhs in the term order, which
@@ -42,6 +43,7 @@ whether both branches reduce to the same normal form.
 
 This module has no presentation type of its own: an algebra-only
 presentation is a `forms.CalculusPresentation` with no form rules.
+`Form` and `Derivation` hold what every calculus's types share.
 """
 
 from __future__ import annotations
@@ -62,6 +64,57 @@ class ReductionBudgetExceeded(RuntimeError):
 
 class DegreeError(ValueError):
     """An operation received a form of inadmissible degree."""
+
+
+class Form:
+    """Base of `Element`, `TensorForm` and `BigradedForm`, which provide
+    `+`, unary `-` and `degrees()` (sorted; none for a zero form, except on
+    a TensorForm, which keeps its degree) and get `-` and `degree()` here."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def degree(self):
+        degs = self.degrees()
+        if not degs:
+            return 0
+        if len(degs) > 1:
+            raise ValueError("form is not homogeneous: degrees %s" % degs)
+        return degs[0]
+
+
+class Derivation:
+    """Base of the derivation types, which provide `+`, scalar `*` from the
+    left, `iprod` (theta _|, which calls `_iprod_guard` first) and `lie`
+    (L_theta).  theta(a) is `apply(a)`, L_theta on a 0-form; only a
+    presented derivation has relations for `consistency()` to check."""
+
+    __slots__ = ()
+
+    def apply(self, a):
+        if any(a.degrees()):
+            raise ValueError("apply expects a 0-form; use lie for forms")
+        return self.lie(a)
+
+    def __call__(self, a):
+        return self.apply(a)
+
+    def __neg__(self):
+        return (-1) * self
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    @staticmethod
+    def _iprod_guard(x):
+        """_| lowers the degree, so it takes no nonzero 0-form."""
+        if x.degrees() == [0]:
+            raise DegreeError("interior product needs degree >= 1")
+
+    def consistency(self):
+        return None
 
 
 class DerivedVariantError(ValueError):
@@ -585,7 +638,7 @@ class SortTable:
         return {tuple(out): scalar}
 
 
-class Element:
+class Element(Form):
     """A finite scalar-linear combination of words, kept in normal form.
 
     No stored coefficient is zero, so `is_zero` is an empty-dict test.
@@ -629,11 +682,6 @@ class Element:
 
     def __neg__(self):
         return Element(self.system, {w: -c for w, c in self.terms.items()}, normal=True)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
-            return self + (-self.system.scalar(other))
-        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -688,14 +736,6 @@ class Element:
     def degrees(self):
         deg = self.system.table.word_degree
         return sorted({deg(w) for w in self.terms})
-
-    def degree(self):
-        ds = self.degrees()
-        if not ds:
-            return 0
-        if len(ds) > 1:
-            raise ValueError("element is not homogeneous: degrees %s" % ds)
-        return ds[0]
 
     def __str__(self):
         from .printing import element_str

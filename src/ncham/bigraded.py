@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import DegreeError
-from .matrixcalc import MatrixDerivation, TensorForm
+from .algebra import Derivation, Form
+from .matrixcalc import MatrixDerivation, TensorForm, _is_scalar
 from .polynomials import P_ONE, Poly
 
 
@@ -55,7 +55,7 @@ def _poly(v):
     return Poly.const(v)
 
 
-class BigradedForm:
+class BigradedForm(Form):
     """Map from classical wedge symbol to a matrix-direction TensorForm.
 
     No stored part is zero, so `is_zero` is an empty-dict test.  The
@@ -98,14 +98,6 @@ class BigradedForm:
     def degrees(self):
         return sorted({len(c) + t.degree for c, t in self.parts.items()})
 
-    def degree(self):
-        degs = self.degrees()
-        if not degs:
-            return 0
-        if len(degs) > 1:
-            raise ValueError("form is not homogeneous: total degrees %s" % degs)
-        return degs[0]
-
     def is_zero(self):
         return not self.parts
 
@@ -132,20 +124,17 @@ class BigradedForm:
     def __neg__(self):
         return BigradedForm({c: -t for c, t in self.parts.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, value):
         p = _poly(value)
         return BigradedForm({c: t.scale(p) for c, t in self.parts.items()})
 
     def __rmul__(self, value):
-        if isinstance(value, (int, Poly)) or hasattr(value, "denominator"):
+        if _is_scalar(value):
             return self.scale(value)
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Poly)) or hasattr(other, "denominator"):
+        if _is_scalar(other):
             return self.scale(other)
         if not isinstance(other, BigradedForm):
             return NotImplemented
@@ -212,7 +201,7 @@ def _map_scalars(t: TensorForm, fn) -> TensorForm:
     return TensorForm(t.n, t.degree, {k: fn(v) for k, v in t.terms.items()})
 
 
-class MixedDerivation:
+class MixedDerivation(Derivation):
     """(theta_x, theta_y, theta_r) acting as theta(f) = theta_x df/dx +
     theta_y df/dy + [theta_S, f], with theta_S = theta_r (E12 - E21)."""
 
@@ -238,12 +227,6 @@ class MixedDerivation:
         return MixedDerivation(c * self.theta_x, c * self.theta_y,
                                c * self.theta_r)
 
-    def __neg__(self):
-        return (-1) * self
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
     def is_zero(self):
         return not (self.theta_x or self.theta_y or self.theta_r)
 
@@ -259,18 +242,8 @@ class MixedDerivation:
 
     # -- action ----------------------------------------------------------------
 
-    def apply(self, a: BigradedForm) -> BigradedForm:
-        t = a.component(())
-        if set(a.parts) - {()} or t.degree != 0:
-            raise ValueError("apply expects a 0-form; use lie for forms")
-        return self.lie(a)
-
-    def __call__(self, a):
-        return self.apply(a)
-
     def iprod(self, x: BigradedForm) -> BigradedForm:
-        if x.parts and all(len(c) + t.degree == 0 for c, t in x.parts.items()):
-            raise DegreeError("interior product needs degree >= 1")
+        self._iprod_guard(x)
         evals = {"x": self.theta_x, "y": self.theta_y}
         ad = self._ad()
         parts = {}

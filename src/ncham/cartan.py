@@ -5,27 +5,28 @@ extended everywhere by the Leibniz rule; for an invertible generator the
 image of g^-1 is -g^-1 theta(g) g^-1, forced by theta(g g^-1) = 0.  The
 interior product is the signed derivation of degree -1 with
 theta _| dg = theta(g); the Lie derivative is the unsigned derivation of
-degree 0 with L(dg) = d(theta(g)).  All three are one call of
-`RewriteSystem.leibniz` each, with one normalization per call.  The
-substitution of each letter is computed the first time it is needed and
-kept on the derivation, whose images must not change after construction.
+degree 0 with L(dg) = d(theta(g)), and theta(a) is L on a 0-form
+(`Derivation.apply`).  _| and L are one `RewriteSystem.leibniz` call
+each, with one normalization per call.  The substitution of each letter
+is computed the first time it is needed and kept on the derivation,
+whose images must not change after construction.
 
 These operations are only well defined when they annihilate every
-relation of the calculus, so `check_consistency` reduces theta(R),
-theta _| R and L_theta(R) to normal form for each installed rule R and
-reports the residuals; `DerivationSpace.inconsistent` lists the members
-of an ansatz that fail it.
+relation of the calculus, so `check_consistency` (theta.consistency())
+reduces theta(R), theta _| R and L_theta(R) to normal form for each
+installed rule R and reports the residuals;
+`DerivationSpace.inconsistent` lists the members of an ansatz that fail it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import DegreeError, Element
+from .algebra import DegreeError, Derivation, Element
 from .forms import CalculusPresentation
 
 
-class PresentedDerivation:
+class PresentedDerivation(Derivation):
     """Derivation on a presented calculus, given by generator images."""
 
     def __init__(self, calculus: CalculusPresentation, images, label=None):
@@ -60,15 +61,9 @@ class PresentedDerivation:
             self.calculus,
             {n: self.images[n] + other.images[n] for n in self.images})
 
-    def __sub__(self, other):
-        return self + (-1) * other
-
     def __rmul__(self, scalar):
         return PresentedDerivation(
             self.calculus, {n: img * scalar for n, img in self.images.items()})
-
-    def __neg__(self):
-        return (-1) * self
 
     def is_zero(self):
         return all(img.is_zero() for img in self.images.values())
@@ -91,23 +86,9 @@ class PresentedDerivation:
             terms = self._subs[li] = img.terms
         return terms
 
-    def apply(self, a: Element) -> Element:
-        """Leibniz extension over words; degree-0 elements only."""
-        isd = self.calculus.system.table.is_diff
-
-        def image(li):
-            if isd[li]:
-                raise ValueError("apply expects a 0-form; use lie for forms")
-            return self._substitution(li)
-        return self.calculus.system.leibniz(a, image, signed=False)
-
-    def __call__(self, a):
-        return self.apply(a)
-
     def iprod(self, x: Element) -> Element:
         """Interior product: signed derivation, degree -1."""
-        if x.terms and x.degrees() == [0]:
-            raise DegreeError("interior product needs degree >= 1")
+        self._iprod_guard(x)
         table = self.calculus.system.table
 
         def image(li):
@@ -138,6 +119,9 @@ class PresentedDerivation:
     def describe(self):
         """generator -> its image, printed."""
         return {name: str(img) for name, img in sorted(self.images.items())}
+
+    def consistency(self):
+        return check_consistency(self)
 
     def __repr__(self):
         body = ", ".join("%s -> %s" % (n, self.images[n])
@@ -255,15 +239,7 @@ class DerivationSpace:
         """(theta, report) for each member failing its consistency check."""
         out = []
         for theta in self.basis:
-            rep = consistency_of(theta)
+            rep = theta.consistency()
             if rep is not None and not rep.ok:
                 out.append((theta, rep))
         return out
-
-
-def consistency_of(theta):
-    """Consistency report of a presented derivation; None on the tensor
-    backends, which have no relations to check."""
-    if isinstance(theta, PresentedDerivation):
-        return check_consistency(theta)
-    return None

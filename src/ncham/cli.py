@@ -32,7 +32,6 @@ import re
 import sys
 
 from .algebra import ReductionBudgetExceeded
-from .cartan import consistency_of
 from .exprparse import load_presentation, parse_derivation, \
     parse_expression
 from .models import UnsoundPresentationError, build_model, check_bound
@@ -199,7 +198,7 @@ def run(args) -> int:
         elif cmd in ("iprod", "lie"):
             theta = parse_derivation(args.theta, model)
             el = parse_expression(args.expr, model)
-            rep = consistency_of(theta)
+            rep = theta.consistency()
             if rep is not None and not rep.ok:
                 return _not_consistent(args, rep.summary().splitlines())
             out = theta.iprod(el) if cmd == "iprod" else theta.lie(el)

@@ -48,6 +48,16 @@ def _is_scalar(x):
     return isinstance(x, (Fraction, CycScalar))
 
 
+def _bits(c):
+    """The largest bit length among the numerators and denominators of an
+    int, Fraction or CycScalar; 0 when they are all 0, 1 or -1, so that no
+    power of a unit coefficient is refused."""
+    ints = ((c.den, *c.nums) if isinstance(c, CycScalar)
+            else (c.numerator, c.denominator))
+    b = max(abs(n).bit_length() for n in ints)
+    return b if b > 1 else 0
+
+
 class ParseError(ValueError):
     def __init__(self, message, pos=None):
         if pos is not None:
@@ -88,11 +98,16 @@ class ExpressionParser:
     |k| <= MAX_POWER: a k-th generator power is a k-letter word, so its
     cost grows linearly in |k|.  So a presented element's k-th power needs
     |k| times its longest word <= MAX_POWER letters, which refuses nested
-    powers such as ((u^1000)^1000)^2.
+    powers such as ((u^1000)^1000)^2.  Likewise |k| times b <= MAX_POWER_BITS,
+    b the largest bit length among the numerators and denominators of the
+    atom's coefficients (0 when all are 0, 1 or -1): it bounds the size of
+    the coefficients a power builds, below Python's 4,300-digit limit on
+    printing an int, so 2^5000 u parses and 2^7001 u is refused.
     """
 
     MAX_NESTING = 100
     MAX_POWER = 10 ** 6
+    MAX_POWER_BITS = 14000
 
     def __init__(self, namespace, calculus):
         self.namespace = namespace
@@ -207,6 +222,12 @@ class ExpressionParser:
         return atom
 
     def _power(self, atom, k, pos):
+        bits = _bits(atom) if _is_scalar(atom) else max(
+            map(_bits, atom.coordinates().values()), default=0)
+        if abs(k) * bits > self.MAX_POWER_BITS:
+            raise ParseError("power %d of a %d-bit coefficient exceeds the "
+                             "bound of %d bits" % (k, bits, self.MAX_POWER_BITS),
+                             pos)
         if _is_scalar(atom):
             if k < 0 and not atom:
                 raise ParseError("division by zero: 0 to the power %d" % k, pos)

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import DegreeError
+from .algebra import Derivation, Form
 
 
 def _is_scalar(x):
     return isinstance(x, (int, Fraction)) or hasattr(x, "diff_x")
 
 
-class TensorForm:
+class TensorForm(Form):
     """Sparse tensor-leg form over M_n; keys are tuples of flat unit indices.
 
     No stored coefficient is zero, so `is_zero` is an empty-dict test.
@@ -105,9 +105,6 @@ class TensorForm:
     def __neg__(self):
         return TensorForm(self.n, self.degree,
                           {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, c):
         if not c:
@@ -222,7 +219,7 @@ class TensorForm:
     __repr__ = __str__
 
 
-class MatrixDerivation:
+class MatrixDerivation(Derivation):
     """The inner derivation ad_S(C) = [S, C] = SC - CS of M_n, kept as S.
 
     S is a degree-0 `TensorForm` made traceless at construction: ad_S =
@@ -284,30 +281,15 @@ class MatrixDerivation:
             return MatrixDerivation(self.s.scale(c))
         return NotImplemented
 
-    def __neg__(self):
-        return (-1) * self
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def is_zero(self):
         return self.s.is_zero()
 
     # -- action -------------------------------------------------------------
 
-    def apply(self, x: TensorForm) -> TensorForm:
-        if x.degree != 0:
-            raise ValueError("apply expects a 0-form; use lie for forms")
-        return self.lie(x)
-
-    def __call__(self, x):
-        return self.apply(x)
-
     def iprod(self, x: TensorForm) -> TensorForm:
         """sum_j (-1)^(j-1) a_(j-1) S a_j, which on a form x is ad_S
         contracted into leg j and merged left (see the module docstring)."""
-        if x.degree < 1:
-            raise DegreeError("interior product needs degree >= 1")
+        self._iprod_guard(x)
         return x.contract_alternating(self.s.to_matrix())
 
     def lie(self, x: TensorForm) -> TensorForm:

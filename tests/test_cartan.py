@@ -322,3 +322,54 @@ def test_derivation_images_come_from_its_calculus():
         for img in theta.images.values():
             assert list(img.terms.items()) == \
                 list(Element(calc.system, dict(img.terms)).terms.items())
+
+
+@pytest.mark.parametrize("name", ["torus1", "torus2", "torus3", "matrix2",
+                                  "matrix3", "cuntz2", "cuntz3", "polymat",
+                                  "readme-file"])
+def test_forms_and_derivations_share_one_contract(name, request, tmp_path):
+    """theta(a), _| and L, the derivations' linear structure and the forms'
+    subtraction and degree obey one contract in every calculus."""
+    model = (_readme_model(tmp_path) if name == "readme-file"
+             else request.getfixturevalue(name))
+    d = model.backend.d
+    rng = random.Random(2028)
+    for _ in range(8):
+        theta = model.random_derivation(rng)
+        phi = model.random_derivation(rng)
+        a, b = model.random_form(rng, 0), model.random_form(rng, 0)
+        tensor = hasattr(a, "n")        # a TensorForm's degree is an attribute
+        assert theta(a) == theta.apply(a) == theta.lie(a)
+        assert (-theta).coordinates() == ((-1) * theta).coordinates()
+        assert (theta - phi).coordinates() == \
+            (theta + (-1) * phi).coordinates()
+        for x, y in ((a, b), (d(a), d(b))):
+            assert x - y == x + (-y)
+        da = d(a)
+        if not a.is_zero():
+            with pytest.raises(DegreeError,
+                               match="^interior product needs degree >= 1$"):
+                theta.iprod(a)
+        zero = a - a
+        if tensor:
+            with pytest.raises(DegreeError):
+                theta.iprod(zero)
+            assert (da.degree, zero.degree) == (1, 0)
+        else:
+            assert theta.iprod(zero).is_zero()
+            assert zero.degree() == 0
+        # polymat's d(a) has a matrix part that a 0-form cannot join, and
+        # dx a is a purely classical one
+        one_form = model.namespace()["dx"] * a if name == "polymat" else da
+        for x in (da, one_form):
+            if x.is_zero():
+                continue
+            for op in (theta, theta.apply):
+                with pytest.raises(ValueError, match="^apply expects a "
+                                                     "0-form; use lie for forms$"):
+                    op(x)
+            if not tensor:
+                assert x.degree() == 1
+        if not (tensor or a.is_zero() or one_form.is_zero()):
+            with pytest.raises(ValueError, match="not homogeneous"):
+                (a + one_form).degree()

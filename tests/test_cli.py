@@ -808,15 +808,40 @@ def test_cli_power_bound_exit_2(capsys):
                                      "word exceeds the bound of 1000000 "
                                      "letters (at position 15)"),
             ("(u v)^600000", "error: power 600000 of a 2-letter word exceeds "
-                             "the bound of 1000000 letters (at position 5)")):
+                             "the bound of 1000000 letters (at position 5)"),
+            # and for the bits of the coefficients it builds
+            ("2^100000 u", "error: power 100000 of a 2-bit coefficient "
+                           "exceeds the bound of 14000 bits (at position 1)"),
+            ("(2^1000000)^1000000 u", "error: power 1000000 of a 2-bit "
+                                      "coefficient exceeds the bound of 14000 "
+                                      "bits (at position 2)"),
+            ("(2^1000000 u)^1000000", "error: power 1000000 of a 2-bit "
+                                      "coefficient exceeds the bound of 14000 "
+                                      "bits (at position 2)"),
+            ("(3/4 u)^-7001", "error: power -7001 of a 3-bit coefficient "
+                              "exceeds the bound of 14000 bits (at position "
+                              "7)"),
+            ("(2^7000 u)^2", "error: power 2 of a 7001-bit coefficient "
+                             "exceeds the bound of 14000 bits (at position "
+                             "10)")):
         code, out, err = run_cli(capsys, "--model", "torus:p=2", "normalize",
                                  expr)
         assert (code, out, err) == (2, "", message)
-    # the bound itself is allowed
-    for expr in ("1^1000000 u", "1^-1000000 u"):
+    assert ExpressionParser.MAX_POWER_BITS == 14000
+    for model, expr, pos in (("matrix:n=2", "(2 E11)^7001", 7),
+                             ("polymat:D=3", "(2 x E11)^7001", 9)):
+        code, out, err = run_cli(capsys, "--model", model, "normalize", expr)
+        assert (code, out, err) == (
+            2, "", "error: power 7001 of a 2-bit coefficient exceeds the "
+                   "bound of 14000 bits (at position %d)" % pos)
+    # the bounds themselves are allowed
+    for expr in ("1^1000000 u", "1^-1000000 u", "q^1000000 u"):
         code, out, _ = run_cli(capsys, "--model", "torus:p=2", "normalize",
                                expr)
         assert (code, out) == (0, "u")
+    code, out, _ = run_cli(capsys, "--model", "torus:p=2", "normalize",
+                           "2^7000 u")
+    assert (code, out) == (0, "%d u" % 2 ** 7000)
     code, out, _ = run_cli(capsys, "--model", "torus:p=2", "normalize",
                            "(u^1000)^1000")
     assert (code, out) == (0, "u^1000000")
