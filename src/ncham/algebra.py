@@ -32,7 +32,11 @@ normal form is unique: the letters sorted by precedence, g against g^-1
 cancelled, times c^n for each pair type swapped n times, and zero if a
 square-zero letter is left twice.  `reduce_word` takes that path when the
 table exists and the rewriting path otherwise; both fill the one
-normal-form cache.  `relations` lists every installed rule as a relation
+normal-form cache.  There `leibniz` also expands a run g^r of one
+letter as one raw word times a q-number: the r words that replace one
+copy each sort to one word, and their coefficients differ only by the
+swaps of the moved copies of g past the image (see `SortTable.run_sum`).
+`relations` lists every installed rule as a relation
 lhs - rhs, built once per rule set for the consistency check; adding a
 rule drops the list.
 
@@ -50,8 +54,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
-from .scalars import CycScalar, cyc_one, cyc_zero, power, q_power
+from .scalars import (CycScalar, _canonical, _power_table, cyc_one, cyc_zero,
+                      euler_phi, power, q_power)
 
 
 class ReductionBudgetExceeded(RuntimeError):
@@ -486,23 +492,46 @@ class RewriteSystem:
         number of differentials before li.  The raw words are summed in one
         dict and normalized once, which on a confluent presentation equals
         normalizing pre * image * suf piece by piece (diamond lemma).
+
+        With a sort table, a run g^r at position j and an image term
+        (iw, ic) give the one raw word concat(w[:j], iw, w[j+1:]) with
+        coefficient c ic S, S = `SortTable.run_sum`, in place of the r
+        words pre g^k iw g^(r-1-k) suf.  This is exact: the sorted normal
+        form's coefficient is a product over the pairs of letters out of
+        order, so moving k copies of g left past iw multiplies it by rho^k
+        and leaves the letter counts, hence the word and a square-zero
+        verdict, alone; cancelling g against g^-1 costs no scalar.  The sign
+        (-1)^k of the k-th copy of a differential under `signed` is sigma^k.
+        Without a sort table every letter is its own run.
         """
         if x.system is not self:
             raise ValueError("element belongs to a different calculus")
         concat = self.table.concat
         isd = self.table.is_diff
+        sort = self._sort_table
         raw = {}
         for w, c in x.terms.items():
-            for j, li in enumerate(w):
+            j, n = 0, len(w)
+            while j < n:
+                li = w[j]
+                r = 1
+                if sort is not None:
+                    while j + r < n and w[j + r] == li:
+                        r += 1
+                flip = signed and isd[li]
                 sub = image(li)
                 if sub:
                     pre, suf = w[:j], w[j + 1:]
                     for iw, ic in sub.items():
                         key = concat(pre, iw, suf)
+                        v = c * ic
+                        if r > 1:
+                            v = v * sort.run_sum(li, iw, r, flip)
                         acc = raw.get(key)
-                        raw[key] = c * ic if acc is None else acc + c * ic
-                if signed and isd[li]:
+                        raw[key] = v if acc is None else acc + v
+                if flip and r & 1:
                     c = -c
+                j += r
         return Element(self, raw)
 
     # -- display -------------------------------------------------------
@@ -548,15 +577,22 @@ class SortTable:
     of signed powers.  Any other swap scalar c gets a count of its own, and
     c is raised to it once, at the end.  The counts are updated once per
     run of equal letters, so a word costs its runs: u^25 v^24 takes two
-    updates, not 49.
+    updates, not 49.  For the same reason a Leibniz run g^r costs one
+    normal form times `run_sum`, the q-number sum_{k<r} (sigma rho)^k
+    built from the per-letter table `past` of what g gains moving left
+    past each letter.
     """
 
-    def __init__(self, powers, above, emit):
+    def __init__(self, powers, above, past, emit):
         self.powers = powers    # (q^k, -q^k) for k = 0 .. p-1
         # letter y -> ((x, sign, exponent, None) or (x, 0, 0, c), ...) over
         # the letters x > y, for the swap x y -> (-1)^sign q^exponent y x or
         # x y -> c y x
         self.above = above
+        # past[g][x]: what g gains moving left past x, c(g, x) for x < g and
+        # c(x, g)^-1 for x > g, as (sign, exponent, None) or (0, 0, c);
+        # (0, 0, None) for x = g and x = g^-1
+        self.past = past
         self.emit = emit        # (letter, its inverse or None, square-zero)
 
     @classmethod
@@ -595,9 +631,52 @@ class SortTable:
         above = tuple(tuple((x,) + signed.get(swaps[x, y], (0, 0, swaps[x, y]))
                             for x in range(y + 1, n) if inv.get(x) != y)
                       for y in range(n))
+        past = [[(0, 0, None)] * n for _ in range(n)]
+        for y in range(n):
+            for x, s, e, c in above[y]:
+                past[x][y] = s, e, c
+                past[y][x] = (s, -e % p, None) if c is None else (0, 0, c.inverse())
         emit = tuple((li, inv.get(li), li in square_zero) for li in range(n)
                      if inv.get(li, n) > li)
-        return cls(tuple((qk, -qk) for qk in powers), above, emit)
+        return cls(tuple((qk, -qk) for qk in powers), above, past, emit)
+
+    def run_sum(self, g, iw, r, flip):
+        """S = sum_{k<r} (sigma rho)^k: the scalar by which the normal form of
+        pre iw g^(r-1) suf stands for the r words pre g^k iw g^(r-1-k) suf.
+
+        rho is what a copy of g gains moving left past the letters of iw,
+        and sigma = -1 when `flip` (a signed call on a differential g), else
+        1.  For a +-q^k rho, (sigma rho)^k repeats with a period L dividing
+        2p, so S is min(r, L) rows of the power table added as ints; for
+        any other, S = (x^r - 1) / (x - 1) in the field Q(q), x = sigma rho,
+        or r when x = 1.
+        """
+        past = self.past[g]
+        sign, exponent, general = flip, 0, None
+        for x in iw:
+            s, e, c = past[x]
+            sign += s
+            exponent += e
+            if c is not None:
+                general = c if general is None else general * c
+        p = len(self.powers)
+        if general is not None:
+            x = self.powers[exponent % p][sign & 1] * general
+            if x == 1:
+                return CycScalar.from_rational(p, r)
+            return (x ** r - 1) / (x - 1)
+        exponent %= p
+        period = p // gcd(exponent, p) * (2 if sign & 1 else 1)
+        full, rest = divmod(r, period)
+        rows = _power_table(p)
+        nums = [0] * euler_phi(p)
+        for k in range(min(r, period)):
+            m = full + (k < rest)
+            if k * sign & 1:
+                m = -m
+            for i, t in rows[k * exponent % p]:
+                nums[i] += m * t
+        return _canonical(p, nums, 1)
 
     def reduce(self, word):
         """The normal form of `word` as a dict word -> scalar."""

@@ -8,13 +8,23 @@ everything printed here, so print-parse round trips are exact.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .scalars import CycScalar
 
 
 def rational_str(r: Fraction) -> str:
-    return str(r.numerator) if r.denominator == 1 else "%d/%d" % (r.numerator, r.denominator)
+    """a/b, or a when b = 1.  Python refuses to print an int of more than
+    sys.get_int_max_str_digits() digits (4,300 by default); that refusal is
+    a ValueError naming the coefficient's bit length and the bound."""
+    try:
+        return str(r.numerator) if r.denominator == 1 else "%d/%d" % (r.numerator, r.denominator)
+    except ValueError:
+        bits = max(r.numerator.bit_length(), r.denominator.bit_length())
+        raise ValueError("a coefficient of %d bits exceeds the printing bound "
+                         "of %d decimal digits"
+                         % (bits, sys.get_int_max_str_digits())) from None
 
 
 def _q_term(k: int, r: Fraction, lead: bool) -> str:

@@ -847,6 +847,21 @@ def test_cli_power_bound_exit_2(capsys):
     assert (code, out) == (0, "u^1000000")
 
 
+def test_cli_printing_bound_exit_2(capsys):
+    """A coefficient that parses within the power bound but grows past
+    Python's 4,300-digit limit on printing an int, by a product or by a
+    flow, exits 2 naming its bit length and that bound."""
+    for argv, bits in ((("normalize", "2^7000 2^7000 2^7000 u"), 21001),
+                       (("flow", "2^5000 u^2 v^2", "u", "--order", "3"), 15003)):
+        code, out, err = run_cli(capsys, "--model", "torus:p=2", *argv)
+        assert (code, out, err) == (
+            2, "", "error: a coefficient of %d bits exceeds the printing "
+                   "bound of 4300 decimal digits" % bits)
+    code, out, _ = run_cli(capsys, "--model", "torus:p=2", "normalize",
+                           "2^-5000 2^-5000 u")
+    assert (code, out) == (0, "1/%d u" % 2 ** 10000)
+
+
 def test_cli_expression_with_leading_minus(capsys):
     for argv, want in (
             (["normalize", "-u"], "-u"),

@@ -309,3 +309,189 @@ def test_budget_error_names_word_and_rule():
         pres.element([("b", 6), ("a", 6)])
     assert "reducing b^6 a^6" in str(info.value)
     assert "last rule applied: b a ->" in str(info.value)
+
+
+# -- Leibniz by runs on q-commutation calculi ----------------------------------
+
+def _run_calculus(kind, tmp_path):
+    """A calculus that normalizes by sorting: the torus at p = kind, or a
+    presentation file."""
+    # imported here: test_algebra imports this module when it loads
+    from test_algebra import GENERAL_SCALARS, _file_calculus, _readme_text
+
+    from ncham.models import torus_calculus
+
+    if isinstance(kind, int):
+        return torus_calculus(kind)
+    if kind == "readme-file":
+        return _file_calculus(tmp_path, _readme_text())
+    if kind == "general-scalar-file":
+        return _file_calculus(tmp_path, GENERAL_SCALARS)
+    # no square-zero rule: du^3 survives, so iprod meets runs of differentials
+    text = "".join(line for line in GENERAL_SCALARS.splitlines(True)
+                   if not line.endswith("-> 0\n"))
+    assert text.count("frule") == GENERAL_SCALARS.count("frule") - 2
+    return _file_calculus(tmp_path, text)
+
+
+def _longest_runs(word, isd):
+    """(longest run of one letter, longest run of one differential)."""
+    longest = diff = run = 0
+    for i, li in enumerate(word):
+        run = run + 1 if i and word[i - 1] == li else 1
+        longest = max(longest, run)
+        if isd[li]:
+            diff = max(diff, run)
+    return longest, diff
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 5, 32, "readme-file",
+                                  "general-scalar-file", "no-square-zero-file"])
+def test_runs_match_per_letter_reference(kind, tmp_path):
+    """Seeded forms made of up to four powers g^k, |k| <= 1 + 8p like the
+    words of a B=8 torus ansatz, and differentials, some repeated: d, lie,
+    apply and iprod, which expand a run g^r as one word times a q-number,
+    equal the per-letter reference, which expands every letter."""
+    from ncham.cartan import PresentedDerivation
+
+    calc = _run_calculus(kind, tmp_path)
+    system = calc.system
+    assert system._sort_table is not None
+    isd = system.table.is_diff
+    gens = [g.name for g in calc.generators]
+    top = 1 + 8 * system.p
+    rng = random.Random(top * 31 + len(str(kind)))
+
+    def scalar():
+        return rng.choice([-2, -1, 1, 3]) * q_power(system.p, rng.randrange(system.p))
+
+    def monomial(bound):
+        return calc.element([(g, rng.randint(-bound, bound)) for g in gens],
+                            scalar())
+
+    longest = diff_runs = checks = 0
+    while checks < 24:
+        x = calc.zero()
+        for _ in range(rng.randint(1, 2)):
+            factors = [(rng.choice(gens), rng.randint(-top, top))
+                       for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(0, 3)):
+                factors.insert(rng.randint(0, len(factors)),
+                               ("d" + rng.choice(gens), 1))
+            x = x + calc.element(factors, scalar())
+        if x.is_zero():
+            continue
+        for w in x.terms:
+            run, diff = _longest_runs(w, isd)
+            longest = max(longest, run)
+            diff_runs += diff > 1
+        theta = PresentedDerivation(
+            calc, {g: monomial(3) + monomial(2) for g in gens})
+        assert calc.d(x) == reference_d(calc, x)
+        assert theta.lie(x) == reference_lie(calc, theta, x)
+        a = Element(system, {w: c for w, c in x.terms.items()
+                             if not system.table.word_degree(w)}, normal=True)
+        assert theta.apply(a) == reference_apply(calc, theta, a)
+        if any(map(system.table.word_degree, x.terms)):
+            assert theta.iprod(x) == reference_iprod(calc, theta, x)
+        checks += 1
+    assert longest > 8 * system.p
+    # the runs of a differential, which flip the sign of each copy, occur
+    # exactly when no square-zero rule removes them
+    assert (diff_runs > 0) == (kind == "no-square-zero-file")
+
+
+def _counting_sorts(monkeypatch):
+    """Record every word SortTable.reduce sorts."""
+    from ncham.algebra import SortTable
+
+    sorted_words = []
+    reduce = SortTable.reduce
+
+    def counted(self, word):
+        sorted_words.append(word)
+        return reduce(self, word)
+    monkeypatch.setattr(SortTable, "reduce", counted)
+    return sorted_words
+
+
+def test_a_run_costs_one_normal_form(monkeypatch):
+    """On torus:p=3 a run g^r and one image term make one raw word, so a
+    cold cache sorts at most one word per run and image term."""
+    from ncham.cartan import PresentedDerivation
+    from ncham.models import torus_calculus
+
+    calc = torus_calculus(3)
+    system = calc.system
+    x = calc.element([("u", 40), ("v", -40)])
+    y = calc.element([("u", 7), ("v", -5), ("du", 1)])
+    theta = PresentedDerivation(calc, {"u": calc.element([("u", 1), ("v", 3)]),
+                                       "v": calc.element([("u", -3), ("v", 1)], 2)})
+    lie = "3q dv u^8 v^-3 + (10 + 10q) du u^4 v^-5 + (-8 - 8q) du u^7 v^-2"
+    assert str(theta.lie(y)) == lie     # fills theta's letter images
+    sorted_words = _counting_sorts(monkeypatch)
+    system._nf_cache.clear()
+    assert str(calc.d(x)) == "-40q dv u^40 v^-41 + 40 du u^39 v^-40"
+    # u^40 and v^-40, one image term each
+    assert len(sorted_words) <= 2
+    del sorted_words[:]
+    system._nf_cache.clear()
+    assert str(theta.lie(y)) == lie
+    # u^7 and v^-5 one image term each, du the two of d(u v^3)
+    assert len(sorted_words) <= 4
+
+
+def _per_letter_raw(system, x, image, signed):
+    """The raw words of the per-letter expansion, in the order it makes
+    them, before normalization."""
+    concat, isd = system.table.concat, system.table.is_diff
+    raw = {}
+    for w, c in x.terms.items():
+        for j, li in enumerate(w):
+            for iw, ic in (image(li) or {}).items():
+                key = concat(w[:j], iw, w[j + 1:])
+                raw[key] = raw[key] + c * ic if key in raw else c * ic
+            if signed and isd[li]:
+                c = -c
+    return raw
+
+
+def test_no_run_grouping_without_a_sort_table(monkeypatch):
+    """On the Cuntz calculus, which rewrites, every letter is expanded on
+    its own: the engine normalizes exactly the raw words of the per-letter
+    expansion, in the same order."""
+    from ncham.models import build_cuntz
+
+    cuntz3 = build_cuntz(3)
+    calc = cuntz3.calculus
+    system = calc.system
+    assert system._sort_table is None
+    seen = []
+    normalize_terms = system.normalize_terms
+
+    def recording(terms):
+        seen.append(dict(terms))
+        return normalize_terms(terms)
+    rng = random.Random(17)
+    for _ in range(12):
+        x = cuntz3.random_form(rng, 2)
+        x = x * x       # repeated letters, as in runs
+        theta = cuntz3.random_derivation(rng)
+        theta.lie(x)    # fills theta's letter images
+        table = system.table
+
+        def iprod_image(li):
+            if table.is_diff[li]:
+                return theta.images[table.letters[li].base].terms
+        expected = [(calc.d, calc._d_of_letter.__getitem__, True),
+                    (theta.lie, theta._substitution, False)]
+        if any(map(table.word_degree, x.terms)):
+            expected.append((theta.iprod, iprod_image, True))
+        for op, image, signed in expected:
+            monkeypatch.setattr(system, "normalize_terms", recording)
+            op(x)
+            monkeypatch.undo()
+            raw = _per_letter_raw(system, x, image, signed)
+            assert seen[0] == raw
+            assert list(seen[0]) == list(raw)
+            del seen[:]
