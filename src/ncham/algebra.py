@@ -52,7 +52,6 @@ presentation is a `forms.CalculusPresentation` with no form rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -135,17 +134,60 @@ class UnknownGeneratorError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class GeneratorSymbol:
-    name: str
-    invertible: bool = False
+class Record:
+    """Base of the plain record types: a repr over the fields named in
+    `__slots__`, in order, as `Letter(base='u', exp=1, diff=False)`."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
 
 
-@dataclass(frozen=True)
-class Letter:
-    base: str
-    exp: int           # +1 or -1; differentials always +1
-    diff: bool = False
+class Value(Record):
+    """An immutable record, usable as a dict key: field-wise == and hash.
+    A subclass's constructor sets every field once, through `_set`."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class GeneratorSymbol(Value):
+    __slots__ = ("name", "invertible")
+
+    def __init__(self, name, invertible=False):
+        self._set(name, invertible)
+
+
+class Letter(Value):
+    __slots__ = ("base", "exp", "diff")
+
+    def __init__(self, base, exp, diff=False):
+        self._set(base, exp, diff)      # exp +1 or -1; differentials +1
 
     @property
     def display(self):
@@ -197,16 +239,17 @@ def word_key(word):
     return (len(word), word)
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(Value):
     """A rewrite rule at the display-name level: lhs letters, rhs terms.
 
     lhs: sequence of (name, exp) with name a generator name or d<gen>;
     rhs: sequence of (scalar, [(name, exp), ...]) terms.
     """
 
-    lhs: tuple
-    rhs: tuple
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs, rhs):
+        self._set(lhs, rhs)
 
     @classmethod
     def make(cls, lhs, rhs):
@@ -850,12 +893,12 @@ def _build_table(generators, letter_order):
 # -- local confluence ---------------------------------------------------
 
 
-@dataclass
-class CriticalPair:
-    word: tuple
-    rule_a: RewriteRule
-    rule_b: RewriteRule
-    joinable: bool
+class CriticalPair(Record):
+    __slots__ = ("word", "rule_a", "rule_b", "joinable")
+
+    def __init__(self, word, rule_a, rule_b, joinable):
+        self.word, self.rule_a, self.rule_b = word, rule_a, rule_b
+        self.joinable = joinable
 
     def describe(self, system):
         kind = "joinable" if self.joinable else "NOT JOINABLE"
@@ -864,9 +907,11 @@ class CriticalPair:
             system.word_str(self.rule_a.lhs), system.word_str(self.rule_b.lhs))
 
 
-@dataclass
-class ConfluenceReport:
-    pairs: list = field(default_factory=list)
+class ConfluenceReport(Record):
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs=None):
+        self.pairs = [] if pairs is None else pairs
 
     @property
     def all_joinable(self):

@@ -20,9 +20,7 @@ installed rule R and reports the residuals;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .algebra import DegreeError, Derivation, Element
+from .algebra import DegreeError, Derivation, Element, Record
 from .forms import CalculusPresentation
 
 
@@ -140,16 +138,18 @@ def iprod_or_zero(theta, x):
 # -- consistency ---------------------------------------------------------
 
 
-@dataclass
-class ConsistencyCheck:
-    description: str
-    residual: object
-    ok: bool
+class ConsistencyCheck(Record):
+    __slots__ = ("description", "residual", "ok")
+
+    def __init__(self, description, residual, ok):
+        self.description, self.residual, self.ok = description, residual, ok
 
 
-@dataclass
-class ConsistencyReport:
-    checks: list = field(default_factory=list)
+class ConsistencyReport(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks=None):
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self):

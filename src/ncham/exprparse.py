@@ -76,22 +76,26 @@ _TOKEN = re.compile(r"""
 
 
 def tokenize(text):
-    tokens = []
+    """Yield (kind, token, position) in order, ending with an "end" token;
+    a character no token starts with raises when the scan reaches it."""
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
             raise ParseError("unexpected character %r" % text[pos], pos)
         if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
+            yield m.lastgroup, m.group(), pos
         pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+    yield "end", "", len(text)
 
 
 class ExpressionParser:
-    """Recursive descent over the token list, resolving names in a
+    """Recursive descent over the token stream, resolving names in a
     namespace (name -> element) over a calculus.
+
+    The parser reads a token only when it must look at it, one ahead of
+    the last it consumed, so an input is refused at its leftmost fault and
+    a bound is hit before the rest of the input is read.
 
     Parentheses may nest at most MAX_NESTING deep, which keeps the
     recursion far inside Python's stack limit.  A power k needs
@@ -116,11 +120,11 @@ class ExpressionParser:
         self.unit = namespace["I"] if calculus is None else calculus.one()
 
     def parse(self, text):
-        self.tokens = tokenize(text)
-        self.i = 0
+        self._tokens = tokenize(text)
+        self._ahead = None
         self.depth = 0
         value = self._expr()
-        kind, tok, pos = self.tokens[self.i]
+        kind, tok, pos = self._peek()
         if kind != "end":
             raise ParseError("trailing input %r" % tok, pos)
         value = self._to_element(value)
@@ -135,11 +139,13 @@ class ExpressionParser:
         return self.unit * value if _is_scalar(value) else value
 
     def _peek(self):
-        return self.tokens[self.i]
+        if self._ahead is None:
+            self._ahead = next(self._tokens)
+        return self._ahead
 
     def _next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
+        tok = self._peek()
+        self._ahead = None
         return tok
 
     def _expr(self):

@@ -49,17 +49,21 @@ class ExactLinearSystem:
         # non-pivot key -> indices of the basis vectors nonzero there
         self._holders = {}
         for j, col in enumerate(self.columns):
-            coeffs, rest = self._reduce(col)
-            expr = {i: -c for i, c in coeffs.items()}
-            expr[j] = _ONE          # rest = col - sum coeffs_i col_i
+            coeffs, rest = self._reduce(col)  # rest = col - sum coeffs_i col_i
             if not rest:
+                expr = {i: -c for i, c in coeffs.items()}
+                expr[j] = _ONE
                 self.free_cols.append(j)
                 self._kernel.append(self._dense(expr))
                 continue
             key = min(rest)
             inv = rest[key] ** -1
             vec = {k: v * inv for k, v in rest.items()}
-            expr = {i: c * inv for i, c in expr.items()}
+            # that expression of rest, scaled by inv; the entry at j is inv
+            # itself, as 1 * inv would cross from Q into inv's field
+            minus_inv = -inv
+            expr = {i: c * minus_inv for i, c in coeffs.items()}
+            expr[j] = inv
             n = len(self.echelon)
             off_pivot = [k for k in vec if k != key]
             # only the basis vectors nonzero at key change, each on its own

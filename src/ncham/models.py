@@ -2,9 +2,10 @@
 
 Each builder returns a ModelDescriptor bundling the calculus, its
 `symplectic.Backend`, the closed 2-form, the default derivation ansatz as
-a `DerivationSpace` and seeded random generators; the ansatz and the
-closedness check of the 2-form wait for their first use, so a command
-that only rewrites a form or applies d, _| or L builds neither.  Its
+a `DerivationSpace` and seeded random generators; the ansatz, the
+closedness check of the 2-form and the torus's pool of random
+derivations wait for their first use, so a command that only rewrites a
+form or applies d, _| or L builds none of them.  Its
 `cartan_residuals` is the Cartan identity suite on one random triple,
 and its `certify` runs the structural checks (local confluence,
 d omega = 0, consistency of the ansatz, trivial omega_tilde kernel).  A
@@ -250,10 +251,10 @@ def build_torus(p: int, bound: int = 3, root_exp: int = 1) -> ModelDescriptor:
              * calc.gen("v", -1))
     backend = Backend.presented(calc)
     # small-offset pool for randomized identity checking; large exponents
-    # only slow the rewriting down without adding coverage.  It is built
-    # with the model, unlike the ansatz: every random_derivation draws
-    # from it, so deferring it would only move its cost into the first draw
-    pool =classify_torus_derivations(calc, min(bound, 1))
+    # only slow the rewriting down without adding coverage.  Like the
+    # ansatz it is built on first use, the first draw, so a command that
+    # draws no random derivation does not build it
+    pool = []
 
     def random_form(rng, max_degree=2):
         du, dv = calc.dgen("u"), calc.dgen("v")
@@ -269,6 +270,8 @@ def build_torus(p: int, bound: int = 3, root_exp: int = 1) -> ModelDescriptor:
         return out
 
     def random_derivation(rng):
+        if not pool:
+            pool.extend(classify_torus_derivations(calc, min(bound, 1)))
         combo = rng.choice(pool)
         for _ in range(rng.randint(0, 2)):
             combo = combo + rng.choice([1, 2, -1]) * rng.choice(pool)

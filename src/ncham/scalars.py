@@ -224,7 +224,7 @@ class CycScalar:
         if not isinstance(k, int):
             return NotImplemented
         base = self.inverse() if k < 0 else self
-        return power(base, abs(k), cyc_one(self.p))
+        return power(base, abs(k), None if k else cyc_one(self.p))
 
     def __eq__(self, other):
         if other.__class__ is not CycScalar or other.p != self.p:

@@ -25,9 +25,9 @@ presented calculus, algebra-only ones included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import Record
 from .cartan import DerivationSpace, PresentedDerivation
 from .linalg import ExactLinearSystem
 
@@ -70,22 +70,28 @@ class NotHamiltonianError(ValueError):
         self.verdict = verdict
 
 
-@dataclass
-class SymplecticForm:
-    backend: object
-    omega: object
+class SymplecticForm(Record):
+    """A closed 2-form on a backend; the constructor checks d omega = 0."""
 
-    def __post_init__(self):
+    __slots__ = ("backend", "omega")
+
+    def __init__(self, backend, omega):
+        self.backend, self.omega = backend, omega
+        self.check_closed()
+
+    def check_closed(self):
         residual = self.backend.d(self.omega)
         if not self.backend.is_zero(residual):
             raise ValueError("the 2-form is not closed: d omega = %s"
                              % residual)
 
 
-@dataclass
-class KernelReport:
-    dimension: int
-    basis: list                      # coefficient vectors over the ansatz
+class KernelReport(Record):
+    __slots__ = ("dimension", "basis")
+
+    def __init__(self, dimension, basis):
+        self.dimension = dimension
+        self.basis = basis           # coefficient vectors over the ansatz
 
     @property
     def nonsingular(self):
@@ -97,21 +103,24 @@ class KernelReport:
         return "omega_tilde kernel dimension: %d" % self.dimension
 
 
-@dataclass
-class HamiltonianSolution:
-    element: object
-    coefficients: list
-    vector_field: object             # X_a with omega_tilde(X_a) = da exactly
+class HamiltonianSolution(Record):
+    __slots__ = ("element", "coefficients", "vector_field")
+
+    def __init__(self, element, coefficients, vector_field):
+        self.element, self.coefficients = element, coefficients
+        self.vector_field = vector_field  # X_a, omega_tilde(X_a) = da exactly
 
     @property
     def hamiltonian(self):
         return True
 
 
-@dataclass
-class NotHamiltonian:
-    element: object
-    residual: dict                   # coordinates of da outside the image
+class NotHamiltonian(Record):
+    __slots__ = ("element", "residual")
+
+    def __init__(self, element, residual):
+        self.element = element
+        self.residual = residual     # coordinates of da outside the image
 
     @property
     def hamiltonian(self):
@@ -198,14 +207,16 @@ class HamiltonianSolver:
         return FlowSeries(coeffs)
 
 
-@dataclass
-class FlowSeries:
+class FlowSeries(Record):
     """Polynomial in the formal time t with element coefficients.
 
     coefficients[k] is the coefficient of t^k, the 1/k! included.
     """
 
-    coefficients: list
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients):
+        self.coefficients = coefficients
 
     def coefficient(self, k):
         return self.coefficients[k]

@@ -480,9 +480,33 @@ def test_cli_end_of_expression(capsys):
     for expr, code, message in (
             ("u +", 2, "error: unexpected end of expression (at position 3)"),
             ("", 2, "error: unexpected end of expression (at position 0)"),
-            ("u +* v", 2, "error: unexpected token '*' (at position 3)")):
+            ("u +* v", 2, "error: unexpected token '*' (at position 3)"),
+            # the leftmost fault wins: the scan stops before the '$'
+            ("u +* v $", 2, "error: unexpected token '*' (at position 3)"),
+            ("u v $", 2, "error: unexpected character '$' (at position 4)")):
         assert run_cli(capsys, "--model", "torus:p=2", "normalize", expr) \
             == (code, "", message)
+
+
+def test_cli_deep_nesting_reads_only_to_the_bound(capsys, monkeypatch):
+    """The nesting bound fires on the 101st '(' (position 100), and the
+    tokenizer has read nothing after it, however long the input."""
+    import ncham.exprparse
+
+    tokenize, read = ncham.exprparse.tokenize, []
+
+    def counted(text):
+        for token in tokenize(text):
+            read.append(token)
+            yield token
+
+    monkeypatch.setattr(ncham.exprparse, "tokenize", counted)
+    text = "(" * 500000 + "u" + ")" * 500000
+    assert len(text) == 1000001
+    assert run_cli(capsys, "--model", "torus:p=2", "normalize", text) == (
+        2, "", "error: parentheses nest deeper than 100 (at position 100)")
+    assert len(read) == 101
+    assert read[-1] == ("op", "(", 100)
 
 
 def test_cli_normalize_on_a_wrong_declared_variant(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Built-in model descriptors: certificates, families, CLI strings."""
 
+import random
+
 import pytest
 from closure import commutator_closure
 
@@ -210,39 +212,44 @@ def builds(monkeypatch):
     from ncham.symplectic import SymplecticForm
 
     seen = {"bounds": [], "checks": 0}
-    classify, post_init = (ncham.models.classify_torus_derivations,
-                           SymplecticForm.__post_init__)
+    classify, check_closed = (ncham.models.classify_torus_derivations,
+                              SymplecticForm.check_closed)
 
     def counted_classify(calc, bound):
         seen["bounds"].append(bound)
         return classify(calc, bound)
 
-    def counted_post_init(self):
+    def counted_check_closed(self):
         seen["checks"] += 1
-        post_init(self)
+        check_closed(self)
 
     monkeypatch.setattr(ncham.models, "classify_torus_derivations",
                         counted_classify)
-    monkeypatch.setattr(SymplecticForm, "__post_init__", counted_post_init)
+    monkeypatch.setattr(SymplecticForm, "check_closed", counted_check_closed)
     return seen
 
 
 @pytest.mark.parametrize("desc", sorted(LAZY_COMMANDS))
 def test_a_command_builds_only_what_it_uses(capsys, builds, desc):
     """Rewriting, d, _|, L and confluence build neither the ansatz nor
-    omega's closedness check; is-hamiltonian builds each once.  The torus
-    pool of random derivations (bound 1) is built with the model."""
+    omega's closedness check nor the torus pool of random derivations
+    (bound 1); is-hamiltonian builds the ansatz and the check once, and
+    check, which draws, builds the pool once too."""
     from ncham.cli import main
 
-    pool = [1] if desc.startswith("torus") else []
+    torus = desc.startswith("torus")
     for command in LAZY_COMMANDS[desc]:
         builds.update(bounds=[], checks=0)
         assert main(["--model", desc, *command]) == 0, command
-        assert builds == {"bounds": pool, "checks": 0}, command
+        assert builds == {"bounds": [], "checks": 0}, command
     builds.update(bounds=[], checks=0)
     assert main(["--model", desc, "is-hamiltonian", HAMILTONIAN[desc]]) == 0
-    ansatz = [3] if pool else []
-    assert builds == {"bounds": pool + ansatz, "checks": 1}
+    ansatz = [3] if torus else []
+    assert builds == {"bounds": ansatz, "checks": 1}
+    builds.update(bounds=[], checks=0)
+    assert main(["--model", desc, "check", "--count", "2"]) == 0
+    pool = [1] if torus else []
+    assert builds == {"bounds": ansatz + pool, "checks": 1}
     capsys.readouterr()
 
 
@@ -251,7 +258,11 @@ def test_lazy_members_are_built_once(builds):
     assert torus.space is torus.space
     assert torus.omega is torus.omega
     assert torus.v_family == torus.space.basis
-    assert builds == {"bounds": [1, 3], "checks": 1}
+    assert builds == {"bounds": [3], "checks": 1}
+    rng = random.Random(1)
+    torus.random_derivation(rng)
+    torus.random_derivation(rng)
+    assert builds == {"bounds": [3, 1], "checks": 1}
 
     cuntz = build_model("cuntz:n=2")
     assert len(cuntz.v_family) == 4
