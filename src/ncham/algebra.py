@@ -53,6 +53,7 @@ presentation is a `forms.CalculusPresentation` with no form rules.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 
 from .scalars import (CycScalar, _canonical, _power_table, cyc_one, cyc_zero,
@@ -589,20 +590,15 @@ class RewriteSystem:
         if not word:
             return "1"
         parts = []
-        i = 0
         letters = self.table.letters
-        while i < len(word):
-            j = i
-            while j < len(word) and word[j] == word[i]:
-                j += 1
-            lt = letters[word[i]]
-            count = j - i
+        for li, run in groupby(word):
+            lt = letters[li]
+            count = len(list(run))
             if lt.diff:
                 parts.extend([lt.display] * count)
             else:
                 e = lt.exp * count
                 parts.append(lt.base if e == 1 else "%s^%d" % (lt.base, e))
-            i = j
         return " ".join(parts)
 
 

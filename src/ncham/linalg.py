@@ -1,4 +1,4 @@
-"""Exact sparse linear algebra over a field (Fraction or CycScalar).
+"""Exact sparse linear algebra over Q or Q(q): int, Fraction or CycScalar.
 
 Vectors are dicts mapping coordinate keys to scalars; a system is a list
 of column vectors.  Factoring reduces the columns in order against a
@@ -15,7 +15,8 @@ stays empty.  Projecting a right-hand side is one pass of the same
 reduction over its pivot keys.  Every step divides exactly; there is no
 tolerance.  A Fraction 1 serves as the unit of either field, as Q is a
 subfield of Q(q); a pivot is scaled by c ** -1, the inverse in c's own
-field.
+field, except that an int pivot c is inverted as Fraction(1, c), since
+c ** -1 is a float.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ class ExactLinearSystem:
                 self._kernel.append(self._dense(expr))
                 continue
             key = min(rest)
-            inv = rest[key] ** -1
+            piv = rest[key]
+            inv = Fraction(1, piv) if isinstance(piv, int) else piv ** -1
             vec = {k: v * inv for k, v in rest.items()}
             # that expression of rest, scaled by inv; the entry at j is inv
             # itself, as 1 * inv would cross from Q into inv's field

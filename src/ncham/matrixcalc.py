@@ -3,11 +3,15 @@
 A degree-k form is an element of the (k+1)-fold tensor power of M_n whose
 contraction at every junction (multiplying two adjacent legs) vanishes;
 degree 0 is M_n itself.  Forms are stored sparsely as maps from tuples of
-matrix-unit indices to scalars.  The coefficients are the exact scalars
-the caller gives (ints and Fractions on M_n; `Poly`, bivariate
-polynomials, in the tensor-product model `polymat`, which keeps them
-`Poly`).  No unit of the scalar ring is carried: the constants here are
-ints, such as the 1 of a matrix unit, which every scalar type coerces.
+matrix-unit indices to scalars.  On M_n a coefficient is an int when it
+is integral and a Fraction otherwise: `from_matrix` and `scale`, where
+every outside scalar enters, store an integral Fraction as its numerator,
+and nothing here divides, so a Fraction appears only where one enters (the
+1/2 of omega, the trace correction of a derivation, a solver coefficient).
+In the tensor-product model `polymat` the coefficients are `Poly`,
+bivariate polynomials, kept as given.  No unit of the scalar ring is
+carried: the constants here are ints, such as the 1 of a matrix unit,
+which every scalar type coerces.
 
 The differential inserts the identity into each slot with alternating
 signs, d(a0 x ... x am) = sum_i (-1)^i a0 x ... x 1_(i) x ... x am, which
@@ -30,6 +34,11 @@ from .algebra import Derivation, Form
 
 def _is_scalar(x):
     return isinstance(x, (int, Fraction)) or hasattr(x, "diff_x")
+
+
+def _integral(c):
+    """An integral Fraction as its numerator int; any other scalar as is."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 class TensorForm(Form):
@@ -71,7 +80,7 @@ class TensorForm(Form):
     def from_matrix(cls, mat):
         """mat: n x n nested sequence of scalars."""
         n = len(mat)
-        return cls(n, 0, {(i * n + j,): mat[i][j]
+        return cls(n, 0, {(i * n + j,): _integral(mat[i][j])
                           for i in range(n) for j in range(n)})
 
     def to_matrix(self):
@@ -109,6 +118,7 @@ class TensorForm(Form):
     def scale(self, c):
         if not c:
             return TensorForm.zero(self.n, self.degree)
+        c = _integral(c)
         return TensorForm(self.n, self.degree,
                           {k: v * c for k, v in self.terms.items()})
 

@@ -296,9 +296,9 @@ def build_matrix(n: int) -> ModelDescriptor:
 
     def rand_matrix(rng, entries=2):
         # sparse: the identities are multilinear, dense input only costs time
-        m = [[Fraction(0)] * n for _ in range(n)]
+        m = [[0] * n for _ in range(n)]
         for _ in range(entries):
-            m[rng.randrange(n)][rng.randrange(n)] = Fraction(rng.randint(-2, 2))
+            m[rng.randrange(n)][rng.randrange(n)] = rng.randint(-2, 2)
         return m
 
     def random_form(rng, max_degree=2):

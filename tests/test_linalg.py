@@ -255,6 +255,22 @@ def test_elimination_cancels_an_entry_of_an_earlier_basis_vector():
     assert system._holders == {("c",): {1}}
 
 
+def test_int_entries_solve_exactly():
+    """An int pivot c is inverted as Fraction(1, c), as c ** -1 is a float:
+    over int entries the echelon, its expressions, the kernel and the
+    solutions hold ints and Fractions only."""
+    system = ExactLinearSystem([{"a": 2, "b": 1}, {"b": 3}, {"a": 4, "b": 2}])
+    assert system.echelon == [({"a": 1}, {0: Fraction(1, 2), 1: Fraction(-1, 6)}),
+                              ({"b": 1}, {1: Fraction(1, 3)})]
+    assert system.nullspace() == [[-2, 0, 1]]
+    solution = system.solve({"a": 1, "b": 1})
+    assert solution == [Fraction(1, 2), Fraction(1, 6), 0]
+    scalars = [c for vec, expr in system.echelon
+               for c in [*vec.values(), *expr.values()]]
+    scalars += solution + system.nullspace()[0]
+    assert all(type(c) in (int, Fraction) for c in scalars)
+
+
 @pytest.mark.parametrize("desc", ["torus:p=1", "torus:p=2", "torus:p=3",
                                   "torus:p=3,B=8", "matrix:n=2", "matrix:n=3",
                                   "cuntz:n=2", "cuntz:n=3", "polymat:D=3"])

@@ -8,9 +8,12 @@ import pytest
 
 from ncham.algebra import DegreeError
 from ncham.bigraded import MixedDerivation
+from ncham.cartan import iprod_or_zero
 from ncham.matrixcalc import (MatrixDerivation, TensorForm,
                               antisymmetric_basis, matrix_symplectic_form)
+from ncham.models import build_model
 from ncham.polynomials import Poly
+from ncham.symplectic import HamiltonianSolver, SymplecticForm
 
 
 def units(n):
@@ -292,3 +295,61 @@ def test_contract_alternating_sums_the_junctions():
     p = rand_matrix(rng, 3)
     first, second = x.contract_junctions(p)
     assert x.contract_alternating(p) == first - second
+
+
+def boxed(x):
+    """x with every coefficient a Fraction; the constructors take the dict
+    as given, where `from_matrix` and `scale` would store ints."""
+    if isinstance(x, MatrixDerivation):
+        return MatrixDerivation(boxed(x.s))
+    return TensorForm(x.n, x.degree, {k: Fraction(c) for k, c in x.terms.items()})
+
+
+def coefficient_types(x):
+    if isinstance(x, (MatrixDerivation, TensorForm)):
+        return {type(c) for c in x.coordinates().values()}
+    return {t for part in x for t in coefficient_types(part)}
+
+
+CALCULUS = [
+    lambda x, y, th, ph: x.d(),
+    lambda x, y, th, ph: x * y - y * x,
+    lambda x, y, th, ph: iprod_or_zero(th, x),
+    lambda x, y, th, ph: th.lie(x),
+    lambda x, y, th, ph: th.commutator(ph).s,
+]
+
+
+def hamiltonian(solver, a, b):
+    """solve, poisson and flow of the 0-forms a and b."""
+    return [solver.solve(a).vector_field.s, solver.poisson(a, b),
+            solver.flow(b, a, 3).coefficients]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_integral_coefficients_compute_in_ints(n):
+    """The M_n backend is exact and blind to the scalar type: seeded int
+    inputs and the same values boxed as Fractions give equal results, the
+    int inputs' calculus stays in ints, and no coefficient is a float,
+    also where the solver of the int form 2 omega inverts int pivots."""
+    model, fresh = build_model("matrix:n=%d" % n), build_model("matrix:n=%d" % n)
+    two_omega = TensorForm(n, 2, {k: int(2 * c) for k, c in
+                                  matrix_symplectic_form(n).terms.items()})
+    solvers = [(model.solver, fresh.solver)] + [
+        tuple(HamiltonianSolver(SymplecticForm(model.backend, om), model.space)
+              for om in (two_omega, boxed(two_omega)))]
+    rng = random.Random(40 + n)
+    for _ in range(4):
+        x, y = model.random_form(rng, 2), model.random_form(rng, 2)
+        th, ph = model.random_derivation(rng), model.random_derivation(rng)
+        assert coefficient_types([x, y, th.s, ph.s]) == {int}
+        for op in CALCULUS:
+            out = op(x, y, th, ph)
+            assert out == op(boxed(x), boxed(y), boxed(th), boxed(ph))
+            assert coefficient_types(out) <= {int}
+        # antisymmetric, so Hamiltonian; the 1/2 of omega brings Fractions
+        a, b = th.s, model.random_derivation(rng).s
+        for ints, fractions in solvers:
+            out = hamiltonian(ints, a, b)
+            assert out == hamiltonian(fractions, boxed(a), boxed(b))
+            assert coefficient_types(out) <= {int, Fraction}
