@@ -581,10 +581,8 @@ class RewriteSystem:
     # -- display -------------------------------------------------------
 
     def _swap_str(self, lhs, rhs, coeff):
-        from .printing import term_str
-
         return "%s -> %s" % (self.word_str(lhs),
-                             term_str(coeff, self.word_str(rhs), lead=True))
+                             Element(self, {rhs: coeff}, normal=True))
 
     def word_str(self, word):
         if not word:
@@ -787,7 +785,9 @@ class Element(Form):
             raise ValueError("elements belong to different presentations")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
+        if other.__class__ is not Element:
+            if not isinstance(other, (int, Fraction, CycScalar)):
+                return NotImplemented
             other = Element(self.system, {(): self.system.scalar(other)}, normal=True)
         self._check(other)
         out = dict(self.terms)
@@ -805,7 +805,9 @@ class Element(Form):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
+        if other.__class__ is not Element:
+            if not isinstance(other, (int, Fraction, CycScalar)):
+                return NotImplemented
             c0 = self.system.scalar(other)
             if not c0:
                 return Element.zero(self.system)

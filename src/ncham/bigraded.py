@@ -25,8 +25,6 @@ alternating junction insertions, as in the matrix interior product.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import Derivation, Form
 from .matrixcalc import MatrixDerivation, TensorForm, _is_scalar
 from .polynomials import P_ONE, Poly
@@ -106,9 +104,8 @@ class BigradedForm(Form):
         coords = {}
         for csym, t in self.parts.items():
             for key, val in t.terms.items():
-                den = val.den
-                for mono, n in val.nums.items():
-                    coords[(csym, key, mono)] = Fraction(n, den)
+                for mono, c in val.coeffs.items():
+                    coords[(csym, key, mono)] = c
         return coords
 
     # -- linear structure ----------------------------------------------------
@@ -316,9 +313,8 @@ class MixedDerivation(Derivation):
         coords = {}
         for head, p in (("x", self.theta_x), ("y", self.theta_y),
                         ("r", self.theta_r)):
-            den = p.den
-            for mono, n in p.nums.items():
-                coords[(head, mono)] = Fraction(n, den)
+            for mono, c in p.coeffs.items():
+                coords[(head, mono)] = c
         return coords
 
     def describe(self):

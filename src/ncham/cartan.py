@@ -206,21 +206,13 @@ def classify_torus_derivations(calculus: CalculusPresentation, bound: int):
     force that nothing else passes the consistency check.
     """
     p = calculus.p
-    basis = []
     rng = range(-bound, bound + 1)
-    for s in rng:
-        for t in rng:
-            img = calculus.element([("u", 1 + s * p), ("v", t * p)])
-            basis.append(PresentedDerivation(
-                calculus, {"u": img},
-                label="b[%d,%d]" % (s, t)))
-    for s in rng:
-        for t in rng:
-            img = calculus.element([("u", s * p), ("v", 1 + t * p)])
-            basis.append(PresentedDerivation(
-                calculus, {"v": img},
-                label="c[%d,%d]" % (s, t)))
-    return basis
+    return [PresentedDerivation(
+                calculus,
+                {gen: calculus.element([("u", du + s * p), ("v", dv + t * p)])},
+                label="%s[%d,%d]" % (name, s, t))
+            for gen, name, du, dv in (("u", "b", 1, 0), ("v", "c", 0, 1))
+            for s in rng for t in rng]
 
 
 # -- derivation spaces ------------------------------------------------------

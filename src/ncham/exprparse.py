@@ -40,8 +40,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from .algebra import DerivedVariantError, Element, GeneratorSymbol, RuleSpec
+from .bigraded import MixedDerivation
+from .cartan import PresentedDerivation
 from .forms import CalculusPresentation
+from .matrixcalc import MatrixDerivation
+from .models import MAX_CYCLOTOMIC_ORDER, ModelDescriptor, check_bound, theta_h
 from .scalars import CycScalar, power, q_power
+from .symplectic import Backend
 
 
 def _is_scalar(x):
@@ -319,8 +324,6 @@ def _spec_chunks(text, sep):
 
 def _image_derivation(text, parser, label=None):
     """The derivation 'u -> expr, v -> expr' on the parser's calculus."""
-    from .cartan import PresentedDerivation
-
     names = {g.name for g in parser.calculus.generators}
     images = {}
     for chunk, name, rhs in _spec_chunks(text, "->"):
@@ -341,8 +344,6 @@ def parse_derivation(text, model):
         return _image_derivation(text, parser)
     fields = {key: value.strip() for _, key, value in _spec_chunks(text, ":")}
     if set(fields) == {"h"}:
-        from .models import theta_h
-
         if model.kind != "cuntz":
             raise ParseError("theta_h derivations are specific to the Cuntz model")
         h = parser.parse(fields["h"])
@@ -350,15 +351,11 @@ def parse_derivation(text, model):
     if model.kind == "matrix":
         if set(fields) != {"S"}:
             raise ParseError("matrix derivations take a single S: <matrix>")
-        from .matrixcalc import MatrixDerivation
-
         s = parser.parse(fields["S"])
         if s.degree != 0:
             raise ParseError("S must be a 0-form")
         return MatrixDerivation(s)
     if model.kind == "polymat":
-        from .bigraded import MixedDerivation
-
         unknown = sorted(set(fields) - {"x", "y", "S"})
         if unknown:
             raise ParseError("mixed derivation field %r is none of x, y, S"
@@ -411,9 +408,6 @@ def load_presentation(path):
     variant does not decrease, and, checked after every other line, an
     `omega` line whose 2-form is not closed.
     """
-    from .symplectic import Backend
-    from .models import MAX_CYCLOTOMIC_ORDER, ModelDescriptor, check_bound
-
     p = 1
     generators = []
     order = None

@@ -27,82 +27,74 @@ def rational_str(r: Fraction) -> str:
                          % (bits, sys.get_int_max_str_digits())) from None
 
 
-def _q_term(k: int, r: Fraction, lead: bool) -> str:
-    sign = "-" if r < 0 else "+"
+def _signed_sum(render, items) -> str:
+    """The sum of the terms render(*item) -> (negative, magnitude): '0'
+    for no items, a '-' on the lead term only when it is negative, and
+    ' + x' or ' - x' for every later term."""
+    out = []
+    for item in items:
+        neg, body = render(*item)
+        if out:
+            out.append(" - " if neg else " + ")
+        elif neg:
+            out.append("-")
+        out.append(body)
+    return "".join(out) if out else "0"
+
+
+def _spaced(*parts) -> str:
+    return " ".join(s for s in parts if s)
+
+
+def _q_term(k: int, r) -> tuple:
+    """(r < 0, |r| q^k), with no coefficient on q^k when |r| = 1."""
     mag = abs(r)
     if k == 0:
-        body = rational_str(mag)
-    else:
-        qpow = "q" if k == 1 else "q^%d" % k
-        body = qpow if mag == 1 else rational_str(mag) + qpow
-    if lead:
-        return body if r >= 0 else "-" + body
-    return "%s %s" % (sign, body)
+        return r < 0, rational_str(mag)
+    qpow = "q" if k == 1 else "q^%d" % k
+    return r < 0, qpow if mag == 1 else rational_str(mag) + qpow
 
 
 def scalar_str(c: CycScalar) -> str:
-    parts = [(k, r) for k, r in enumerate(c.coeffs) if r]
-    if not parts:
-        return "0"
-    out = _q_term(parts[0][0], parts[0][1], lead=True)
-    for k, r in parts[1:]:
-        out += " " + _q_term(k, r, lead=False)
-    return out
+    return _signed_sum(_q_term, ((k, r) for k, r in enumerate(c.coeffs) if r))
 
 
-def _coeff_prefix(c, word_part: str):
-    """(sign, body) where body is '' for a bare +-1 coefficient.  A
-    rational r is the monomial r q^0; any other sum of powers of q prints
-    whole, in parentheses."""
+def _term(c, word_part: str) -> tuple:
+    """(negative, magnitude) of the term c word_part.  A rational r is the
+    monomial r q^0, and a bare +-1 before a word prints as the word; any
+    other sum of powers of q prints whole, in parentheses."""
     if isinstance(c, CycScalar):
         mono = c.monomial_form()
         if mono is None:
-            return "+", "(%s)" % scalar_str(c)
+            return False, _spaced("(%s)" % scalar_str(c), word_part)
         k, r = mono
     else:
-        k, r = 0, Fraction(c)
-    sign = "-" if r < 0 else "+"
+        k, r = 0, c
+    neg, coeff = _q_term(k, r)
     if word_part and k == 0 and abs(r) == 1:
-        return sign, ""
-    return sign, _q_term(k, abs(r), lead=True)
-
-
-def term_str(c, word_part: str, lead: bool) -> str:
-    sign, body = _coeff_prefix(c, word_part)
-    pieces = " ".join(x for x in (body, word_part) if x)
-    if not pieces:
-        pieces = "1"
-    if lead:
-        return pieces if sign == "+" else "-" + pieces
-    return "%s %s" % (sign, pieces)
+        return neg, word_part
+    return neg, _spaced(coeff, word_part)
 
 
 def element_str(x) -> str:
-    if not x.terms:
-        return "0"
-    system = x.system
+    word_str = x.system.word_str
     words = sorted(x.terms, key=lambda w: (len(w), w), reverse=True)
-    out = term_str(x.terms[words[0]], system.word_str(words[0]) if words[0] else "",
-                   lead=True)
-    for w in words[1:]:
-        out += " " + term_str(x.terms[w], system.word_str(w) if w else "", lead=False)
-    return out
+    return _signed_sum(_term, ((x.terms[w], word_str(w) if w else "")
+                               for w in words))
 
 
 def unit_name(n: int, flat: int) -> str:
     return "E%d%d" % (flat // n + 1, flat % n + 1)
 
 
+def _legs(n: int, key) -> str:
+    """The unit tensors of a key, joined by a tensor sign."""
+    return "⊗".join(unit_name(n, f) for f in key)
+
+
 def tensor_str(x) -> str:
-    """Sums of unit tensors with legs separated by a tensor sign."""
-    if not x.terms:
-        return "0"
-    keys = sorted(x.terms)
-    parts = []
-    for i, key in enumerate(keys):
-        legs = "⊗".join(unit_name(x.n, f) for f in key)
-        parts.append(term_str(x.terms[key], legs, lead=(i == 0)))
-    return " ".join(parts)
+    return _signed_sum(_term, ((x.terms[key], _legs(x.n, key))
+                               for key in sorted(x.terms)))
 
 
 def _monomial_str(mono) -> str:
@@ -112,25 +104,18 @@ def _monomial_str(mono) -> str:
 
 
 def poly_str(p) -> str:
-    if not p.coeffs:
-        return "0"
-    parts = []
-    for i, (mono, c) in enumerate(sorted(p.coeffs.items())):
-        parts.append(term_str(c, _monomial_str(mono), lead=(i == 0)))
-    return " ".join(parts)
+    return _signed_sum(_term, ((c, _monomial_str(mono))
+                               for mono, c in sorted(p.coeffs.items())))
 
 
 def bigraded_str(x) -> str:
-    chunks = []
-    first = True
-    for csym in sorted(x.parts, key=lambda c: (len(c), c)):
-        t = x.parts[csym]
-        csym_txt = " ".join("d" + v for v in csym)
-        for key in sorted(t.terms):
-            legs = "⊗".join(unit_name(t.n, f) for f in key)
-            word = " ".join(s for s in (csym_txt, legs) if s)
-            for mono, c in sorted(t.terms[key].coeffs.items()):
-                full = " ".join(s for s in (_monomial_str(mono), word) if s)
-                chunks.append(term_str(c, full, lead=first))
-                first = False
-    return " ".join(chunks) if chunks else "0"
+    def terms():
+        for csym in sorted(x.parts, key=lambda c: (len(c), c)):
+            t = x.parts[csym]
+            csym_txt = " ".join("d" + v for v in csym)
+            for key in sorted(t.terms):
+                word = _spaced(csym_txt, _legs(t.n, key))
+                for mono, c in sorted(t.terms[key].coeffs.items()):
+                    yield c, _spaced(_monomial_str(mono), word)
+
+    return _signed_sum(_term, terms())

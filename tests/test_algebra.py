@@ -14,7 +14,7 @@ from ncham.algebra import (GeneratorSymbol, ReductionBudgetExceeded,
                            UnknownGeneratorError, check_local_confluence)
 from ncham.exprparse import load_presentation
 from ncham.forms import CalculusPresentation
-from ncham.models import cuntz_calculus, torus_calculus
+from ncham.models import build_model, cuntz_calculus, torus_calculus
 from ncham.scalars import CycScalar, power, q_power
 
 
@@ -103,6 +103,22 @@ def test_torus_monomial_commutation_exact():
             lhs = torus_monomial(calc, a, b) * torus_monomial(calc, c, d)
             rhs = torus_monomial(calc, a + c, b + d, q_power(p, -b * c))
             assert lhs == rhs
+
+
+FOREIGN_OPERANDS = {"u + E12": lambda u, e12: u + e12,
+                    "E12 + u": lambda u, e12: e12 + u,
+                    "u * E12": lambda u, e12: u * e12,
+                    "u * 1.5": lambda u, e12: u * 1.5}
+
+
+@pytest.mark.parametrize("op", FOREIGN_OPERANDS.values(), ids=FOREIGN_OPERANDS)
+def test_foreign_operands_raise_type_error(op):
+    """An Element leaves a foreign operand to Python, which raises
+    TypeError, as `E12 * u` always did."""
+    u = torus_calculus(2).gen("u")
+    e12 = build_model("matrix:n=2").namespace()["E12"]
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op(u, e12)
 
 
 def test_mul_associative_randomized():

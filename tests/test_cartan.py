@@ -263,6 +263,29 @@ def test_classification_p1_bound0_is_classical():
     assert basis[1].images["u"].is_zero()
 
 
+def test_classification_p2_bound1_basis():
+    """Every u-type member by (s, t), then every v-type member; b[s,t]
+    sends u to u^(1+2s) v^(2t) and c[s,t] sends v to u^(2s) v^(1+2t)."""
+    calc = torus_calculus(2)
+    basis = classify_torus_derivations(calc, 1)
+    got = [(th.label,) + next((g, str(img)) for g, img in th.images.items()
+                              if not img.is_zero())
+           for th in basis]
+    assert got == [
+        ("b[-1,-1]", "u", "u^-1 v^-2"), ("b[-1,0]", "u", "u^-1"),
+        ("b[-1,1]", "u", "u^-1 v^2"), ("b[0,-1]", "u", "u v^-2"),
+        ("b[0,0]", "u", "u"), ("b[0,1]", "u", "u v^2"),
+        ("b[1,-1]", "u", "u^3 v^-2"), ("b[1,0]", "u", "u^3"),
+        ("b[1,1]", "u", "u^3 v^2"),
+        ("c[-1,-1]", "v", "u^-2 v^-1"), ("c[-1,0]", "v", "u^-2 v"),
+        ("c[-1,1]", "v", "u^-2 v^3"), ("c[0,-1]", "v", "v^-1"),
+        ("c[0,0]", "v", "v"), ("c[0,1]", "v", "v^3"),
+        ("c[1,-1]", "v", "u^2 v^-1"), ("c[1,0]", "v", "u^2 v"),
+        ("c[1,1]", "v", "u^2 v^3")]
+    assert all(sum(not img.is_zero() for img in th.images.values()) == 1
+               for th in basis)
+
+
 def test_classification_matches_brute_force_scan():
     """Monomial images u^a v^b pass consistency iff Prop-4.1 shaped."""
     for p in (1, 2, 3):

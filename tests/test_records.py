@@ -1,5 +1,5 @@
 """The plain record types: constructors, defaults, value semantics, and an
-import of the command line that generates no classes."""
+import of the command line that generates no classes and loads no printer."""
 
 import copy
 import os
@@ -31,6 +31,8 @@ def test_fresh_interpreter_import_loads_no_dataclasses_or_inspect():
                          capture_output=True, text=True).stdout.split()
     assert "ncham.cli" in out
     assert "dataclasses" not in out and "inspect" not in out
+    # the text format is compiled on the first render, not on import
+    assert "ncham.printing" not in out
 
 
 VALUES = [(GeneratorSymbol, ("u",), {"invertible": True}),
