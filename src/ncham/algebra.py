@@ -311,23 +311,13 @@ class RewriteSystem:
     def encode_word(self, factors):
         """factors: sequence of (name, exp) with arbitrary integer exp.
 
-        A power g^k cancels only against the g^-1 letters ending the word
-        so far, never within itself, so each factor pops those and then
-        extends by what is left.
+        A power g^k is the reduced word of |k| letters g or g^-1, so
+        `LetterTable.concat` of the powers cancels across the factors.
         """
-        inv = self.table.inverse_of
-        out = []
-        for name, exp in factors:
-            if exp == 0:
-                continue
-            # dg^-1 is no letter, so encode_letter refuses it
-            li = self.encode_letter(name, 1 if exp > 0 else -1)
-            k, h = abs(exp), inv.get(li)
-            while k and out and out[-1] == h:
-                out.pop()
-                k -= 1
-            out += [li] * k
-        return tuple(out)
+        # dg^-1 is no letter, so encode_letter refuses it
+        return self.table.concat(*(
+            (self.encode_letter(name, 1 if exp > 0 else -1),) * abs(exp)
+            for name, exp in factors if exp))
 
     def add_rule(self, spec: RuleSpec):
         lhs = self.encode_word(spec.lhs)

@@ -26,25 +26,18 @@ alternating junction insertions, as in the matrix interior product.
 from __future__ import annotations
 
 from .algebra import Derivation, Form
-from .matrixcalc import MatrixDerivation, TensorForm, _is_scalar
+from .matrixcalc import (MatrixDerivation, TensorForm, _is_scalar,
+                         matrix_symplectic_form)
 from .polynomials import P_ONE, Poly
 
 
 def wedge(a, b):
-    """(sign, sorted letters) of the classical wedge a ^ b, or None."""
-    letters = list(a) + list(b)
-    if len(set(letters)) != len(letters):
+    """(sign, sorted letters) of the classical wedge a ^ b of two sorted
+    symbols, or None when they share a letter.  The sign is (-1) to the
+    number of pairs (x in a, y in b) with x > y, the swaps that sort a + b."""
+    if set(a) & set(b):
         return None
-    sign = 1
-    out = list(a)
-    for lt in b:
-        pos = len(out)
-        out.append(lt)
-        while pos > 0 and out[pos - 1] > out[pos]:
-            out[pos - 1], out[pos] = out[pos], out[pos - 1]
-            sign = -sign
-            pos -= 1
-    return sign, tuple(out)
+    return (-1) ** sum(x > y for x in a for y in b), tuple(sorted(a + b))
 
 
 def _poly(v):
@@ -73,10 +66,6 @@ class BigradedForm(Form):
         return cls()
 
     @classmethod
-    def from_matrix_form(cls, t: TensorForm):
-        return cls({(): t})
-
-    @classmethod
     def scalar(cls, value):
         return cls({(): TensorForm.identity(2).scale(_poly(value))})
 
@@ -101,12 +90,8 @@ class BigradedForm(Form):
 
     def coordinates(self):
         """(classical symbol, tensor key, monomial) -> rational."""
-        coords = {}
-        for csym, t in self.parts.items():
-            for key, val in t.terms.items():
-                for mono, c in val.coeffs.items():
-                    coords[(csym, key, mono)] = c
-        return coords
+        return {(csym, key, mono): c for csym, t in self.parts.items()
+                for key, val in t.terms.items() for mono, c in val.items()}
 
     # -- linear structure ----------------------------------------------------
 
@@ -310,12 +295,9 @@ class MixedDerivation(Derivation):
         return MixedDerivation(tx, ty, tr)
 
     def coordinates(self):
-        coords = {}
-        for head, p in (("x", self.theta_x), ("y", self.theta_y),
-                        ("r", self.theta_r)):
-            for mono, c in p.coeffs.items():
-                coords[(head, mono)] = c
-        return coords
+        return {(head, mono): c for head, p in (
+            ("x", self.theta_x), ("y", self.theta_y), ("r", self.theta_r))
+            for mono, c in p.items()}
 
     def describe(self):
         """The three components, printed."""
@@ -329,12 +311,10 @@ class MixedDerivation(Derivation):
 
 def poly_matrix_symplectic_form() -> BigradedForm:
     """omega = dx dy + 1/2 sum dE_ij dE_ij + dx (dE_12 - dE_21)."""
-    from .matrixcalc import matrix_symplectic_form
-
     om = BigradedForm.classical(("x", "y"))
     # its 1/2 is a Fraction; every part keeps Poly coefficients for d and L
-    om = om + BigradedForm.from_matrix_form(
-        _map_scalars(matrix_symplectic_form(2), _poly))
+    om = om + BigradedForm(
+        {(): _map_scalars(matrix_symplectic_form(2), _poly)})
     j_mat = TensorForm(2, 0, {(0 * 2 + 1,): P_ONE, (1 * 2 + 0,): -P_ONE})
     om = om + BigradedForm({("x",): j_mat.d()})
     return om

@@ -6,8 +6,9 @@ is a dict from exponent pair (i, j) to a nonzero int and `den` a positive
 int.  The form is canonical: gcd(den, *nums) == 1, and zero is {} over 1,
 so equal polynomials have equal fields and equal hashes.  A product is an
 integer convolution followed by one gcd; a sum over equal denominators
-adds numerators directly.  `.coeffs` gives the coefficients as a dict of
-nonzero Fractions.
+adds numerators directly.  `.items()` yields the coefficients as
+(exponent pair, nonzero Fraction) pairs, and `.coeffs` collects them in a
+dict.
 
 Partial derivatives are exact, which is all the tensor-product model
 needs: the smooth functions of the plane are represented by polynomials
@@ -38,11 +39,15 @@ class Poly:
                      for m, c in coeffs if c}
         self.den = den
 
+    def items(self):
+        """The (exponent pair, nonzero Fraction) pairs, built as read."""
+        den = self.den
+        return ((m, Fraction(n, den)) for m, n in self.nums.items())
+
     @property
     def coeffs(self):
         """The coefficients, a dict from exponent pair to nonzero Fraction."""
-        den = self.den
-        return {m: Fraction(n, den) for m, n in self.nums.items()}
+        return dict(self.items())
 
     @classmethod
     def const(cls, c):

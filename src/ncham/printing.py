@@ -11,6 +11,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
+from .algebra import word_key
+from .polynomials import Poly
 from .scalars import CycScalar
 
 
@@ -78,7 +80,7 @@ def _term(c, word_part: str) -> tuple:
 
 def element_str(x) -> str:
     word_str = x.system.word_str
-    words = sorted(x.terms, key=lambda w: (len(w), w), reverse=True)
+    words = sorted(x.terms, key=word_key, reverse=True)
     return _signed_sum(_term, ((x.terms[w], word_str(w) if w else "")
                                for w in words))
 
@@ -92,30 +94,34 @@ def _legs(n: int, key) -> str:
     return "⊗".join(unit_name(n, f) for f in key)
 
 
-def tensor_str(x) -> str:
-    return _signed_sum(_term, ((x.terms[key], _legs(x.n, key))
-                               for key in sorted(x.terms)))
-
-
 def _monomial_str(mono) -> str:
     """x^i y^j for the exponent pair (i, j); '' for (0, 0)."""
     return " ".join(v if e == 1 else "%s^%d" % (v, e)
                     for v, e in zip(("x", "y"), mono) if e)
 
 
+def _tensor_terms(t, prefix=""):
+    """The (coefficient, text) terms of a TensorForm in key order, each its
+    prefix and legs; a Poly coefficient expands monomial by monomial."""
+    for key in sorted(t.terms):
+        c, word = t.terms[key], _spaced(prefix, _legs(t.n, key))
+        if isinstance(c, Poly):
+            for mono, r in sorted(c.items()):
+                yield r, _spaced(_monomial_str(mono), word)
+        else:
+            yield c, word
+
+
+def tensor_str(x) -> str:
+    return _signed_sum(_term, _tensor_terms(x))
+
+
 def poly_str(p) -> str:
     return _signed_sum(_term, ((c, _monomial_str(mono))
-                               for mono, c in sorted(p.coeffs.items())))
+                               for mono, c in sorted(p.items())))
 
 
 def bigraded_str(x) -> str:
-    def terms():
-        for csym in sorted(x.parts, key=lambda c: (len(c), c)):
-            t = x.parts[csym]
-            csym_txt = " ".join("d" + v for v in csym)
-            for key in sorted(t.terms):
-                word = _spaced(csym_txt, _legs(t.n, key))
-                for mono, c in sorted(t.terms[key].coeffs.items()):
-                    yield c, _spaced(_monomial_str(mono), word)
-
-    return _signed_sum(_term, terms())
+    return _signed_sum(_term, (
+        term for csym in sorted(x.parts, key=word_key) for term in
+        _tensor_terms(x.parts[csym], " ".join("d" + v for v in csym))))

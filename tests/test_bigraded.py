@@ -50,11 +50,32 @@ def test_polynomials():
     assert str(x * x * y - 2 * y) == "-2 y + x^2 y"
 
 
+def insertion_wedge(a, b):
+    """The wedge a ^ b by inserting each letter of b into a, one sign flip
+    per swap, or None when a letter repeats."""
+    letters = list(a) + list(b)
+    if len(set(letters)) != len(letters):
+        return None
+    sign, out = 1, list(a)
+    for lt in b:
+        pos = len(out)
+        out.append(lt)
+        while pos > 0 and out[pos - 1] > out[pos]:
+            out[pos - 1], out[pos] = out[pos], out[pos - 1]
+            sign = -sign
+            pos -= 1
+    return sign, tuple(out)
+
+
 def test_wedge_signs():
     assert wedge((), ("x",)) == (1, ("x",))
     assert wedge(("x",), ("y",)) == (1, ("x", "y"))
     assert wedge(("y",), ("x",)) == (-1, ("x", "y"))
     assert wedge(("x",), ("x",)) is None
+    symbols = [(), ("x",), ("y",), ("x", "y")]
+    for a in symbols:
+        for b in symbols:
+            assert wedge(a, b) == insertion_wedge(a, b), (a, b)
 
 
 def test_classical_anticommutation():

@@ -85,3 +85,27 @@ def test_bigraded_sums(polymat):
     assert str(-dx * E12 * y + x * x * E21) == "x^2 E21 - y dx E12"
     assert str(polymat["dE12"] * y * -2) == (
         "-2 y E11⊗E12 + 2 y E12⊗E11 + 2 y E12⊗E22 - 2 y E22⊗E12")
+
+
+
+def test_a_bigraded_part_prints_its_poly_coefficients(polymat):
+    x, y, dx = polymat["x"], polymat["y"], polymat["dx"]
+    E12, E21 = polymat["E12"], polymat["E21"]
+    part = (x * E12).component(())
+    assert str(part) == repr(part) == "x E12"
+    part = (-dx * E12 * y + dx * (x * y - polymat["I"]) * E21).component(
+        ("x",))
+    assert str(part) == "-y E12 - E21 + x y E21"
+
+
+def test_a_poly_tensor_form_prints_monomial_by_monomial():
+    t = TensorForm(2, 1, {(0, 1): Poly({(0, 0): Fraction(-1, 2), (2, 1): 3}),
+                          (1, 3): Poly({(0, 1): -1})})
+    assert str(t) == repr(t) == "-1/2 E11⊗E12 + 3 x^2 y E11⊗E12 - y E12⊗E22"
+
+
+def test_the_ad_of_a_mixed_derivation_prints(polymat):
+    field = build_model("polymat:D=3").solver.require_field(
+        polymat["x"] * polymat["y"] * polymat["I"])
+    ad = field._ad()
+    assert str(ad) == repr(ad) == "MatrixDerivation(ad(-x E12 + x E21))"
