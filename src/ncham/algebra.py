@@ -80,7 +80,8 @@ class Form:
     __slots__ = ()
 
     def __sub__(self, other):
-        return self + (-other)
+        # __add__, not +, so that a foreign operand fails naming -
+        return self.__add__(-other)
 
     def degree(self):
         degs = self.degrees()
@@ -111,7 +112,8 @@ class Derivation:
         return (-1) * self
 
     def __sub__(self, other):
-        return self + (-1) * other
+        # __add__, as in Form.__sub__
+        return self.__add__((-1) * other)
 
     @staticmethod
     def _iprod_guard(x):
@@ -792,7 +794,7 @@ class Element(Form):
         return Element(self.system, {w: -c for w, c in self.terms.items()}, normal=True)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if other.__class__ is not Element:

@@ -206,6 +206,8 @@ class MixedDerivation(Derivation):
             self.theta_r + other.theta_r)
 
     def __rmul__(self, c):
+        if not _is_scalar(c):
+            return NotImplemented
         return MixedDerivation(c * self.theta_x, c * self.theta_y,
                                c * self.theta_r)
 

@@ -20,8 +20,11 @@ installed rule R and reports the residuals;
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .algebra import DegreeError, Derivation, Element, Record
 from .forms import CalculusPresentation
+from .scalars import CycScalar
 
 
 class PresentedDerivation(Derivation):
@@ -60,6 +63,8 @@ class PresentedDerivation(Derivation):
             {n: self.images[n] + other.images[n] for n in self.images})
 
     def __rmul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction, CycScalar)):
+            return NotImplemented
         return PresentedDerivation(
             self.calculus, {n: img * scalar for n, img in self.images.items()})
 

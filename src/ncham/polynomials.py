@@ -5,8 +5,11 @@ denominator, the layout of FLINT's fmpq_mpoly and of `CycScalar`: `nums`
 is a dict from exponent pair (i, j) to a nonzero int and `den` a positive
 int.  The form is canonical: gcd(den, *nums) == 1, and zero is {} over 1,
 so equal polynomials have equal fields and equal hashes.  A product is an
-integer convolution followed by one gcd; a sum over equal denominators
-adds numerators directly.  `.items()` yields the coefficients as
+integer convolution followed by one gcd, except that a constant factor
+(a single (0, 0) monomial, an int or a Fraction) scales the other's
+numerators with one gcd and no convolution, and a +-1 constant leaves the
+other factor or its negation; a sum over equal denominators adds
+numerators directly.  `.items()` yields the coefficients as
 (exponent pair, nonzero Fraction) pairs, and `.coeffs` collects them in a
 dict.
 
@@ -114,17 +117,23 @@ class Poly:
         return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        return -self + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if other.__class__ is not Poly:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
+        a, b = self.nums, other.nums
+        # a constant factor scales the other's numerators: no convolution
+        if len(b) == 1 and (0, 0) in b:
+            return self._scale(b[0, 0], other.den)
+        if len(a) == 1 and (0, 0) in a:
+            return other._scale(a[0, 0], self.den)
         out = {}
         get = out.get
-        b = other.nums.items()
-        for (i1, j1), x in self.nums.items():
+        b = b.items()
+        for (i1, j1), x in a.items():
             for (i2, j2), y in b:
                 m = (i1 + i2, j1 + j2)
                 out[m] = get(m, 0) + x * y
@@ -132,6 +141,14 @@ class Poly:
                           self.den * other.den)
 
     __rmul__ = __mul__
+
+    def _scale(self, num, den):
+        """self * num/den for a nonzero int num and a positive int den; a
+        +-1 factor leaves self or its negation."""
+        if den == 1 and (num == 1 or num == -1):
+            return self if num == 1 else -self
+        return _canonical({m: n * num for m, n in self.nums.items()},
+                          self.den * den)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -145,8 +162,7 @@ class Poly:
             num, den = other.numerator, other.denominator
             if num < 0:
                 num, den = -num, -den
-            return _canonical({m: n * den for m, n in self.nums.items()},
-                              self.den * num)
+            return self._scale(den, num)
         return NotImplemented
 
     def __eq__(self, other):

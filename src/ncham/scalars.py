@@ -11,7 +11,12 @@ a positive int.  The form is canonical: gcd(den, *nums) == 1, and zero is
 All arithmetic is in integers.  Phi_p is monic with integer
 coefficients, built by exact integer long division, so a product is an
 integer convolution reduced by an integer table of the powers of q, then
-one gcd; at phi(p) = 1 it is a single integer multiply.  The inverse of a
+one gcd; at phi(p) = 1 it is a single integer multiply.  Most products in
+normalization and the Leibniz expansion have a +-1 factor; at phi(p) > 1
+that factor is found by comparing its fields and costs no convolution,
+since the other factor or its negation is canonical already.  At
+phi(p) = 1 there is no such test: the product is one integer multiply, and
+the test would cost more than it saves.  The inverse of a
 monomial r q^m is (1/r) q^(p-m), one row of the power table; that covers
 every pivot of omega~ on the torus, which is +-q^m.  The inverse of any
 other nonzero a is prod_k sigma_k(a) / N(a) over the Galois automorphisms
@@ -149,7 +154,7 @@ class CycScalar:
         return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        return -self + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if other.__class__ is not CycScalar or other.p != self.p:
@@ -165,6 +170,14 @@ class CycScalar:
             if g != 1:
                 return _trusted(self.p, (n // g,), den // g)
             return _trusted(self.p, (n,), den)
+        # a +-1 factor, canonical (1 or -1)/1, leaves the other one or its
+        # negation: a comparison, not a convolution
+        x = b[0]
+        if (x == 1 or x == -1) and other.den == 1 and b.count(0) == phi - 1:
+            return self if x == 1 else -self
+        x = a[0]
+        if (x == 1 or x == -1) and self.den == 1 and a.count(0) == phi - 1:
+            return other if x == 1 else -other
         conv = [0] * (2 * phi - 1)
         for i, x in enumerate(a):
             if x:

@@ -1,6 +1,7 @@
 """Words, rewriting, and normal forms on the built-in presentations."""
 
 import random
+from fractions import Fraction
 from itertools import product
 from math import gcd
 from pathlib import Path
@@ -12,9 +13,10 @@ from test_leibniz import reference_sort_reduce
 from ncham.algebra import (GeneratorSymbol, ReductionBudgetExceeded,
                            RewriteRule, RuleSpec, SortTable,
                            UnknownGeneratorError, check_local_confluence)
-from ncham.exprparse import load_presentation
+from ncham.exprparse import load_presentation, parse_expression
 from ncham.forms import CalculusPresentation
 from ncham.models import build_model, cuntz_calculus, torus_calculus
+from ncham.polynomials import Poly
 from ncham.scalars import CycScalar, power, q_power
 
 
@@ -119,6 +121,81 @@ def test_foreign_operands_raise_type_error(op):
     e12 = build_model("matrix:n=2").namespace()["E12"]
     with pytest.raises(TypeError, match="unsupported operand"):
         op(u, e12)
+
+
+# a form of each type, and the model whose derivations are of each type
+FORMS = {"Element": ("torus:p=3", "u"), "TensorForm": ("matrix:n=2", "E12"),
+         "BigradedForm": ("polymat:D=3", "x * E12")}
+DERIVATIONS = {"PresentedDerivation": "torus:p=3",
+               "PresentedDerivation-cuntz": "cuntz:n=2",
+               "MatrixDerivation": "matrix:n=2",
+               "MixedDerivation": "polymat:D=3"}
+
+
+@pytest.mark.parametrize("desc, expr", FORMS.values(), ids=FORMS)
+def test_a_failed_form_subtraction_names_minus(desc, expr):
+    model = build_model(desc)
+    form = parse_expression(expr, model)
+    theta = model.random_derivation(random.Random(1))
+    name, theta_name = type(form).__name__, type(theta).__name__
+    foreign = [1.5, theta] if name == "Element" else [1, 1.5, theta]
+    for other in foreign:
+        with pytest.raises(TypeError, match="for -: '%s' and '%s'"
+                           % (name, type(other).__name__)):
+            form - other
+    with pytest.raises(TypeError, match="for -: '%s' and '%s'"
+                       % (theta_name, name)):
+        theta - form
+    assert (form - form).is_zero()
+
+
+def test_an_element_minus_a_scalar_still_works():
+    u = torus_calculus(3).gen("u")
+    assert u - 1 == u + (-1) and 1 - u == -u + 1
+    assert u - Fraction(1, 2) == u + Fraction(-1, 2)
+    assert u - q_power(3, 1) == u + (-q_power(3, 1))
+
+
+@pytest.mark.parametrize("desc", DERIVATIONS.values(), ids=DERIVATIONS)
+def test_a_failed_derivation_subtraction_names_minus(desc):
+    model = build_model(desc)
+    theta = model.random_derivation(random.Random(1))
+    name = type(theta).__name__
+    for other in (1, 1.5):
+        with pytest.raises(TypeError, match="for -: '%s' and '%s'"
+                           % (name, type(other).__name__)):
+            theta - other
+    assert (theta - theta).is_zero()
+
+
+@pytest.mark.parametrize("desc, scalar", [("torus:p=3", q_power(3, 1)),
+                                          ("polymat:D=3", Poly.x())],
+                         ids=["CycScalar", "Poly"])
+def test_a_failed_scalar_subtraction_names_minus(desc, scalar):
+    theta = build_model(desc).random_derivation(random.Random(1))
+    name = type(scalar).__name__
+    with pytest.raises(TypeError, match="for -: '%s' and '%s'"
+                       % (type(theta).__name__, name)):
+        theta - scalar
+    with pytest.raises(TypeError, match="for -: 'float' and '%s'" % name):
+        1.5 - scalar
+    assert 2 - scalar == -(scalar - 2)
+
+
+@pytest.mark.parametrize("desc", DERIVATIONS.values(), ids=DERIVATIONS)
+def test_a_derivation_takes_only_exact_scalars(desc):
+    model = build_model(desc)
+    theta = model.random_derivation(random.Random(1))
+    with pytest.raises(TypeError, match="for \\*: 'float' and '%s'"
+                       % type(theta).__name__):
+        1.5 * theta
+    # the scalars of the solver's combo and of the random pools still scale
+    assert (2 * theta - theta - theta).is_zero()
+    assert ((-1) * theta + theta).is_zero()
+    third = Fraction(1, 3)
+    assert (third * theta + 2 * third * theta - theta).is_zero()
+    combo = model.backend.combo([third, 0, -1], [theta, theta, theta])
+    assert (combo + 2 * third * theta).is_zero()
 
 
 def test_mul_associative_randomized():

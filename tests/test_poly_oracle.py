@@ -112,3 +112,36 @@ def test_power_matches_repeated_products():
         for k in range(10):
             assert a ** k == expect
             expect = expect * a
+
+
+def convolution(a, b):
+    """a * b by the integer convolution of the numerators, the product
+    Poly computes for two non-constant factors."""
+    out = {}
+    for (i1, j1), x in a.nums.items():
+        for (i2, j2), y in b.nums.items():
+            m = (i1 + i2, j1 + j2)
+            out[m] = out.get(m, 0) + x * y
+    return Poly({m: Fraction(n, a.den * b.den) for m, n in out.items()})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_products_with_a_constant_factor_against_sympy(seed):
+    """A constant Poly, int or Fraction, +-1 among them, on either side of
+    random, constant and zero polynomials: the coefficients agree with
+    sympy, and the fields and hash with the convolution."""
+    rng = random.Random(8000 + seed)
+    rationals = (1, -1, Fraction(1, 2), 2, -3, 0, Fraction(1), Fraction(-1),
+                 rand_rational(rng))
+    others = [Poly(rand_coeffs(rng)) for _ in range(8)]
+    others += [Poly.const(r) for r in rationals] + [Poly.x(), -Poly.y()]
+    for r in rationals:
+        c = Poly.const(r)
+        sr = sympy.Rational(r.numerator, r.denominator)
+        for a in others:
+            sa = to_sympy(a)
+            conv = convolution(a, c)
+            for prod in (a * c, c * a, a * r, r * a):
+                assert same(prod, sa * sr)
+                assert (prod.nums, prod.den) == (conv.nums, conv.den)
+                assert prod == conv and hash(prod) == hash(conv)

@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from ncham.scalars import (CycScalar, cyclotomic_polynomial, euler_phi,
-                           q_power)
+from ncham.scalars import (CycScalar, _trusted, cyc_zero,
+                           cyclotomic_polynomial, euler_phi, q_power)
 
 X = sympy.Symbol("x")
 ORDERS = (1, 2, 3, 4, 5, 6, 12)
@@ -88,3 +88,39 @@ def test_q_power_against_sympy(p):
     for k in range(-2 * p - 1, 2 * p + 2):
         expect = x ** k if k >= 0 else x_inv ** -k
         assert q_power(p, k).coeffs == reduced(expect, p)
+
+
+def doubled(c):
+    """c stored as twice its numerators over twice its denominator.  The
+    layout is not canonical, so `__mul__` never takes it for +-1: a product
+    with it runs the convolution, whose gcd restores the canonical form."""
+    return _trusted(c.p, tuple([2 * n for n in c.nums]), 2 * c.den)
+
+
+@pytest.mark.parametrize("p", ORDERS)
+def test_products_with_a_unit_factor_against_sympy(p):
+    """Each of +-1 (the unit branch when phi(p) > 1), +-q^k for k != 0,
+    1/2, 2 and -3, on either side of random factors, of each other and of
+    zero: the coordinates agree with sympy, and the fields and hash with
+    the convolution."""
+    rng = random.Random(7000 + p)
+    rationals = (1, -1, Fraction(1, 2), 2, -3)
+    factors = [CycScalar.from_rational(p, r) for r in rationals]
+    factors += [s for k in range(1, p) for s in (q_power(p, k), -q_power(p, k))]
+    others = [CycScalar(p, rand_coords(rng, p)) for _ in range(8)]
+    others += factors + [cyc_zero(p)]
+    for u in factors:
+        su = to_sympy(u.coeffs)
+        for a in others:
+            expect = reduced(to_sympy(a.coeffs) * su, p)
+            conv = doubled(a) * doubled(u)
+            for prod in (a * u, u * a):
+                assert prod.coeffs == expect
+                assert (prod.nums, prod.den) == (conv.nums, conv.den)
+                assert prod == conv and hash(prod) == hash(conv)
+    for r in rationals + (Fraction(1), Fraction(-1), Fraction(-3)):
+        sr = sympy.Rational(r.numerator, r.denominator)
+        for a in others:
+            expect = reduced(to_sympy(a.coeffs) * sr, p)
+            assert (a * r).coeffs == expect and (r * a).coeffs == expect
+            assert a * r == r * a == a * CycScalar.from_rational(p, r)
