@@ -81,7 +81,11 @@ class Form:
 
     def __sub__(self, other):
         # __add__, not +, so that a foreign operand fails naming -
-        return self.__add__(-other)
+        try:
+            other = -other
+        except TypeError:
+            return NotImplemented
+        return self.__add__(other)
 
     def degree(self):
         degs = self.degrees()
@@ -338,12 +342,15 @@ class RewriteSystem:
                 raise ValueError(
                     "rule %s does not decrease: rhs word %s is not smaller"
                     % (self.word_str(lhs), self.word_str(w)))
-        rule = RewriteRule(lhs, rhs)
+        return self._install(RewriteRule(lhs, rhs))
+
+    def _install(self, rule):
+        """Register a rule and drop what was built for the previous rule set."""
         self.rules.append(rule)
-        self._rules_by_first.setdefault(lhs[0], []).append(rule)
-        self._max_lhs = max(self._max_lhs, len(lhs))
+        self._rules_by_first.setdefault(rule.lhs[0], []).append(rule)
+        self._max_lhs = max(self._max_lhs, len(rule.lhs))
         self._nf_cache.clear()
-        self._sort_table = None     # compiled for the previous rule set
+        self._sort_table = None
         self._relations = None
         return rule
 
@@ -380,12 +387,8 @@ class RewriteSystem:
                         "derived variant %s of rule %s does not decrease"
                         % (self._swap_str(lhs, rw, c),
                            self._swap_str(rule.lhs, word, coeff)), rule)
-                var = RewriteRule(lhs, {rw: c}, derived=True)
-                self.rules.append(var)
-                self._rules_by_first.setdefault(lhs[0], []).append(var)
+                self._install(RewriteRule(lhs, {rw: c}, derived=True))
                 existing.add(lhs)
-        self._nf_cache.clear()
-        self._relations = None
         self._sort_table = SortTable.compile(self)
 
     def relations(self):

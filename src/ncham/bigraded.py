@@ -75,9 +75,13 @@ class BigradedForm(Form):
         return cls({tuple(csym): TensorForm.identity(2).scale(_poly(value))})
 
     @classmethod
+    def lift(cls, t):
+        """The matrix-direction form t, its scalars read as polynomials."""
+        return cls({(): _map_scalars(t, _poly)})
+
+    @classmethod
     def from_matrix(cls, mat):
-        return cls({(): TensorForm.from_matrix(
-            [[_poly(v) for v in row] for row in mat])})
+        return cls.lift(TensorForm.from_matrix(mat))
 
     def component(self, csym):
         return self.parts.get(tuple(csym), TensorForm.zero(2, 0))
@@ -110,11 +114,6 @@ class BigradedForm(Form):
         p = _poly(value)
         return BigradedForm({c: t.scale(p) for c, t in self.parts.items()})
 
-    def __rmul__(self, value):
-        if _is_scalar(value):
-            return self.scale(value)
-        return NotImplemented
-
     def __mul__(self, other):
         if _is_scalar(other):
             return self.scale(other)
@@ -135,6 +134,8 @@ class BigradedForm(Form):
                 _put(parts, csym, t)
         return BigradedForm(parts)
 
+    __rmul__ = __mul__      # reached only for a scalar, which commutes
+
     def tensor(self, other: "BigradedForm") -> "BigradedForm":
         if set(self.parts) - {()} or set(other.parts) - {()}:
             raise ValueError("tensor legs only combine matrix-direction parts")
@@ -146,6 +147,10 @@ class BigradedForm(Form):
         if not isinstance(other, BigradedForm):
             return NotImplemented
         return self.parts == other.parts
+
+    def in_kernel(self):
+        """Every part is a form: its adjacent legs multiply to zero."""
+        return all(t.in_kernel() for t in self.parts.values())
 
     # -- calculus --------------------------------------------------------------
 
@@ -315,8 +320,7 @@ def poly_matrix_symplectic_form() -> BigradedForm:
     """omega = dx dy + 1/2 sum dE_ij dE_ij + dx (dE_12 - dE_21)."""
     om = BigradedForm.classical(("x", "y"))
     # its 1/2 is a Fraction; every part keeps Poly coefficients for d and L
-    om = om + BigradedForm(
-        {(): _map_scalars(matrix_symplectic_form(2), _poly)})
+    om = om + BigradedForm.lift(matrix_symplectic_form(2))
     j_mat = TensorForm(2, 0, {(0 * 2 + 1,): P_ONE, (1 * 2 + 0,): -P_ONE})
     om = om + BigradedForm({("x",): j_mat.d()})
     return om

@@ -2,10 +2,12 @@
 
 A derivation is determined by its images on the algebra generators and
 extended everywhere by the Leibniz rule; for an invertible generator the
-image of g^-1 is -g^-1 theta(g) g^-1, forced by theta(g g^-1) = 0.  The
-interior product is the signed derivation of degree -1 with
-theta _| dg = theta(g); the Lie derivative is the unsigned derivation of
-degree 0 with L(dg) = d(theta(g)), and theta(a) is L on a 0-form
+image of g^-1 is -g^-1 theta(g) g^-1, forced by theta(g g^-1) = 0.  L_theta
+takes its letter images from `CalculusPresentation.letter_image`, the one
+rule d's letter images come from too.  The interior product is the
+signed derivation of degree -1 with theta _| dg = theta(g); the Lie
+derivative is the unsigned derivation of degree 0 with
+L(dg) = d(theta(g)), and theta(a) is L on a 0-form
 (`Derivation.apply`).  _| and L are one `RewriteSystem.leibniz` call
 each, with one normalization per call.  The substitution of each letter
 is computed the first time it is needed and kept on the derivation,
@@ -75,18 +77,15 @@ class PresentedDerivation(Derivation):
 
     def _substitution(self, li):
         """Terms replacing letter li under L_theta, computed once per letter:
-        theta(g), -g^-1 theta(g) g^-1, or d(theta(g)) for dg."""
+        theta(g), -g^-1 theta(g) g^-1 (`CalculusPresentation.letter_image`),
+        or d(theta(g)) for dg."""
         terms = self._subs[li]
         if terms is None:
             calc = self.calculus
             lt = calc.system.table.letters[li]
             img = self.images[lt.base]
-            if lt.diff:
-                img = calc.d(img)
-            elif lt.exp == -1:
-                ginv = Element(calc.system, {(li,): calc.system.one()}, normal=True)
-                img = -(ginv * img * ginv)
-            terms = self._subs[li] = img.terms
+            terms = self._subs[li] = (calc.d(img).terms if lt.diff
+                                      else calc.letter_image(li, img))
         return terms
 
     def iprod(self, x: Element) -> Element:
@@ -182,18 +181,13 @@ def check_consistency(theta: PresentedDerivation) -> ConsistencyReport:
     own Leibniz work.
     """
     report = ConsistencyReport()
+    ops = {True: (("apply", theta.apply),),
+           False: (("iprod", theta.iprod), ("lie", theta.lie))}
     for desc, _, _, rel, algebraic in theta.calculus.system.relations():
-        if algebraic:
-            res = theta.apply(rel)
-            report.checks.append(ConsistencyCheck("apply on " + desc, res,
+        for name, op in ops[algebraic]:
+            res = op(rel)
+            report.checks.append(ConsistencyCheck(name + " on " + desc, res,
                                                   res.is_zero()))
-        else:
-            res_i = theta.iprod(rel)
-            report.checks.append(ConsistencyCheck("iprod on " + desc, res_i,
-                                                  res_i.is_zero()))
-            res_l = theta.lie(rel)
-            report.checks.append(ConsistencyCheck("lie on " + desc, res_l,
-                                                  res_l.is_zero()))
     return report
 
 

@@ -35,6 +35,7 @@ line has parsed.
 
 from __future__ import annotations
 
+import operator
 import re
 from contextlib import contextmanager
 from fractions import Fraction
@@ -133,11 +134,9 @@ class ExpressionParser:
         if kind != "end":
             raise ParseError("trailing input %r" % tok, pos)
         value = self._to_element(value)
-        if self.calculus is None:
-            # a sum of ⊗ terms can be a form where no term is, as dE12 is
-            legs = value.parts.values() if hasattr(value, "parts") else [value]
-            if not all(t.in_kernel() for t in legs):
-                raise ParseError("%s is not a form" % value)
+        # a sum of ⊗ terms can be a form where no term is, as dE12 is
+        if self.calculus is None and not value.in_kernel():
+            raise ParseError("%s is not a form" % value)
         return value
 
     def _to_element(self, value):
@@ -157,68 +156,53 @@ class ExpressionParser:
         value = self._term()
         while True:
             kind, tok, pos = self._peek()
-            if kind == "op" and tok in "+-":
-                self._next()
-                rhs = self._term()
-                value = self._combine_add(value, rhs, tok, pos)
-            else:
+            if not (kind == "op" and tok in "+-"):
                 return value
+            self._next()
+            rhs = self._term()
+            if not (_is_scalar(value) and _is_scalar(rhs)):
+                value, rhs = self._to_element(value), self._to_element(rhs)
+            value = self._combine(pos, operator.add if tok == "+"
+                                  else operator.sub, value, rhs)
 
-    def _combine_add(self, a, b, op, pos):
-        if not (_is_scalar(a) and _is_scalar(b)):
-            a, b = self._to_element(a), self._to_element(b)
+    def _combine(self, pos, op, *operands):
+        """op(*operands), its refusal reported as a ParseError at pos."""
         try:
-            return a + b if op == "+" else a - b
+            return op(*operands)
         except (TypeError, ValueError) as exc:
             raise ParseError(str(exc), pos)
 
     def _term(self):
         negate = False
-        while True:
+        kind, tok, _ = self._peek()
+        while kind == "op" and tok in "+-":
+            negate ^= tok == "-"
+            self._next()
             kind, tok, _ = self._peek()
-            if kind == "op" and tok == "-":
-                self._next()
-                negate = not negate
-            elif kind == "op" and tok == "+":
-                self._next()
-            else:
-                break
         value = self._factor()
         while True:
+            # a product is juxtaposition or '*'
             kind, tok, pos = self._peek()
-            if kind in ("rational", "name") or (kind == "op" and tok == "("):
-                rhs = self._factor()
-                value = self._combine_mul(value, rhs, pos)
-            elif kind == "op" and tok == "*":
+            if kind == "op" and tok == "*":
                 self._next()
-                rhs = self._factor()
-                value = self._combine_mul(value, rhs, pos)
-            else:
+            elif not (kind in ("rational", "name")
+                      or (kind == "op" and tok == "(")):
                 break
+            value = self._combine(pos, operator.mul, value, self._factor())
         return -value if negate else value
-
-    def _combine_mul(self, a, b, pos):
-        try:
-            return a * b
-        except (TypeError, ValueError) as exc:
-            raise ParseError(str(exc), pos)
 
     def _factor(self):
         value = self._primary()
         while True:
             kind, tok, pos = self._peek()
-            if kind == "op" and tok == "⊗":
-                self._next()
-                rhs = self._primary()
-                if not hasattr(value, "tensor") or _is_scalar(rhs):
-                    raise ParseError("tensor legs need forms of a tensor "
-                                     "backend", pos)
-                try:
-                    value = value.tensor(rhs)
-                except ValueError as exc:
-                    raise ParseError(str(exc), pos)
-            else:
+            if not (kind == "op" and tok == "⊗"):
                 return value
+            self._next()
+            rhs = self._primary()
+            if not hasattr(value, "tensor") or _is_scalar(rhs):
+                raise ParseError("tensor legs need forms of a tensor "
+                                 "backend", pos)
+            value = self._combine(pos, value.tensor, rhs)
 
     def _primary(self):
         atom = self._atom()

@@ -11,11 +11,12 @@ torus-style normal forms read dv du u^n v^m.
 
 The differential is the signed derivation with d(g) = dg, d(dg) = 0 and,
 for invertible generators, d(g^-1) = -g^-1 dg g^-1, which is forced by
-the Leibniz rule on g g^-1 = 1.  These letter images form a table built
-once the rules are in (`finish_rules`), and `d` is one call of
-`RewriteSystem.leibniz` over it: one normalization per call.  No rewrite
-rules are guessed: where a commutation between letters is not installed,
-words are left unreduced.
+the Leibniz rule on g g^-1 = 1.  d and every L_theta (`cartan`) take
+their letter images from one rule, `letter_image`.  d's images form a
+table built once the rules are in (`finish_rules`), and `d` is one call
+of `RewriteSystem.leibniz` over it: one normalization per call.  No
+rewrite rules are guessed: where a commutation between letters is not
+installed, words are left unreduced.
 
 This is the one presented-algebra type: an algebra-only presentation is a
 calculus with no form rules, `CalculusPresentation(gens, rules, [], ...)`,
@@ -38,11 +39,9 @@ class CalculusPresentation:
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
         if letter_order is None:
-            letter_order = ["d" + n for n in reversed(names)] + names
-        else:
-            missing = ["d" + n for n in reversed(names)
-                       if "d" + n not in letter_order]
-            letter_order = missing + list(letter_order)
+            letter_order = names
+        letter_order = ["d" + n for n in reversed(names)
+                        if "d" + n not in letter_order] + list(letter_order)
         self.system = RewriteSystem(_build_table(self.generators, letter_order), p)
         for n in names:
             if n not in letter_order:
@@ -66,20 +65,19 @@ class CalculusPresentation:
         """Install the derived inverse variants, then build d's letter
         images under all the rules; call again after adding rules."""
         self.system.install_inverse_variants()
-        table = self.system.table
-        diff_of = {lt.base: i for i, lt in enumerate(table.letters) if lt.diff}
-        one = self.system.one()
-        # d(g) = dg and d(g^-1) = -g^-1 dg g^-1, normalized; d(dg) = 0
-        self._d_of_letter = []
-        for li, lt in enumerate(table.letters):
-            dg = diff_of[lt.base]
-            if lt.diff:
-                terms = None
-            elif lt.exp == 1:
-                terms = {(dg,): one}
-            else:
-                terms = {table.concat((li,), (dg,), (li,)): -one}
-            self._d_of_letter.append(terms and Element(self.system, terms).terms)
+        # d(g) = dg, d(g^-1) = -g^-1 dg g^-1 and d(dg) = 0
+        self._d_of_letter = [
+            None if lt.diff else self.letter_image(li, self.dgen(lt.base))
+            for li, lt in enumerate(self.system.table.letters)]
+
+    def letter_image(self, li, img):
+        """The terms by which a derivation D with D(g) = img replaces the
+        letter li: img for g, and -g^-1 img g^-1, normalized once, for g^-1."""
+        if self.system.table.letters[li].exp == 1:
+            return img.terms
+        concat = self.system.table.concat
+        return Element(self.system, {concat((li,), w, (li,)): -c
+                                     for w, c in img.terms.items()}).terms
 
     # -- constructors ----------------------------------------------------
 

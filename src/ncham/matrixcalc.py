@@ -122,11 +122,6 @@ class TensorForm(Form):
         return TensorForm(self.n, self.degree,
                           {k: v * c for k, v in self.terms.items()})
 
-    def __rmul__(self, c):
-        if _is_scalar(c):
-            return self.scale(c)
-        return NotImplemented
-
     def __mul__(self, other):
         if _is_scalar(other):
             return self.scale(other)
@@ -148,6 +143,8 @@ class TensorForm(Form):
                 acc = out.get(key)
                 out[key] = c1 * c2 if acc is None else acc + c1 * c2
         return TensorForm(n, self.degree + other.degree, out)
+
+    __rmul__ = __mul__      # reached only for a scalar, which commutes
 
     def tensor(self, other: "TensorForm") -> "TensorForm":
         """Raw leg concatenation (no junction merge); used to rebuild

@@ -312,18 +312,23 @@ def build_matrix(n: int) -> ModelDescriptor:
         anti_m = [[m[i][j] - m[j][i] for j in range(n)] for i in range(n)]
         return MatrixDerivation.ad(anti_m)
 
-    ns = {}
-    for i in range(n):
-        for j in range(n):
-            ns["E%d%d" % (i + 1, j + 1)] = TensorForm.unit(n, i, j)
-            ns["dE%d%d" % (i + 1, j + 1)] = TensorForm.unit(n, i, j).d()
-    ns["I"] = TensorForm.identity(n)
     return ModelDescriptor(
         kind="matrix", params={"n": n}, backend=backend, calculus=None,
         omega=omega, basis=lambda: [MatrixDerivation(a, label="ad(%s)" % a)
                                     for a in antisymmetric_basis(n)],
         random_form=random_form, random_derivation=random_derivation,
-        namespace=ns)
+        namespace=unit_namespace(n))
+
+
+def unit_namespace(n: int):
+    """The names of M_n: the units E_ij and their differentials dE_ij
+    (i, j from 1), and the identity I."""
+    ns = {"I": TensorForm.identity(n)}
+    for i in range(n):
+        for j in range(n):
+            e = ns["E%d%d" % (i + 1, j + 1)] = TensorForm.unit(n, i, j)
+            ns["dE%d%d" % (i + 1, j + 1)] = e.d()
+    return ns
 
 
 # -- Cuntz algebra -----------------------------------------------------------
@@ -494,14 +499,8 @@ def build_poly_matrix(degree_bound: int = 3) -> ModelDescriptor:
         "y": BigradedForm.scalar(Poly.y()),
         "dx": BigradedForm.classical(("x",)),
         "dy": BigradedForm.classical(("y",)),
-        "I": BigradedForm.from_matrix([[1, 0], [0, 1]]),
     }
-    for i in range(2):
-        for j in range(2):
-            unit = [[0, 0], [0, 0]]
-            unit[i][j] = 1
-            ns["E%d%d" % (i + 1, j + 1)] = BigradedForm.from_matrix(unit)
-            ns["dE%d%d" % (i + 1, j + 1)] = BigradedForm.from_matrix(unit).d()
+    ns.update((k, BigradedForm.lift(t)) for k, t in unit_namespace(2).items())
     return ModelDescriptor(
         kind="polymat", params={"D": degree_bound}, backend=backend,
         calculus=None, omega=omega, basis=basis, random_form=random_form,

@@ -149,6 +149,17 @@ def test_a_failed_form_subtraction_names_minus(desc, expr):
     assert (form - form).is_zero()
 
 
+@pytest.mark.parametrize("desc, expr", [("torus:p=2", "u"), ("matrix:n=2", "E12"),
+                                        ("polymat:D=3", "x")],
+                         ids=["Element", "TensorForm", "BigradedForm"])
+def test_a_form_minus_an_operand_without_unary_minus_names_minus(desc, expr):
+    """A str has no unary minus; the subtraction still fails naming -."""
+    form = parse_expression(expr, build_model(desc))
+    with pytest.raises(TypeError, match="for -: '%s' and 'str'"
+                       % type(form).__name__):
+        form - "x"
+
+
 def test_an_element_minus_a_scalar_still_works():
     u = torus_calculus(3).gen("u")
     assert u - 1 == u + (-1) and 1 - u == -u + 1

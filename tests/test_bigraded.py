@@ -215,3 +215,47 @@ def test_lie_replaces_classical_letters_in_place():
         assert sorted(x.parts) == [(), ("x",), ("x", "y"), ("y",)]
         th = rand_mixed(rng)
         assert th.lie(x) == wedge_lie(th, x)
+
+
+def test_polymat_namespace_lifts_the_m2_units():
+    """I, E_ij and dE_ij of polymat are M_2's, lifted: equal to the former
+    constructions over Poly scalars, and Poly throughout."""
+    from ncham.models import build_model
+
+    ns = build_model("polymat:D=3").namespace()
+    names = ["I"]
+    former = {"I": BigradedForm({(): TensorForm.identity(2).scale(P_ONE)})}
+    for i in range(2):
+        for j in range(2):
+            unit = [[Poly.const(int((r, c) == (i, j))) for c in range(2)]
+                    for r in range(2)]
+            e = BigradedForm({(): TensorForm.from_matrix(unit)})
+            former["E%d%d" % (i + 1, j + 1)] = e
+            former["dE%d%d" % (i + 1, j + 1)] = e.d()
+            names += ["E%d%d" % (i + 1, j + 1), "dE%d%d" % (i + 1, j + 1)]
+    assert len(names) == 9
+    for name in names:
+        assert ns[name] == former[name], name
+        assert all(type(v) is Poly for t in ns[name].parts.values()
+                   for v in t.terms.values())
+    assert ns["I"] == BigradedForm.from_matrix([[1, 0], [0, 1]])
+
+
+def test_in_kernel_on_a_form_and_on_a_non_form():
+    """Two of dE12's four legs are no forms on their own, but their sum is."""
+    from ncham.exprparse import ExpressionParser
+    from ncham.models import build_model
+
+    model = build_model("polymat:D=3")
+    ns = model.namespace()
+    de12 = ns["dE12"]
+    assert de12.in_kernel() and (ns["x"] * ns["E12"] * de12).in_kernel()
+    legs = [BigradedForm({(): TensorForm(2, 1, {k: c})})
+            for k, c in de12.parts[()].terms.items()]
+    # E11⊗E12 and -E12⊗E22 contract to nonzero matrices
+    assert len(legs) == 4 and sum(not leg.in_kernel() for leg in legs) == 2
+    non_form = ns["E12"].tensor(ns["E21"])
+    assert not non_form.in_kernel()
+    assert BigradedForm().in_kernel()
+    parser = ExpressionParser(ns, None)
+    assert parser.parse("E11 ⊗ E12 + E22 ⊗ E12 - E12 ⊗ E11 - E12 ⊗ E22") == de12

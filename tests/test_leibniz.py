@@ -7,6 +7,7 @@ normalization at every product, written out independently of the engine.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -495,3 +496,78 @@ def test_no_run_grouping_without_a_sort_table(monkeypatch):
             assert seen[0] == raw
             assert list(seen[0]) == list(raw)
             del seen[:]
+
+
+# -- one inverse-letter image for d and L ---------------------------------------
+
+def test_d_and_lie_of_inverse_letters_by_hand(tmp_path):
+    """On the README file (q = -1: v u = -u v, u dv = -dv u, and u commutes
+    with du), d and L_xa take g^-1 to -g^-1 D(g) g^-1 through the one
+    `letter_image`.  With xa(u) = 2 u^3 v^2 and xa(v) = -2 u^2 v^3,
+    xa(u^-1) = -u^-1 (2 u^3 v^2) u^-1 = -2 u v^2, every u^-1 of u^-3 adds
+    -2 u^-1 v^2, and xa(u^-2 v) = -4 v^2 v + u^-2 (-2 u^2 v^3)."""
+    from test_algebra import _file_calculus, _readme_text
+
+    from ncham.cartan import PresentedDerivation
+
+    calc = _file_calculus(tmp_path, _readme_text())
+    xa = PresentedDerivation(calc, {"u": calc.element([("u", 3), ("v", 2)], 2),
+                                    "v": calc.element([("u", 2), ("v", 3)], -2)})
+    cases = {"u^-1": ([("u", -1)], "-du u^-2", "-2 u v^2"),
+             "u^-3": ([("u", -3)], "-3 du u^-4", "-6 u^-1 v^2"),
+             "u^-2 v": ([("u", -2), ("v", 1)], "-2 du u^-3 v + dv u^-2",
+                        "-6 v^3")}
+    for name, (factors, d_want, lie_want) in cases.items():
+        x = calc.element(factors)
+        assert (str(calc.d(x)), str(xa.lie(x))) == (d_want, lie_want), name
+        assert calc.d(x) == reference_d(calc, x)
+        assert xa.lie(x) == reference_lie(calc, xa, x)
+    # both tables hold letter_image's terms for u^-1
+    uinv = calc.system.encode_letter("u", -1)
+    assert calc._d_of_letter[uinv] == calc.letter_image(uinv, calc.dgen("u"))
+    assert xa._subs[uinv] == calc.letter_image(uinv, xa.images["u"])
+    assert str(Element(calc.system, xa._subs[uinv], normal=True)) == "-2 u v^2"
+
+
+def _unit_run_calculus(sort):
+    """u, v, w over Q with dw < dv < du < u < v < w: v u -> 2 u v and
+    w u -> 1/2 u w, every other pair swaps with +-1, and the differentials
+    square to zero.  A sort table compiles for it, unless `sort` is off."""
+    names = ["u", "v", "w"]
+    gens = [GeneratorSymbol(n) for n in names]
+    order = ["dw", "dv", "du", "u", "v", "w"]
+
+    def swap(x, y, c):
+        return RuleSpec.make([(x, 1), (y, 1)], [(c, [(y, 1), (x, 1)])])
+    algebra = [swap("v", "u", 2), swap("w", "u", Fraction(1, 2)),
+               swap("w", "v", 1)]
+    forms = [swap(x, y, -1) for x, y in (("dv", "dw"), ("du", "dw"),
+                                         ("du", "dv"))]
+    forms += [swap(g, "d" + h, 1) for g in names for h in names]
+    forms += [RuleSpec.make([("d" + g, 2)], []) for g in names]
+    calc = CalculusPresentation(gens, algebra, forms, p=1, letter_order=order)
+    assert calc.system._sort_table is not None
+    if not sort:
+        calc.system._sort_table = None
+    return calc
+
+
+def test_a_run_whose_gains_multiply_to_one_sums_to_r():
+    """theta(u) = v w: a copy of u gains 1/2 moving left past v and 2 past w,
+    so (sigma rho) = 1 and `SortTable.run_sum` is r itself; L_theta(u^5) is
+    5 u^4 v w, as the same calculus computes without a sort table."""
+    from ncham.cartan import PresentedDerivation
+
+    results = []
+    for sort in (True, False):
+        calc = _unit_run_calculus(sort)
+        vw = calc.element([("v", 1), ("w", 1)])
+        theta = PresentedDerivation(calc, {"u": vw})
+        x = calc.element([("u", 5)])
+        results.append(str(theta.lie(x)))
+        if sort:
+            table, encode = calc.system._sort_table, calc.system.encode_letter
+            iw = (encode("v"), encode("w"))
+            for r in (2, 5, 12):
+                assert table.run_sum(encode("u"), iw, r, False) == r
+    assert results == ["5 u^4 v w"] * 2
