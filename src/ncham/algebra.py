@@ -56,8 +56,8 @@ from fractions import Fraction
 from itertools import groupby
 from math import gcd
 
-from .scalars import (CycScalar, _canonical, _power_table, cyc_one, cyc_zero,
-                      euler_phi, power, q_power)
+from .scalars import (CycScalar, Printed, _canonical, _power_table, cyc_one,
+                      cyc_zero, euler_phi, power, q_power)
 
 
 class ReductionBudgetExceeded(RuntimeError):
@@ -72,12 +72,21 @@ class DegreeError(ValueError):
     """An operation received a form of inadmissible degree."""
 
 
-class Form:
+class Form(Printed):
     """Base of `Element`, `TensorForm` and `BigradedForm`, which provide
     `+`, unary `-` and `degrees()` (sorted; none for a zero form, except on
-    a TensorForm, which keeps its degree) and get `-` and `degree()` here."""
+    a TensorForm, which keeps its degree) and get `-`, `degree()`, their
+    text, `is_zero` and `coordinates` here.  The last two read `terms`,
+    which stores no zero; `BigradedForm` stores `parts` and has its own."""
 
     __slots__ = ()
+
+    def is_zero(self):
+        return not self.terms
+
+    def coordinates(self):
+        """key -> coefficient; the live dict, not a copy."""
+        return self.terms
 
     def __sub__(self, other):
         # __add__, not +, so that a foreign operand fails naming -
@@ -98,11 +107,15 @@ class Form:
 
 class Derivation:
     """Base of the derivation types, which provide `+`, scalar `*` from the
-    left, `iprod` (theta _|, which calls `_iprod_guard` first) and `lie`
-    (L_theta).  theta(a) is `apply(a)`, L_theta on a 0-form; only a
-    presented derivation has relations for `consistency()` to check."""
+    left, `iprod` (theta _|, which calls `_iprod_guard` first), `lie`
+    (L_theta) and `coordinates()`, nonzero entries only, which `is_zero`
+    tests.  theta(a) is `apply(a)`, L_theta on a 0-form; only a presented
+    derivation has relations for `consistency()` to check."""
 
     __slots__ = ()
+
+    def is_zero(self):
+        return not self.coordinates()
 
     def apply(self, a):
         if any(a.degrees()):
@@ -208,14 +221,13 @@ class LetterTable:
 
     def __init__(self, letters):
         self.letters = tuple(letters)
-        self.index = {lt: i for i, lt in enumerate(self.letters)}
-        if len(self.index) != len(self.letters):
-            raise ValueError("duplicate letters in precedence list")
         self.by_display = {lt.display: i for i, lt in enumerate(self.letters)}
+        if len(self.by_display) != len(self.letters):
+            raise ValueError("duplicate letters in precedence list")
         self.inverse_of = {}
         for i, lt in enumerate(self.letters):
             if not lt.diff:
-                j = self.index.get(Letter(lt.base, -lt.exp))
+                j = self.by_display.get(Letter(lt.base, -lt.exp).display)
                 if j is not None:
                     self.inverse_of[i] = j
         self.is_diff = tuple(lt.diff for lt in self.letters)
@@ -752,13 +764,13 @@ class SortTable:
 class Element(Form):
     """A finite scalar-linear combination of words, kept in normal form.
 
-    No stored coefficient is zero, so `is_zero` is an empty-dict test.
-    The constructor owns that invariant: it drops the zeros of the dict it
-    is given (through `normalize_terms` unless `normal`), so operations
-    hand it their raw sums.
+    No stored coefficient is zero: the constructor drops the zeros of the
+    dict it is given (through `normalize_terms` unless `normal`), so
+    operations hand it their raw sums.
     """
 
     __slots__ = ("system", "terms")
+    _printer = "element_str"
 
     def __init__(self, system, terms, normal=False):
         self.system = system
@@ -838,26 +850,9 @@ class Element(Form):
             return NotImplemented
         return self.system is other.system and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((id(self.system), frozenset(self.terms)))
-
-    def is_zero(self):
-        return not self.terms
-
-    def coordinates(self):
-        """word -> coefficient; the live dict, not a copy."""
-        return self.terms
-
     def degrees(self):
         deg = self.system.table.word_degree
         return sorted({deg(w) for w in self.terms})
-
-    def __str__(self):
-        from .printing import element_str
-
-        return element_str(self)
-
-    __repr__ = __str__
 
 
 # -- letter tables -----------------------------------------------------

@@ -55,6 +55,7 @@ class BigradedForm(Form):
     """
 
     __slots__ = ("parts",)
+    _printer = "bigraded_str"
 
     def __init__(self, parts=None):
         self.parts = {c: t for c, t in (parts or {}).items() if not t.is_zero()}
@@ -170,13 +171,6 @@ class BigradedForm(Form):
             _put(parts, csym, dm)
         return BigradedForm(parts)
 
-    def __str__(self):
-        from .printing import bigraded_str
-
-        return bigraded_str(self)
-
-    __repr__ = __str__
-
 
 def _put(parts, csym, t):
     """Add t to parts[csym]; BigradedForm drops the parts that cancel."""
@@ -215,9 +209,6 @@ class MixedDerivation(Derivation):
             return NotImplemented
         return MixedDerivation(c * self.theta_x, c * self.theta_y,
                                c * self.theta_r)
-
-    def is_zero(self):
-        return not (self.theta_x or self.theta_y or self.theta_r)
 
     def _ad(self):
         if self._ad_s is None:

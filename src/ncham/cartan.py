@@ -70,9 +70,6 @@ class PresentedDerivation(Derivation):
         return PresentedDerivation(
             self.calculus, {n: img * scalar for n, img in self.images.items()})
 
-    def is_zero(self):
-        return all(img.is_zero() for img in self.images.values())
-
     # -- action -----------------------------------------------------------
 
     def _substitution(self, li):

@@ -44,14 +44,14 @@ def _integral(c):
 class TensorForm(Form):
     """Sparse tensor-leg form over M_n; keys are tuples of flat unit indices.
 
-    No stored coefficient is zero, so `is_zero` is an empty-dict test.
-    The constructor owns that invariant: it drops the zeros of the dict it
-    is given, so operations hand it their raw sums.  The constructor and
+    No stored coefficient is zero: the constructor drops the zeros of the
+    dict it is given, so operations hand it their raw sums.  It and
     `tensor` accept any tensor, but `MatrixDerivation.iprod` assumes a
     form, one whose junctions contract to zero (`in_kernel`).
     """
 
     __slots__ = ("n", "degree", "terms")
+    _printer = "tensor_str"
 
     def __init__(self, n, degree, terms=None):
         self.n = n
@@ -164,13 +164,6 @@ class TensorForm(Form):
         return (self.n == other.n and self.degree == other.degree
                 and self.terms == other.terms)
 
-    def is_zero(self):
-        return not self.terms
-
-    def coordinates(self):
-        """tensor key -> coefficient; the live dict, not a copy."""
-        return self.terms
-
     # -- calculus ----------------------------------------------------------
 
     def d(self):
@@ -214,16 +207,8 @@ class TensorForm(Form):
 
     def in_kernel(self):
         """All products of adjacent legs vanish, as on honest forms."""
-        eye = [[1 if i == j else 0 for j in range(self.n)]
-               for i in range(self.n)]
+        eye = TensorForm.identity(self.n).to_matrix()
         return all(t.is_zero() for t in self.contract_junctions(eye))
-
-    def __str__(self):
-        from .printing import tensor_str
-
-        return tensor_str(self)
-
-    __repr__ = __str__
 
 
 class MatrixDerivation(Derivation):
@@ -287,9 +272,6 @@ class MatrixDerivation(Derivation):
         if _is_scalar(c):
             return MatrixDerivation(self.s.scale(c))
         return NotImplemented
-
-    def is_zero(self):
-        return self.s.is_zero()
 
     # -- action -------------------------------------------------------------
 

@@ -405,8 +405,7 @@ def build_cuntz(n: int) -> ModelDescriptor:
         return out
 
     backend = Backend.presented(calc)
-    gen_names = ["s%d" % (i + 1) for i in range(n)] + \
-                ["s%d*" % (i + 1) for i in range(n)]
+    gen_names = [g.name for g in calc.generators]
 
     def random_word(rng, length):
         out = calc.one()

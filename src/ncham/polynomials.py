@@ -4,14 +4,14 @@ A polynomial is stored as integer numerators over one positive common
 denominator, the layout of FLINT's fmpq_mpoly and of `CycScalar`: `nums`
 is a dict from exponent pair (i, j) to a nonzero int and `den` a positive
 int.  The form is canonical: gcd(den, *nums) == 1, and zero is {} over 1,
-so equal polynomials have equal fields and equal hashes.  A product is an
-integer convolution followed by one gcd, except that a constant factor
-(a single (0, 0) monomial, an int or a Fraction) scales the other's
-numerators with one gcd and no convolution, and a +-1 constant leaves the
-other factor or its negation; a sum over equal denominators adds
-numerators directly.  `.items()` yields the coefficients as
-(exponent pair, nonzero Fraction) pairs, and `.coeffs` collects them in a
-dict.
+so equal polynomials have equal fields and equal hashes; a constant hashes
+as the int or Fraction it equals.  A product is an integer convolution
+followed by one gcd, except that a constant factor (a single (0, 0)
+monomial, an int or a Fraction) scales the other's numerators with one gcd
+and no convolution, and a +-1 constant leaves the other factor or its
+negation; a sum over equal denominators adds numerators directly.
+`.items()` yields the coefficients as (exponent pair, nonzero Fraction)
+pairs, and `.coeffs` collects them in a dict.
 
 Partial derivatives are exact, which is all the tensor-product model
 needs: the smooth functions of the plane are represented by polynomials
@@ -23,16 +23,17 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import power
+from .scalars import Printed, power
 
 
-class Poly:
+class Poly(Printed):
     """An element of Q[x, y], exact, immutable and canonical.
 
     `Poly(coeffs)` takes a dict from exponent pair to int or Fraction.
     """
 
     __slots__ = ("nums", "den")
+    _printer = "poly_str"
 
     def __init__(self, coeffs=None):
         coeffs = [(m, Fraction(c)) for m, c in coeffs.items()] if coeffs else []
@@ -73,8 +74,6 @@ class Poly:
         return cls.monomial(0, 1)
 
     def _coerce(self, other):
-        if isinstance(other, Poly):
-            return other
         if isinstance(other, (int, Fraction)):
             return Poly.const(other)
         return None
@@ -173,7 +172,10 @@ class Poly:
         return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((frozenset(self.nums.items()), self.den))
+        nums = self.nums
+        if not nums or len(nums) == 1 and (0, 0) in nums:
+            return hash(Fraction(nums.get((0, 0), 0), self.den))
+        return hash((frozenset(nums.items()), self.den))
 
     def __bool__(self):
         return bool(self.nums)
@@ -188,13 +190,6 @@ class Poly:
 
     def degree(self):
         return max((i + j for (i, j) in self.nums), default=0)
-
-    def __str__(self):
-        from .printing import poly_str
-
-        return poly_str(self)
-
-    __repr__ = __str__
 
 
 def _trusted(nums, den):

@@ -6,7 +6,8 @@ polynomial.  An element is stored in the power basis 1, q, ..., q^(phi(p)-1)
 as integer numerators over one positive common denominator, the layout of
 FLINT's fmpq_poly and nf_elem: `nums` is a tuple of phi(p) ints and `den`
 a positive int.  The form is canonical: gcd(den, *nums) == 1, and zero is
-(0, ..., 0)/1, so equal elements have equal fields and equal hashes.
+(0, ..., 0)/1, so equal elements have equal fields and equal hashes; a
+rational element hashes as the int or Fraction it equals.
 
 All arithmetic is in integers.  Phi_p is monic with integer
 coefficients, built by exact integer long division, so a product is an
@@ -30,7 +31,9 @@ Fractions) and `monomial_form` return them.
 
 `power(x, k, one)` is the one square-and-multiply of the package: the
 powers of `CycScalar`, `Poly` and `Element` and the expression parser's
-powers all call it.
+powers all call it.  `Printed` is the one `__str__` of every printed type:
+it imports `printing` on first use, so a command that prints nothing never
+loads it.
 """
 
 from __future__ import annotations
@@ -90,7 +93,21 @@ def euler_phi(p: int) -> int:
     return len(cyclotomic_polynomial(p)) - 1
 
 
-class CycScalar:
+class Printed:
+    """Base of the printed types: `str` and `repr` call the function of
+    `printing` that the class attribute `_printer` names."""
+
+    __slots__ = ()
+
+    def __str__(self):
+        from . import printing
+
+        return getattr(printing, self._printer)(self)
+
+    __repr__ = __str__
+
+
+class CycScalar(Printed):
     """An element of Q[q]/(Phi_p(q)), exact, immutable and canonical.
 
     `CycScalar(p, coeffs)` takes the phi(p) power-basis coordinates as ints
@@ -98,6 +115,7 @@ class CycScalar:
     """
 
     __slots__ = ("p", "nums", "den")
+    _printer = "scalar_str"
 
     def __init__(self, p, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
@@ -250,7 +268,10 @@ class CycScalar:
         return any(self.nums)
 
     def __hash__(self):
-        return hash((self.p, self.nums, self.den))
+        nums, den = self.nums, self.den
+        if not any(nums[1:]):
+            return hash(nums[0]) if den == 1 else hash(Fraction(nums[0], den))
+        return hash((self.p, nums, den))
 
     def monomial_form(self):
         """(k, r) if the element is r*q^k in the power basis, else None."""
@@ -263,11 +284,6 @@ class CycScalar:
 
     def __repr__(self):
         return "CycScalar(p=%d, %s)" % (self.p, str(self))
-
-    def __str__(self):
-        from .printing import scalar_str
-
-        return scalar_str(self)
 
 
 def power(x, k, one):

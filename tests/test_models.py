@@ -1,6 +1,7 @@
 """Built-in model descriptors: certificates, families, CLI strings."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from closure import commutator_closure
@@ -8,6 +9,8 @@ from closure import commutator_closure
 from ncham.matrixcalc import MatrixDerivation
 from ncham.models import (build_cuntz, build_matrix, build_model,
                           build_poly_matrix, build_torus, theta_h)
+from ncham.polynomials import Poly
+from ncham.scalars import q_power
 
 
 def test_certificates_all_models(all_models):
@@ -155,6 +158,25 @@ def test_cartan_residuals_draw_like_criterion_1(all_models):
             assert suite.getstate() == manual.getstate(), model.name
             assert list(res) == CARTAN_IDENTITIES
             assert all(r.is_zero() for r in res.values()), model.name
+
+
+def test_forms_and_derivations_share_one_zero_test_and_one_text(all_models):
+    rng = random.Random(36)
+    for model in all_models:
+        for _ in range(5):
+            th = model.random_derivation(rng)
+            x = model.random_form(rng, 2)
+            for y in (x, model.backend.d(x), th.lie(x), x - x):
+                assert y.is_zero() == (not y.coordinates()), model.name
+                assert str(y) == repr(y), model.name
+            for phi in (th, th.commutator(model.random_derivation(rng))):
+                assert phi.is_zero() == (not phi.coordinates()), model.name
+            assert (x - x).is_zero() and (th - th).is_zero(), model.name
+            assert not model.backend.zero_derivation.coordinates()
+            assert model.backend.zero_derivation.is_zero()
+    p = Poly.x() - Fraction(1, 2)
+    assert str(p) == repr(p) == "-1/2 + x"
+    assert repr(q_power(3, 2)) == "CycScalar(p=3, -1 - q)"
 
 
 @pytest.mark.parametrize("desc", ["torus:p=2", "matrix:n=2", "cuntz:n=2",

@@ -35,6 +35,22 @@ def test_fresh_interpreter_import_loads_no_dataclasses_or_inspect():
     assert "ncham.printing" not in out
 
 
+def test_fresh_interpreter_loads_printing_on_the_first_str_only():
+    """Building a model and taking a d prints nothing, so loads no printer."""
+    code = ("import sys\n"
+            "from ncham.models import build_model\n"
+            "for desc, expr in [('torus:p=2', 'u'), ('polymat:D=3', 'x')]:\n"
+            "    m = build_model(desc)\n"
+            "    x = m.backend.d(m.namespace()[expr])\n"
+            "    print('ncham.printing' in sys.modules)\n"
+            "str(x)\n"
+            "print('ncham.printing' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ncham.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["False", "False", "True"]
+
+
 VALUES = [(GeneratorSymbol, ("u",), {"invertible": True}),
           (Letter, ("u", -1), {"diff": False}),
           (RuleSpec, (((("v", 1), ("u", 1)),),), {"rhs": ()})]

@@ -6,6 +6,8 @@ from math import gcd
 
 import pytest
 
+from ncham.models import torus_calculus
+from ncham.polynomials import Poly
 from ncham.scalars import (CycScalar, cyclotomic_polynomial, cyc_one,
                            cyc_zero, euler_phi, q_power)
 
@@ -174,6 +176,24 @@ def test_reflected_division():
             assert Fraction(3, 2) / x == inv * Fraction(3, 2)
         with pytest.raises(ZeroDivisionError):
             1 / cyc_zero(p)
+
+
+def test_a_rational_value_hashes_as_the_int_or_fraction_it_equals():
+    values = [0, 1, -3, 12, Fraction(1, 2), Fraction(-7, 3)]
+    for v in values:
+        for p in (1, 2, 3, 5, 12):
+            c = CycScalar(p, [v] + [0] * (euler_phi(p) - 1))
+            assert c == v and hash(c) == hash(v) and {v: p}[c] == p
+        assert Poly.const(v) == v and hash(Poly.const(v)) == hash(v)
+        assert {v: "c"}.get(Poly.const(v)) == "c"
+    # every other value keeps its hash of the fields
+    c = CycScalar(3, [Fraction(1, 2), 1])
+    assert hash(c) == hash((3, c.nums, c.den))
+    x = Poly.x() / 2
+    assert hash(x) == hash((frozenset(x.nums.items()), x.den))
+    # an Element compares equal to a scalar, so it has no hash
+    with pytest.raises(TypeError):
+        hash(torus_calculus(2).one())
 
 
 def test_str_forms():
