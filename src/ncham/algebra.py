@@ -456,68 +456,57 @@ class RewriteSystem:
         met on the way.
 
         Always rewrites the leftmost redex with the first matching rule,
-        so the rewrite sequence is canonical.  Each stacked word carries
-        the position where its redex scan starts: rewriting w = pre lhs suf
-        at its leftmost redex i gives w' = concat(pre, rw, suf), and c
-        cancelled inverse pairs remove at most c letters of pre, so w' keeps
-        pre[:i - c], which holds no redex.  Every window of w' ending there
-        is a window of pre, so no redex of w' starts before
-        max(0, i - c - (L - 1)), with L the longest lhs.  A step therefore
-        scans O(L) letters instead of the whole word.
+        so the rewrite sequence is canonical.  A rewritten word goes back
+        on the stack with its expansion, the dict concat(pre, rw, suf) -> c
+        over the rule's rhs, whose words are distinct because concat(pre,
+        ., suf) is injective on reduced words; once every word of it is
+        cached, its normal form is `normalize_terms` of that dict.  Each
+        stacked word carries the position where its redex scan starts:
+        rewriting w = pre lhs suf at its leftmost redex i gives
+        w' = concat(pre, rw, suf), and c cancelled inverse pairs remove at
+        most c letters of pre, so w' keeps pre[:i - c], which holds no
+        redex.  Every window of w' ending there is a window of pre, so no
+        redex of w' starts before max(0, i - c - (L - 1)), with L the
+        longest lhs.  A step therefore scans O(L) letters instead of the
+        whole word.
         """
         cache = self._nf_cache
         budget = self.step_budget
         steps = 0
         concat = self.table.concat
         reach = self._max_lhs - 1
-        expansions = {}
-        stack = [(word, 0)]
+        stack = [(word, 0, None)]
         while stack:
-            w, start = stack[-1]
+            w, start, exp = stack.pop()
             if w in cache:
-                stack.pop()
                 continue
-            exp = expansions.get(w)
-            if exp is None:
-                m = self._find_redex(w, start)
-                if m is None:
-                    cache[w] = {w: self.one()}
-                    stack.pop()
-                    continue
-                i, rule = m
-                steps += 1
-                if steps > budget:
-                    text = self.word_str(word)
-                    if len(text) > 80:
-                        text = text[:77] + "..."
-                    raise ReductionBudgetExceeded(
-                        "rewrite budget of %d steps exceeded reducing %s; last rule "
-                        "applied: %s -> ..." % (budget, text, self.word_str(rule.lhs)))
-                j = i + len(rule.lhs)
-                pre, suf = w[:i], w[j:]
-                kept = len(w) - j + i      # letters of pre and suf
-                exp = []
-                for rw, c in rule.rhs.items():
-                    nw = concat(pre, rw, suf)
+            if exp is not None:
+                cache[w] = self.normalize_terms(exp)
+                continue
+            m = self._find_redex(w, start)
+            if m is None:
+                cache[w] = {w: self.one()}
+                continue
+            i, rule = m
+            steps += 1
+            if steps > budget:
+                text = self.word_str(word)
+                if len(text) > 80:
+                    text = text[:77] + "..."
+                raise ReductionBudgetExceeded(
+                    "rewrite budget of %d steps exceeded reducing %s; last rule "
+                    "applied: %s -> ..." % (budget, text, self.word_str(rule.lhs)))
+            j = i + len(rule.lhs)
+            pre, suf = w[:i], w[j:]
+            kept = len(w) - j + i      # letters of pre and suf
+            exp = {}
+            stack.append((w, start, exp))   # summed once its words are in
+            for rw, c in rule.rhs.items():
+                nw = concat(pre, rw, suf)
+                exp[nw] = c
+                if nw not in cache:
                     cancelled = (kept + len(rw) - len(nw)) // 2
-                    exp.append((nw, c, max(0, i - cancelled - reach)))
-                expansions[w] = exp
-            pending = [(wi, hi) for wi, _, hi in exp if wi not in cache]
-            if pending:
-                stack.extend(pending)
-                continue
-            out = {}
-            for wi, ci, _ in exp:
-                for wf, cf in cache[wi].items():
-                    acc = out.get(wf)
-                    acc = ci * cf if acc is None else acc + ci * cf
-                    if acc:
-                        out[wf] = acc
-                    elif wf in out:
-                        del out[wf]
-            cache[w] = out
-            del expansions[w]
-            stack.pop()
+                    stack.append((nw, max(0, i - cancelled - reach), None))
         return cache[word]
 
     def normalize_terms(self, terms):

@@ -88,7 +88,7 @@ class BigradedForm(Form):
         return self.parts.get(tuple(csym), TensorForm.zero(2, 0))
 
     def degrees(self):
-        return sorted({len(c) + t.degree for c, t in self.parts.items()})
+        return sorted({len(c) + t.deg for c, t in self.parts.items()})
 
     def is_zero(self):
         return not self.parts
@@ -127,7 +127,7 @@ class BigradedForm(Form):
                 if w is None:
                     continue
                 sign, csym = w
-                if (t1.degree * len(c2)) % 2 == 1:
+                if (t1.deg * len(c2)) % 2 == 1:
                     sign = -sign
                 t = t1 * t2
                 if sign < 0:
@@ -179,7 +179,7 @@ def _put(parts, csym, t):
 
 
 def _map_scalars(t: TensorForm, fn) -> TensorForm:
-    return TensorForm(t.n, t.degree, {k: fn(v) for k, v in t.terms.items()})
+    return TensorForm(t.n, t.deg, {k: fn(v) for k, v in t.terms.items()})
 
 
 class MixedDerivation(Derivation):
@@ -234,7 +234,7 @@ class MixedDerivation(Derivation):
                 if j % 2 == 1:
                     term = -term
                 _put(parts, rest, term)
-            if t.degree >= 1:
+            if t.deg >= 1:
                 term = ad.iprod(t)
                 if len(csym) % 2 == 1:
                     term = -term
@@ -264,7 +264,7 @@ class MixedDerivation(Derivation):
             _put(parts, csym, self._scalar_transport(t) + ad.lie(t))
             # bidegree leakage of a non-constant theta_S, which enters at
             # the junctions of a part of matrix degree >= 1
-            if t.degree == 0:
+            if t.deg == 0:
                 continue
             if ds is None:
                 # d theta_S / d(var) = dg (E12 - E21) for g = theta_r

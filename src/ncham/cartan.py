@@ -123,9 +123,8 @@ class PresentedDerivation(Derivation):
         return check_consistency(self)
 
     def __repr__(self):
-        body = ", ".join("%s -> %s" % (n, self.images[n])
-                         for n in sorted(self.images))
-        return "derivation(%s)" % body
+        return "derivation(%s)" % ", ".join(
+            "%s -> %s" % item for item in self.describe().items())
 
 
 def iprod_or_zero(theta, x):

@@ -336,7 +336,7 @@ def parse_derivation(text, model):
         if set(fields) != {"S"}:
             raise ParseError("matrix derivations take a single S: <matrix>")
         s = parser.parse(fields["S"])
-        if s.degree != 0:
+        if s.degree() != 0:
             raise ParseError("S must be a 0-form")
         return MatrixDerivation(s)
     if model.kind == "polymat":
@@ -348,7 +348,7 @@ def parse_derivation(text, model):
         def zero_form_of(key):
             el = parser.parse(fields[key])
             t = el.component(())
-            if set(el.parts) - {()} or t.degree != 0:
+            if set(el.parts) - {()} or t.degree() != 0:
                 raise ParseError("%s must be a 0-form" % key)
             return t.to_matrix()
 

@@ -2,12 +2,14 @@
 
 A calculus presentation has the algebra generators, one degree-1 form
 generator dg per algebra generator, and one rewrite system over all of
-these letters.  Its rules are the algebra rules, which relate 0-forms and
-so name no differential, then the form rules, then the derived inverse
-variants of both.  The full letter precedence (differentials and algebra
-letters interleaved as the model requires) is declared at construction;
-by default differentials come first, in reverse generator order, so that
-torus-style normal forms read dv du u^n v^m.
+these letters.  Each letter has its own name: generator names are unique,
+and none is d followed by another generator's name.  Its rules are the
+algebra rules, which relate 0-forms and so name no differential, then
+the form rules, then the derived inverse variants of both.  The full
+letter precedence (differentials and algebra letters interleaved as the
+model requires) is declared at construction; by default differentials
+come first, in reverse generator order, so that torus-style normal
+forms read dv du u^n v^m.
 
 The differential is the signed derivation with d(g) = dg, d(dg) = 0 and,
 for invertible generators, d(g^-1) = -g^-1 dg g^-1, which is forced by
@@ -38,6 +40,10 @@ class CalculusPresentation:
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
+        for n in names:
+            if n.startswith("d") and n[1:] in names:
+                raise ValueError("generator %r: generator and differential "
+                                 "names must differ" % n)
         if letter_order is None:
             letter_order = names
         letter_order = ["d" + n for n in reversed(names)

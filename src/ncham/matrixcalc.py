@@ -47,15 +47,17 @@ class TensorForm(Form):
     No stored coefficient is zero: the constructor drops the zeros of the
     dict it is given, so operations hand it their raw sums.  It and
     `tensor` accept any tensor, but `MatrixDerivation.iprod` assumes a
-    form, one whose junctions contract to zero (`in_kernel`).
+    form, one whose junctions contract to zero (`in_kernel`).  Its degree
+    is the field `deg`, kept by a zero form too, which `degrees()` and the
+    inherited `degree()` report.
     """
 
-    __slots__ = ("n", "degree", "terms")
+    __slots__ = ("n", "deg", "terms")
     _printer = "tensor_str"
 
     def __init__(self, n, degree, terms=None):
         self.n = n
-        self.degree = degree
+        self.deg = degree
         self.terms = {k: c for k, c in terms.items() if c} if terms else {}
 
     # -- constructors ----------------------------------------------------
@@ -66,7 +68,7 @@ class TensorForm(Form):
 
     def degrees(self):
         """The degrees of the form's terms; a zero form keeps its degree."""
-        return [self.degree]
+        return [self.deg]
 
     @classmethod
     def unit(cls, n, i, j):
@@ -84,7 +86,7 @@ class TensorForm(Form):
                           for i in range(n) for j in range(n)})
 
     def to_matrix(self):
-        if self.degree != 0:
+        if self.deg != 0:
             raise ValueError("only 0-forms convert to matrices")
         mat = [[0] * self.n for _ in range(self.n)]
         for (f,), c in self.terms.items():
@@ -96,30 +98,30 @@ class TensorForm(Form):
     def _check(self, other):
         if self.n != other.n:
             raise ValueError("matrix sizes differ")
-        if self.degree != other.degree and self.terms and other.terms:
-            raise ValueError("degrees differ: %d vs %d" % (self.degree, other.degree))
+        if self.deg != other.deg and self.terms and other.terms:
+            raise ValueError("degrees differ: %d vs %d" % (self.deg, other.deg))
 
     def __add__(self, other):
         if not isinstance(other, TensorForm):
             return NotImplemented
         self._check(other)
         if not self.terms:
-            return TensorForm(other.n, other.degree, dict(other.terms))
+            return TensorForm(other.n, other.deg, dict(other.terms))
         out = dict(self.terms)
         for k, c in other.terms.items():
             acc = out.get(k)
             out[k] = c if acc is None else acc + c
-        return TensorForm(self.n, self.degree, out)
+        return TensorForm(self.n, self.deg, out)
 
     def __neg__(self):
-        return TensorForm(self.n, self.degree,
+        return TensorForm(self.n, self.deg,
                           {k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
         if not c:
-            return TensorForm.zero(self.n, self.degree)
+            return TensorForm.zero(self.n, self.deg)
         c = _integral(c)
-        return TensorForm(self.n, self.degree,
+        return TensorForm(self.n, self.deg,
                           {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -142,7 +144,7 @@ class TensorForm(Form):
                 key = k1[:-1] + (ai * n + bj,) + k2[1:]
                 acc = out.get(key)
                 out[key] = c1 * c2 if acc is None else acc + c1 * c2
-        return TensorForm(n, self.degree + other.degree, out)
+        return TensorForm(n, self.deg + other.deg, out)
 
     __rmul__ = __mul__      # reached only for a scalar, which commutes
 
@@ -156,12 +158,12 @@ class TensorForm(Form):
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 out[k1 + k2] = c1 * c2
-        return TensorForm(self.n, self.degree + other.degree + 1, out)
+        return TensorForm(self.n, self.deg + other.deg + 1, out)
 
     def __eq__(self, other):
         if not isinstance(other, TensorForm):
             return NotImplemented
-        return (self.n == other.n and self.degree == other.degree
+        return (self.n == other.n and self.deg == other.deg
                 and self.terms == other.terms)
 
     # -- calculus ----------------------------------------------------------
@@ -177,14 +179,14 @@ class TensorForm(Form):
                     nk = key[:pos] + (i * n + i,) + key[pos:]
                     acc = out.get(nk)
                     out[nk] = sign if acc is None else acc + sign
-        return TensorForm(n, self.degree + 1, out)
+        return TensorForm(n, self.deg + 1, out)
 
     def contract_junctions(self, p_matrix) -> list:
         """Contract junction j of every term with the matrix P inserted,
         for j = 1..degree; returns the list indexed by j-1."""
         n = self.n
         outs = []
-        for j in range(1, self.degree + 1):
+        for j in range(1, self.deg + 1):
             out = {}
             for key, c in self.terms.items():
                 ai, aj = divmod(key[j - 1], n)
@@ -195,12 +197,12 @@ class TensorForm(Form):
                 nk = key[:j - 1] + (ai * n + bj,) + key[j + 1:]
                 acc = out.get(nk)
                 out[nk] = c * val if acc is None else acc + c * val
-            outs.append(TensorForm(n, self.degree - 1, out))
+            outs.append(TensorForm(n, self.deg - 1, out))
         return outs
 
     def contract_alternating(self, p_matrix) -> "TensorForm":
         """sum_j (-1)^(j-1) of junction j contracted with P inserted."""
-        out = TensorForm.zero(self.n, self.degree - 1)
+        out = TensorForm.zero(self.n, self.deg - 1)
         for j, t in enumerate(self.contract_junctions(p_matrix)):
             out = out - t if j % 2 else out + t
         return out
@@ -289,7 +291,7 @@ class MatrixDerivation(Derivation):
                     nk = key[:j] + (o,) + key[j + 1:]
                     acc = out.get(nk)
                     out[nk] = c * v if acc is None else acc + c * v
-        return TensorForm(x.n, x.degree, out)
+        return TensorForm(x.n, x.deg, out)
 
     def commutator(self, other: "MatrixDerivation") -> "MatrixDerivation":
         """[ad_S, ad_T] = ad_(ST - TS)."""

@@ -188,9 +188,6 @@ class Poly(Printed):
         return _canonical({(i, j - 1): n * j
                            for (i, j), n in self.nums.items() if j}, self.den)
 
-    def degree(self):
-        return max((i + j for (i, j) in self.nums), default=0)
-
 
 def _trusted(nums, den):
     """A Poly from fields that are already canonical."""

@@ -105,26 +105,20 @@ class KernelReport(Record):
 
 class HamiltonianSolution(Record):
     __slots__ = ("element", "coefficients", "vector_field")
+    hamiltonian = True
 
     def __init__(self, element, coefficients, vector_field):
         self.element, self.coefficients = element, coefficients
         self.vector_field = vector_field  # X_a, omega_tilde(X_a) = da exactly
 
-    @property
-    def hamiltonian(self):
-        return True
-
 
 class NotHamiltonian(Record):
     __slots__ = ("element", "residual")
+    hamiltonian = False
 
     def __init__(self, element, residual):
         self.element = element
         self.residual = residual     # coordinates of da outside the image
-
-    @property
-    def hamiltonian(self):
-        return False
 
 
 class HamiltonianSolver:

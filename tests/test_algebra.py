@@ -554,6 +554,17 @@ def test_add_rule_drops_the_sort_table():
         == {system.encode_word([("u", 1)]): system.one()}
 
 
+def test_zero_rhs_coefficients_drop_and_the_empty_word_prints_1():
+    calc = CalculusPresentation([GeneratorSymbol("a"), GeneratorSymbol("b")],
+                                [], [])
+    system = calc.system
+    rule = system.add_rule(RuleSpec.make(
+        [("b", 1), ("a", 1)], [(0, [("a", 1)]), (2, [("a", 1), ("b", 1)])]))
+    assert rule.rhs == {system.encode_word([("a", 1), ("b", 1)]):
+                        system.scalar(2)}
+    assert system.word_str(()) == "1"
+
+
 def test_unknown_generator():
     calc = torus_calculus(2)
     with pytest.raises(UnknownGeneratorError):

@@ -377,7 +377,7 @@ def test_forms_and_derivations_share_one_contract(name, request, tmp_path):
         if tensor:
             with pytest.raises(DegreeError):
                 theta.iprod(zero)
-            assert (da.degree, zero.degree) == (1, 0)
+            assert (da.degree(), zero.degree()) == (1, 0)
         else:
             assert theta.iprod(zero).is_zero()
             assert zero.degree() == 0

@@ -2,8 +2,10 @@
 
 import pytest
 
-from ncham.algebra import Letter, LetterTable, RuleSpec
+from ncham.algebra import (GeneratorSymbol, Letter, LetterTable,
+                           ReductionBudgetExceeded, RuleSpec)
 from ncham.cartan import PresentedDerivation
+from ncham.forms import CalculusPresentation
 from ncham.matrixcalc import TensorForm
 from ncham.models import cuntz_calculus, torus_calculus
 from ncham.polynomials import Poly
@@ -15,6 +17,15 @@ E2, E3 = TensorForm.unit(2, 0, 1), TensorForm.unit(3, 0, 1)
 
 def _theta(calc):
     return PresentedDerivation(calc, {"u": calc.gen("u")})
+
+
+def _budgeted_swap():
+    """b a -> a b, which rewrites, with a budget of 10 steps."""
+    calc = CalculusPresentation(
+        [GeneratorSymbol("a"), GeneratorSymbol("b")],
+        [RuleSpec.make([("b", 1), ("a", 1)], [(1, [("a", 1), ("b", 1)])])], [])
+    calc.system.step_budget = 10
+    return calc
 
 
 GUARDS = [
@@ -52,6 +63,14 @@ GUARDS = [
      lambda: cyclotomic_polynomial(0)),
     ("coefficients", ValueError, "coefficient vector has wrong length for p=3",
      lambda: CycScalar(3, [1])),
+    ("differential name", ValueError,
+     "generator 'du': generator and differential names must differ",
+     lambda: CalculusPresentation(
+         [GeneratorSymbol("u"), GeneratorSymbol("du")], [], [])),
+    ("budget text", ReductionBudgetExceeded,
+     "rewrite budget of 10 steps exceeded reducing " + "b a " * 19
+     + "b...; last rule applied: b a -> ...",
+     lambda: _budgeted_swap().element([("b", 1), ("a", 1)] * 30)),
 ]
 
 

@@ -93,7 +93,7 @@ def test_mul_against_leibniz_expansion_oracle():
 def test_mul_unit_and_degree2_kernel():
     e12, e21 = TensorForm.unit(2, 0, 1), TensorForm.unit(2, 1, 0)
     prod = e12.d() * e21.d()
-    assert prod.degree == 2 and prod.in_kernel()
+    assert prod.degree() == 2 and prod.in_kernel()
     x = e12.d()
     assert x * TensorForm.identity(2) == x
 
@@ -221,7 +221,7 @@ def test_cartan_props_universal():
         assert th.lie(x).d() == th.lie(x.d())
         assert ph.lie(th.iprod(x)) == th.iprod(ph.lie(x)) \
             + ph.commutator(th).iprod(x)
-        if x.degree >= 2:
+        if x.degree() >= 2:
             assert ph.iprod(th.iprod(x)) == -th.iprod(ph.iprod(x))
         assert th.lie(ph.lie(x)) - ph.lie(th.lie(x)) \
             == th.commutator(ph).lie(x)
@@ -241,7 +241,7 @@ def legwise_iprod(theta, x):
                 if lj == oi:
                     nk = key[:j - 1] + (li * n + oj,) + key[j + 1:]
                     out[nk] = out[nk] + sign * v if nk in out else sign * v
-    return TensorForm(n, x.degree - 1, out)
+    return TensorForm(n, x.degree() - 1, out)
 
 
 def random_form(rng, n, degree):
@@ -302,7 +302,8 @@ def boxed(x):
     as given, where `from_matrix` and `scale` would store ints."""
     if isinstance(x, MatrixDerivation):
         return MatrixDerivation(boxed(x.s))
-    return TensorForm(x.n, x.degree, {k: Fraction(c) for k, c in x.terms.items()})
+    return TensorForm(x.n, x.degree(),
+                      {k: Fraction(c) for k, c in x.terms.items()})
 
 
 def coefficient_types(x):

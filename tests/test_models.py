@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from closure import commutator_closure
 
-from ncham.matrixcalc import MatrixDerivation
+from ncham.matrixcalc import MatrixDerivation, TensorForm
 from ncham.models import (build_cuntz, build_matrix, build_model,
                           build_poly_matrix, build_torus, theta_h)
 from ncham.polynomials import Poly
@@ -169,11 +169,19 @@ def test_forms_and_derivations_share_one_zero_test_and_one_text(all_models):
             for y in (x, model.backend.d(x), th.lie(x), x - x):
                 assert y.is_zero() == (not y.coordinates()), model.name
                 assert str(y) == repr(y), model.name
+                degs = y.degrees()
+                if len(degs) > 1:
+                    with pytest.raises(ValueError, match="not homogeneous"):
+                        y.degree()
+                else:
+                    assert [y.degree()] == (degs or [0]), model.name
             for phi in (th, th.commutator(model.random_derivation(rng))):
                 assert phi.is_zero() == (not phi.coordinates()), model.name
             assert (x - x).is_zero() and (th - th).is_zero(), model.name
             assert not model.backend.zero_derivation.coordinates()
             assert model.backend.zero_derivation.is_zero()
+    assert TensorForm.unit(2, 0, 1).degree() == 0
+    assert TensorForm.zero(2, 1).degree() == 1
     p = Poly.x() - Fraction(1, 2)
     assert str(p) == repr(p) == "-1/2 + x"
     assert repr(q_power(3, 2)) == "CycScalar(p=3, -1 - q)"

@@ -14,7 +14,8 @@ import pytest
 import ncham
 from ncham.algebra import (ConfluenceReport, CriticalPair, GeneratorSymbol,
                            Letter, RewriteRule, RuleSpec)
-from ncham.cartan import ConsistencyCheck, ConsistencyReport
+from ncham.cartan import (ConsistencyCheck, ConsistencyReport,
+                          PresentedDerivation)
 from ncham.symplectic import (FlowSeries, HamiltonianSolution, KernelReport,
                               NotHamiltonian, SymplecticForm)
 
@@ -118,6 +119,11 @@ def test_every_record_constructs_positionally_and_by_keyword(torus2):
     series = FlowSeries([omega])
     assert series.coefficient(0) is omega
     assert FlowSeries(coefficients=[omega]).coefficients == [omega]
+    calc = torus2.calculus
+    theta = PresentedDerivation(calc, {
+        "v": calc.element([("u", 2), ("v", 1)], -1),
+        "u": calc.gen("u") * calc.gen("v")})
+    assert repr(theta) == str(theta) == "derivation(u -> u v, v -> -u^2 v)"
 
 
 def vars_of(record):

@@ -235,3 +235,19 @@ def test_solver_uniqueness_under_nonsingularity(torus2):
     sol_v = solver.solve(torus_monomial(calc, -2, 4))
     combo = 3 * sol_u.vector_field + Fraction(1, 2) * sol_v.vector_field
     assert combo.coordinates() == sol.vector_field.coordinates()
+
+
+def test_solve_checks_its_residual(torus2):
+    """A wrong pivot-column expression gives a wrong X_a, which the exact
+    residual omega~(X_a) - da catches before any verdict is returned."""
+    calc = torus2.calculus
+    a = torus_monomial(calc, 2, 2)
+    solver = HamiltonianSolver(torus2.omega, torus2.space)
+    system = solver._system
+    key = next(k for k in calc.d(a).coordinates() if k in system._basis_at)
+    expr = system.echelon[system._basis_at[key]][1]
+    for j in expr:
+        expr[j] = 2 * expr[j]
+    with pytest.raises(AssertionError,
+                       match="^solver produced a nonzero residual$"):
+        solver.solve(a)
