@@ -76,8 +76,9 @@ class Form(Printed):
     """Base of `Element`, `TensorForm` and `BigradedForm`, which provide
     `+`, unary `-` and `degrees()` (sorted; none for a zero form, except on
     a TensorForm, which keeps its degree) and get `-`, `degree()`, their
-    text, `is_zero` and `coordinates` here.  The last two read `terms`,
-    which stores no zero; `BigradedForm` stores `parts` and has its own."""
+    text, `is_zero`, `coordinates` and `freeze` here.  The last three read
+    `terms`, which stores no zero; `BigradedForm` stores `parts` and has
+    its own."""
 
     __slots__ = ()
 
@@ -87,6 +88,11 @@ class Form(Printed):
     def coordinates(self):
         """key -> coefficient; the live dict, not a copy."""
         return self.terms
+
+    def freeze(self):
+        """A hashable key, equal for equal forms of one calculus: the
+        stored coefficients, as they are."""
+        return frozenset(self.terms.items())
 
     def __sub__(self, other):
         # __add__, not +, so that a foreign operand fails naming -

@@ -16,11 +16,18 @@ coefficients of d/dx and d/dy, and the commutator with theta_S =
 theta_r (E12 - E21), the general antisymmetric 2 x 2 matrix.  Interior
 product evaluates against dx, dy and the matrix legs; the Lie derivative
 is the unsigned derivation with L(da) = d(theta(a)), which replaces a
-classical letter dxi in place by d(theta_xi).  For a non-constant
-theta_S the Lie derivative does not keep the bidegree: on a matrix 1-form
-A d_mat(B) it contributes A dx [dS/dx, B] + A dy [dS/dy, B] on top of the
-leg-wise commutator action, extended to higher matrix degree with
-alternating junction insertions, as in the matrix interior product.
+classical letter dxi in place by d(theta_xi); on each part it applies the
+commutator leg-wise and adds the transport theta_x d/dx + theta_y d/dy of
+the polynomial scalars straight into those terms, skipping a zero
+component or partial.  For a non-constant theta_S the Lie derivative does
+not keep the bidegree: on a matrix 1-form A d_mat(B) it contributes
+A dx [dS/dx, B] + A dy [dS/dy, B] on top of the leg-wise commutator
+action, extended to higher matrix degree with alternating junction
+insertions, as in the matrix interior product.
+
+A form's `freeze()`, the solver's cache key, reads the canonical
+numerators and denominators that each `Poly` stores, so it builds no
+Fraction; `coordinates()` gives the rationals themselves.
 """
 
 from __future__ import annotations
@@ -97,6 +104,15 @@ class BigradedForm(Form):
         """(classical symbol, tensor key, monomial) -> rational."""
         return {(csym, key, mono): c for csym, t in self.parts.items()
                 for key, val in t.terms.items() for mono, c in val.items()}
+
+    def freeze(self):
+        """The canonical fields of every stored polynomial, frozen as
+        (classical symbol, tensor key, monomial, denominator, numerator):
+        equal exactly for equal forms, and no Fraction is built."""
+        return frozenset((csym, key, mono, p.den, n)
+                         for csym, t in self.parts.items()
+                         for key, p in t.terms.items()
+                         for mono, n in p.nums.items())
 
     # -- linear structure ----------------------------------------------------
 
@@ -216,10 +232,6 @@ class MixedDerivation(Derivation):
             self._ad_s = MatrixDerivation(TensorForm(2, 0, {(1,): g, (2,): -g}))
         return self._ad_s
 
-    def _scalar_transport(self, t: TensorForm) -> TensorForm:
-        out = _map_scalars(t, Poly.diff_x).scale(self.theta_x)
-        return out + _map_scalars(t, Poly.diff_y).scale(self.theta_y)
-
     # -- action ----------------------------------------------------------------
 
     def iprod(self, x: BigradedForm) -> BigradedForm:
@@ -245,6 +257,8 @@ class MixedDerivation(Derivation):
         # first derivatives of theta, each taken when a part first needs it
         dtheta = ds = None
         ad = self._ad()
+        transport = [(theta, diff) for theta, diff in (
+            (self.theta_x, Poly.diff_x), (self.theta_y, Poly.diff_y)) if theta]
         parts = {}
         for csym, t in x.parts.items():
             # replace each classical letter dxi by d(theta_xi) in place:
@@ -260,8 +274,18 @@ class MixedDerivation(Derivation):
                     if coeff and (r == var or r not in csym):
                         _put(parts, csym[:j] + (r,) + csym[j + 1:],
                              t.scale(coeff))
-            # transport of polynomial scalars plus leg-wise commutator
-            _put(parts, csym, self._scalar_transport(t) + ad.lie(t))
+            # leg-wise commutator, with the transport theta_x d/dx +
+            # theta_y d/dy of the polynomial scalars added straight into its
+            # terms; a zero component or a zero partial adds nothing
+            terms = ad.lie(t).terms
+            for key, c in t.terms.items():
+                for theta, diff in transport:
+                    dc = diff(c)
+                    if dc:
+                        acc = terms.get(key)
+                        terms[key] = (dc * theta if acc is None
+                                      else acc + dc * theta)
+            _put(parts, csym, TensorForm(t.n, t.deg, terms))
             # bidegree leakage of a non-constant theta_S, which enters at
             # the junctions of a part of matrix degree >= 1
             if t.deg == 0:

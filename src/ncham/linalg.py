@@ -12,11 +12,12 @@ the basis vectors nonzero there names the ones a new pivot changes, so
 elimination visits only those and costs what the fill costs, not rank²;
 on a diagonal system, such as omega~ on the torus ansatz, the index
 stays empty.  Projecting a right-hand side is one pass of the same
-reduction over its pivot keys.  Every step divides exactly; there is no
-tolerance.  A Fraction 1 serves as the unit of either field, as Q is a
-subfield of Q(q); a pivot is scaled by c ** -1, the inverse in c's own
-field, except that an int pivot c is inverted as Fraction(1, c), since
-c ** -1 is a float.
+reduction over its pivot keys; it yields the coefficients sparse, by
+pivot column, and `dense` lists them one entry per column.  Every step
+divides exactly; there is no tolerance.  A Fraction 1 serves as the unit
+of either field, as Q is a subfield of Q(q); a pivot is scaled by
+c ** -1, the inverse in c's own field, except that an int pivot c is
+inverted as Fraction(1, c), since c ** -1 is a float.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class ExactLinearSystem:
                 expr = {i: -c for i, c in coeffs.items()}
                 expr[j] = _ONE
                 self.free_cols.append(j)
-                self._kernel.append(self._dense(expr))
+                self._kernel.append(self.dense(expr))
                 continue
             key = min(rest)
             piv = rest[key]
@@ -129,9 +130,11 @@ class ExactLinearSystem:
         exactly when the residual is empty, and then coeffs solve it.
         The residual is rhs - sum c_j columns_j, zero on every pivot key."""
         coeffs, rest = self._reduce(rhs)
-        return self._dense(coeffs), rest
+        return self.dense(coeffs), rest
 
-    def _dense(self, coeffs):
+    def dense(self, coeffs):
+        """The coefficient list, one entry per column, of a dict from column
+        to coefficient, such as the sparse coefficients of `_reduce`."""
         dense = [_ZERO] * len(self.columns)
         for i, c in coeffs.items():
             dense[i] = c

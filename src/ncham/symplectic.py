@@ -16,11 +16,19 @@ flow from that factorization.  A model builds it on first use and keeps
 it as `model.solver`.
 
 The solver reads a calculus only through its form's `Backend`: the
-differential, zero tests, a hashable freeze of a form (for caching) and
-linear combinations of derivations.  Forms answer `is_zero()` and
-`coordinates()` and derivations `describe()` themselves, so a backend is
-a differential and a zero derivation; `Backend.presented` serves every
-presented calculus, algebra-only ones included.
+differential, zero tests and linear combinations of derivations.  Forms
+answer `is_zero()`, `coordinates()` and `freeze()` and derivations
+`describe()` themselves, so a backend is a differential and a zero
+derivation; `Backend.presented` serves every presented calculus,
+algebra-only ones included.
+
+A query pays for its answer, not for the ansatz.  `solve` caches each
+verdict under the form's `freeze()`, its stored coefficients as they are
+(on polymat, the polynomials' numerators and denominators; no Fraction
+is built), so a repeated query costs one key and one lookup.  A fresh
+query reduces da once, and X_a is assembled from the nonzero
+coefficients of that reduction alone, in column order; the dense list
+is written once, for the solution record.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ class Backend:
 
     @staticmethod
     def freeze(x):
-        return frozenset(x.coordinates().items())
+        return x.freeze()
 
     def combo(self, coeffs, derivations):
         """sum c * theta over the nonzero coefficients."""
@@ -153,21 +161,25 @@ class HamiltonianSolver:
         # freeze is the same as that of the zero 0-form
         if any(a.degrees()):
             raise ValueError("a Hamiltonian must be a 0-form")
-        key = self.backend.freeze(a)
+        key = a.freeze()
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         da = self.backend.d(a)
-        rhs = da.coordinates()
-        coeffs, unreached = self._system.project(rhs)
+        system = self._system
+        coeffs, unreached = system._reduce(da.coordinates())
         if unreached:
             out = NotHamiltonian(a, unreached)
         else:
-            x_a = self.backend.combo(coeffs, self.space.basis)
+            # coeffs holds only the nonzero coefficients, by pivot column
+            basis = self.space.basis
+            cols = sorted(coeffs)
+            x_a = self.backend.combo([coeffs[j] for j in cols],
+                                     [basis[j] for j in cols])
             residual = x_a.iprod(self.form.omega) - da
             if not self.backend.is_zero(residual):
                 raise AssertionError("solver produced a nonzero residual")
-            out = HamiltonianSolution(a, coeffs, x_a)
+            out = HamiltonianSolution(a, system.dense(coeffs), x_a)
         self._cache[key] = out
         return out
 

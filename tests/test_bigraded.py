@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ncham.algebra import DegreeError
-from ncham.bigraded import (BigradedForm, MixedDerivation,
+from ncham.bigraded import (BigradedForm, MixedDerivation, _map_scalars,
                             poly_matrix_symplectic_form, wedge)
 from ncham.matrixcalc import TensorForm
 from ncham.polynomials import P_ONE, Poly
@@ -189,8 +189,9 @@ def wedge_lie(th, x):
                 if coeff and w2:
                     out = out + BigradedForm(
                         {w2[1]: t.scale(coeff * w[0] * w2[0])})
-        out = out + BigradedForm(
-            {csym: th._scalar_transport(t) + th._ad().lie(t)})
+        transport = (_map_scalars(t, Poly.diff_x).scale(th.theta_x)
+                     + _map_scalars(t, Poly.diff_y).scale(th.theta_y))
+        out = out + BigradedForm({csym: transport + th._ad().lie(t)})
         for var, dS in ds:
             w = wedge(csym, (var,))
             if w and t.degree():
@@ -215,6 +216,39 @@ def test_lie_replaces_classical_letters_in_place():
         assert sorted(x.parts) == [(), ("x",), ("x", "y"), ("y",)]
         th = rand_mixed(rng)
         assert th.lie(x) == wedge_lie(th, x)
+
+
+def test_lie_skips_zero_transport_partials(monkeypatch):
+    """With theta_x = 0, with theta_y = 0, or on constant coefficients, L
+    still agrees with the reference, and the transport multiplies only by
+    the nonzero partials of the nonzero components."""
+    rng = random.Random(7)
+    x, y = Poly.x(), Poly.y()
+    const = BigradedForm.from_matrix([[Poly.const(2), Poly.const(-1)],
+                                      [P_ONE, Poly.const(Fraction(1, 3))]])
+    # scalars x + 1 and y^2: one x-partial, one y-partial
+    mixed = BigradedForm.from_matrix([[x + 1, 0], [0, y * y]])
+    thetas = [MixedDerivation(0, rand_poly(rng), rand_poly(rng)),
+              MixedDerivation(rand_poly(rng), 0, rand_poly(rng)),
+              MixedDerivation(0, 0, rand_poly(rng)),
+              MixedDerivation(rand_poly(rng), rand_poly(rng))]
+    forms = [const, const.d(), const * BigradedForm.classical(("x",)),
+             mixed, mixed.d(), rand_zero_form(rng) * const.d()]
+    for th in thetas:
+        for f in forms:
+            assert th.lie(f) == wedge_lie(th, f)
+
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    for tx, ty, f, muls in ((x, y, const, 0), (0, y, mixed, 1),
+                            (x, 0, mixed, 1), (x, y, mixed, 2)):
+        del calls[:]
+        lie = MixedDerivation(tx, ty).lie(f)
+        assert len(calls) == muls, (tx, ty, f)
+        assert lie == wedge_lie(MixedDerivation(tx, ty), f)
+    assert MixedDerivation(x, y).lie(const).is_zero()
 
 
 def test_polymat_namespace_lifts_the_m2_units():

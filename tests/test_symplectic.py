@@ -1,5 +1,6 @@
 """omega_tilde, nonsingularity, the Hamiltonian solver, brackets, flows."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -251,3 +252,106 @@ def test_solve_checks_its_residual(torus2):
     with pytest.raises(AssertionError,
                        match="^solver produced a nonzero residual$"):
         solver.solve(a)
+
+
+def _torus_scan(model):
+    calc = model.calculus
+    return [torus_monomial(calc, a, b)
+            for a, b in itertools.product(range(-6, 7), repeat=2)]
+
+
+def _polymat_bench_arguments(model):
+    """scale (E12 - E21) + x^i y^j, i + j <= 3, at the scales 2 and -3."""
+    from ncham.bigraded import BigradedForm
+    from ncham.polynomials import Poly
+
+    ns = model.namespace()
+    return [scale * (ns["E12"] - ns["E21"])
+            + BigradedForm.scalar(Poly.monomial(i, j))
+            for scale in (2, -3) for i in range(4) for j in range(4 - i)]
+
+
+def _gl3_words(model):
+    calc = model.calculus
+    return [calc.gen("s%d" % i) * calc.gen("s%d*" % j)
+            for i in range(1, 4) for j in range(1, 4)]
+
+
+def _so3(model):
+    from ncham.matrixcalc import antisymmetric_basis
+
+    return antisymmetric_basis(3)
+
+
+SOLVED_ARGUMENTS = {"torus:p=3,B=5": _torus_scan,
+                    "polymat:D=3": _polymat_bench_arguments,
+                    "cuntz:n=3": _gl3_words,
+                    "matrix:n=3": _so3}
+
+
+@pytest.mark.parametrize("desc", SOLVED_ARGUMENTS)
+def test_solve_assembles_the_dense_projections_field(desc):
+    """solve combines X_a from the nonzero coefficients of its one
+    reduction alone; its verdict, its coefficient list (length, values and
+    types), its field and its residual are those of the dense projection
+    and of the combination over every column."""
+    from ncham.models import build_model
+
+    model = build_model(desc)
+    solver = HamiltonianSolver(model.omega, model.space)
+    basis = model.space.basis
+    verdicts = set()
+    for a in SOLVED_ARGUMENTS[desc](model):
+        coeffs, residual = solver._system.project(
+            model.backend.d(a).coordinates())
+        sol = solver.solve(a)
+        verdicts.add(sol.hamiltonian)
+        if residual:
+            assert not sol.hamiltonian, a
+            assert [(k, type(v), v) for k, v in sol.residual.items()] == \
+                [(k, type(v), v) for k, v in residual.items()], a
+            continue
+        assert len(sol.coefficients) == len(coeffs) == len(basis), a
+        assert [(type(c), c) for c in sol.coefficients] == \
+            [(type(c), c) for c in coeffs], a
+        dense = model.backend.combo(coeffs, basis)
+        assert sol.vector_field.coordinates() == dense.coordinates(), a
+    assert verdicts == ({True, False} if desc.startswith("torus")
+                        else {True})
+
+
+def test_the_cache_key_is_the_forms_own(torus3, matrix2, polymat):
+    """Equal forms built two ways share one cache entry, whatever the
+    type of their stored coefficients; forms that differ in one
+    coefficient do not.  Backend.freeze is the form's own freeze."""
+    from ncham.bigraded import BigradedForm
+    from ncham.exprparse import parse_expression
+    from ncham.polynomials import Poly
+
+    calc = torus3.calculus
+    half = Fraction(1, 2)
+    x_half = BigradedForm.scalar(Poly.monomial(1, 0, half))
+    cases = [
+        (polymat, parse_expression("2 (E12 - E21) + x", polymat),
+         parse_expression("x + 2 E12 - 2 E21", polymat),
+         parse_expression("x + 2 E12 - 3 E21", polymat)),
+        (polymat, x_half + parse_expression("E12 - E21", polymat),
+         BigradedForm.scalar(Poly({(1, 0): half}))
+         + BigradedForm.from_matrix([[0, 1], [-1, 0]]),
+         BigradedForm.from_matrix([[Poly.monomial(1, 0, Fraction(1, 3)), 1],
+                                   [-1, Poly.monomial(1, 0, half)]])),
+        (matrix2, TensorForm.from_matrix([[0, 2], [-2, 0]]),
+         TensorForm(2, 0, {(1,): Fraction(2), (2,): Fraction(-2)}),
+         TensorForm.from_matrix([[0, 2], [-3, 0]])),
+        (torus3, torus_monomial(calc, 3, 3, 2) + torus_monomial(calc, -3, 0),
+         torus_monomial(calc, -3, 0) + torus_monomial(calc, 3, 3, Fraction(2)),
+         torus_monomial(calc, -3, 0) + torus_monomial(calc, 3, 3, 3)),
+    ]
+    for model, a, b, other in cases:
+        solver = HamiltonianSolver(model.omega, model.space)
+        assert a == b and a.freeze() == b.freeze(), a
+        assert model.backend.freeze(a) == a.freeze(), a
+        assert solver.solve(a) is solver.solve(b), a
+        assert other.freeze() != a.freeze(), other
+        assert solver.solve(other) is not solver.solve(a), other
+        assert solver.solve(other).element == other, other
